@@ -17,7 +17,7 @@ from .errors import (ConfigError, ContractViolation, DatasetError,
                      DeterminismError, FlowgadError, NumericFault,
                      PhaseOrderError, TrainingFault, UndefinedMetricError)
 from .flow import CouplingStep, GraphFlow, IdentityFlow, nf_loss, train_flow
-from .optim import Adam, adam_step, glorot_init, make_rng
+from .optim import Adam, glorot_init, make_rng
 from .pipeline import (ExperimentConfig, ScoreReport, SplitGuard,
                        compute_auc, export_embeddings, run_experiment,
                        score_graph, score_histogram)

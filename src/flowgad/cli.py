@@ -14,27 +14,21 @@ Exit codes: 0 success, 1 internal error, 2 dataset/parse, 3 configuration,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
-import time
 
 import numpy as np
 
-from .data import (dataset_fingerprint, graphset_to_dict, parse_tudataset)
+from .checkpoint import PhaseStore, write_csv
+from .data import (dataset_fingerprint, graphset_to_dict, make_anomaly_split,
+                   parse_tudataset)
 from .errors import (ConfigError, DatasetError, FlowgadError, NumericFault,
                      PhaseOrderError, TrainingFault, UndefinedMetricError)
-from .flow import IdentityFlow
-from .pipeline import (ExperimentConfig, ScoreReport, SplitGuard,
-                       compute_auc, config_from_dict, export_embeddings,
-                       load_encoder, load_flow, load_student,
-                       precompute_inputs, reconstruction_score,
-                       report_from_dict, resolve_normal_class,
-                       run_phase_flow, run_phase_source, run_phase_target,
-                       save_encoder, save_flow, save_student, score_graph,
-                       score_histogram, subsample_graphset)
-from .data import make_anomaly_split
+from .pipeline import (PHASES, ExperimentConfig, build_report,
+                       config_from_dict, export_embeddings, phase_chain,
+                       prepare_experiment, report_from_dict, run_seed,
+                       score_histogram)
 from .synthetic import planted_anomaly_set
 
 EXIT_CODES = (
@@ -105,19 +99,6 @@ def load_dataset(config: ExperimentConfig):
                            config.dataset)
 
 
-def _write_csv(path: str, header: list[str], rows):
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _loss_csv(path: str, trace: list[float]):
-    _write_csv(path, ["epoch", "loss"],
-               [[i, repr(v)] for i, v in enumerate(trace)])
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -151,127 +132,60 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
     return config.validate()
 
 
-def _seed_dir(out_dir: str, seed: int) -> str:
-    return os.path.join(out_dir, str(seed))
+def _store(config: ExperimentConfig, args) -> PhaseStore:
+    out_dir = args.out_dir or os.path.join(
+        "runs", f"{config.dataset}_{config.variant}")
+    return PhaseStore(out_dir, config.fingerprint())
 
 
-def _default_out_dir(config: ExperimentConfig) -> str:
-    return os.path.join("runs", f"{config.dataset}_{config.variant}")
+_PHASE_DONE = {"source": "encoder trained", "flow": "flow written",
+               "target": "student trained"}
 
 
 def cmd_train(args) -> int:
     config = _apply_overrides(parse_config_file(args.config), args)
-    out_dir = args.out_dir or _default_out_dir(config)
-    gs = subsample_graphset(load_dataset(config), config.max_graphs)
-    normal = resolve_normal_class(gs, config)
-    inputs = precompute_inputs(gs, config)
-    config_fp = config.fingerprint()
-    phases = (["source", "flow", "target"] if args.phase == "all"
-              else [args.phase])
+    store = _store(config, args)
+    gs, normal, inputs = prepare_experiment(load_dataset(config), config)
+    phases = PHASES if args.phase == "all" else (args.phase,)
     for seed in config.seeds:
-        split = make_anomaly_split(gs, normal, config.test_fraction, seed)
-        guard = SplitGuard(split)
-        sdir = _seed_dir(out_dir, seed)
-        enc_path = os.path.join(sdir, "encoder.ckpt")
-        flow_path = os.path.join(sdir, "flow.ckpt")
-        tgt_path = os.path.join(sdir, "target.ckpt")
-
-        if "source" in phases:
-            encoder, decoder, trace = run_phase_source(
-                inputs, guard.take(split.train), config, seed)
-            fp = save_encoder(enc_path, encoder, decoder, config_fp)
-            _loss_csv(os.path.join(sdir, "loss_source.csv"), trace)
-            print(f"seed {seed}: encoder trained "
-                  f"(final loss {trace[-1]:.4f})" if trace else
-                  f"seed {seed}: encoder written untrained")
-
-        if "flow" in phases and config.variant != "non_st":
-            encoder, _, enc_fp = load_encoder(enc_path, config_fp)
-            if config.variant == "full":
-                flow, trace = run_phase_flow(
-                    encoder, inputs, guard.take(split.train), config, seed)
-                _loss_csv(os.path.join(sdir, "loss_flow.csv"), trace)
-            else:
-                flow, trace = IdentityFlow(config.d), []
-            save_flow(flow_path, flow, config_fp, enc_fp)
-            print(f"seed {seed}: flow written"
-                  + (f" (final loss {trace[-1]:.4f})" if trace else " (identity)"))
-
-        if "target" in phases and config.variant != "non_st":
-            encoder, _, enc_fp = load_encoder(enc_path, config_fp)
-            flow, flow_fp = load_flow(flow_path, config_fp, enc_fp)
-            student, trace = run_phase_target(
-                encoder, flow, inputs, guard.take(split.train), config, seed)
-            save_student(tgt_path, student, config_fp, flow_fp)
-            _loss_csv(os.path.join(sdir, "loss_target.csv"), trace)
-            print(f"seed {seed}: student trained "
-                  + (f"(final loss {trace[-1]:.4f})" if trace else "(no epochs)"))
+        result = run_seed(gs, inputs, config, seed, normal, store=store,
+                          train=phases, score=False)
+        for phase in phase_chain(config.variant):
+            if phase in phases:
+                trace = result.traces.get(phase)
+                note = ("identity" if trace is None else
+                        f"final loss {trace[-1]:.4f}" if trace else "no epochs")
+                print(f"seed {seed}: {_PHASE_DONE[phase]} ({note})")
     return 0
 
 
 def cmd_eval(args) -> int:
     config = _apply_overrides(parse_config_file(args.config), args)
-    out_dir = args.out_dir or _default_out_dir(config)
-    gs = subsample_graphset(load_dataset(config), config.max_graphs)
-    normal = resolve_normal_class(gs, config)
-    inputs = precompute_inputs(gs, config)
-    config_fp = config.fingerprint()
-
-    missing = [seed for seed in config.seeds if not os.path.isfile(
-        os.path.join(_seed_dir(out_dir, seed), "encoder.ckpt"))]
+    store = _store(config, args)
+    gs, normal, inputs = prepare_experiment(load_dataset(config), config)
+    missing = [seed for seed in config.seeds
+               if not os.path.isfile(store.path(seed, "source"))]
     if missing:
         raise PhaseOrderError(
             f"no encoder checkpoint for seeds {missing}; run train first")
 
-    per_seed = []
-    score_rows = []
-    t0 = time.perf_counter()
+    results = []
     for seed in config.seeds:
-        sdir = _seed_dir(out_dir, seed)
-        split = make_anomaly_split(gs, normal, config.test_fraction, seed)
-        encoder, decoder, enc_fp = load_encoder(
-            os.path.join(sdir, "encoder.ckpt"), config_fp)
-        flow = student = None
-        if config.variant != "non_st":
-            flow, flow_fp = load_flow(os.path.join(sdir, "flow.ckpt"),
-                                      config_fp, enc_fp)
-            student, _ = load_student(os.path.join(sdir, "target.ckpt"),
-                                      config_fp, flow_fp)
-        records = []
-        for idx, flag in split.test:
-            if config.variant == "non_st":
-                raw = reconstruction_score(inputs[idx], encoder, decoder,
-                                           config.alpha)
-                score = raw
-            else:
-                score, raw = score_graph(inputs[idx], encoder, flow, student,
-                                         config)
-            records.append({"graph": idx, "flag": bool(flag),
-                            "score": float(score), "raw": float(raw)})
-            score_rows.append([seed, idx, int(flag), repr(float(score)),
-                               repr(float(raw))])
-        auc = compute_auc([r["score"] for r in records],
-                          [r["flag"] for r in records])
-        per_seed.append({"seed": seed, "auc": auc, "records": records,
-                         "traces": {}})
-        print(f"seed {seed}: AUC {auc:.4f}")
-
-    aucs = np.array([p["auc"] for p in per_seed])
-    report = ScoreReport(
-        dataset=gs.name, variant=config.variant, config=config.to_dict(),
-        config_fingerprint=config_fp, normal_class=normal, per_seed=per_seed,
-        auc_mean=float(aucs.mean()), auc_std=float(aucs.std()),
-        phase_seconds={"eval": round(time.perf_counter() - t0, 3)},
-        timestamp=time.strftime("%Y-%m-%dT%H:%M:%S"))
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
+        results.append(run_seed(gs, inputs, config, seed, normal, store=store,
+                                train=()))
+        print(f"seed {seed}: AUC {results[-1].auc:.4f}")
+    report = build_report(gs, config, normal, results)
+    report_path = os.path.join(store.root, "report.json")
+    with open(report_path, "w", encoding="utf-8") as fh:
         json.dump(report.to_dict(), fh, sort_keys=True, indent=1)
         fh.write("\n")
-    _write_csv(os.path.join(out_dir, "scores.csv"),
-               ["seed", "graph", "flag", "score", "raw"], score_rows)
+    write_csv(os.path.join(store.root, "scores.csv"),
+              ["seed", "graph", "flag", "score", "raw"],
+              [[r.seed, rec["graph"], int(rec["flag"]), repr(rec["score"]),
+                repr(rec["raw"])] for r in results for rec in r.records])
     print(f"{gs.name} {config.variant} "
           f"{100 * report.auc_mean:.2f}±{100 * report.auc_std:.2f}")
-    print(f"wrote {os.path.join(out_dir, 'report.json')}")
+    print(f"wrote {report_path}")
     return 0
 
 
@@ -289,42 +203,32 @@ def cmd_plotdata(args) -> int:
 
     records = [r for p in report.per_seed for r in p["records"]]
     edges, normal, anomalous = score_histogram(records)
-    _write_csv(os.path.join(out_dir, "histogram.csv"),
-               ["bin_lo", "bin_hi", "normal", "anomalous"],
-               [[repr(float(edges[i])), repr(float(edges[i + 1])),
-                 int(normal[i]), int(anomalous[i])]
-                for i in range(len(normal))])
+    write_csv(os.path.join(out_dir, "histogram.csv"),
+              ["bin_lo", "bin_hi", "normal", "anomalous"],
+              [[repr(float(edges[i])), repr(float(edges[i + 1])),
+                int(normal[i]), int(anomalous[i])]
+               for i in range(len(normal))])
     print(f"wrote {os.path.join(out_dir, 'histogram.csv')}")
 
-    run_dir = os.path.dirname(os.path.abspath(args.report))
     config = config_from_dict(report.config)
-    config_fp = report.config_fingerprint
+    store = PhaseStore(os.path.dirname(os.path.abspath(args.report)),
+                       report.config_fingerprint)
     first_seed = report.per_seed[0]["seed"]
-    sdir = _seed_dir(run_dir, first_seed)
-    if not os.path.isfile(os.path.join(sdir, "encoder.ckpt")):
+    if not os.path.isfile(store.path(first_seed, "source")):
         print("no checkpoints next to the report; skipping embedding export")
         return 0
-    gs = subsample_graphset(load_dataset(config), config.max_graphs)
-    inputs = precompute_inputs(gs, config)
+    gs, _, inputs = prepare_experiment(load_dataset(config), config)
     split = make_anomaly_split(gs, report.normal_class, config.test_fraction,
                                first_seed)
-    encoder, _, enc_fp = load_encoder(os.path.join(sdir, "encoder.ckpt"),
-                                      config_fp)
-    flow = student = None
-    stages = ["source"]
-    if config.variant != "non_st":
-        flow, flow_fp = load_flow(os.path.join(sdir, "flow.ckpt"),
-                                  config_fp, enc_fp)
-        student, _ = load_student(os.path.join(sdir, "target.ckpt"),
-                                  config_fp, flow_fp)
-        stages += ["flow", "target"]
-    d = config.d
+    stages = phase_chain(config.variant)
+    models, _ = store.load_chain(first_seed, stages)
     for stage in stages:
-        rows = export_embeddings(inputs, split.test, stage, encoder, flow,
-                                 student, config)
-        _write_csv(os.path.join(out_dir, f"embeddings_{stage}.csv"),
-                   ["graph", "flag"] + [f"e{j}" for j in range(d)],
-                   [row[:2] + [repr(v) for v in row[2:]] for row in rows])
+        rows = export_embeddings(inputs, split.test, stage, models["encoder"],
+                                 models.get("flow"), models.get("student"),
+                                 config)
+        write_csv(os.path.join(out_dir, f"embeddings_{stage}.csv"),
+                  ["graph", "flag"] + [f"e{j}" for j in range(config.d)],
+                  [row[:2] + [repr(v) for v in row[2:]] for row in rows])
         print(f"wrote {os.path.join(out_dir, f'embeddings_{stage}.csv')}")
     return 0
 

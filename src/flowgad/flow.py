@@ -14,9 +14,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tape, Tensor
-from .errors import ConfigError, ContractViolation, NumericFault, TrainingFault
-from .optim import Adam, glorot_init
+from .autodiff import Tensor
+from .errors import ContractViolation, NumericFault, TrainingFault
+from .optim import fit, glorot_init
 
 
 class CouplingSubnet:
@@ -124,11 +124,17 @@ class GraphFlow:
     def params(self) -> list[Tensor]:
         return [p for step in self.steps for p in step.params()]
 
+    def init_args(self) -> dict:
+        return {"d": self.d, "steps": len(self.steps),
+                "s_max": self.steps[0].s_max}
+
 
 class IdentityFlow:
-    """Stand-in flow for the no-flow ablations: z = h, log-det 0."""
+    """Stand-in flow for the no-flow ablations: z = h, log-det 0. The
+    ``rng`` argument is ignored; it lets checkpoints rebuild every model
+    class through the same call."""
 
-    def __init__(self, d: int):
+    def __init__(self, d: int, rng: np.random.Generator | None = None):
         self.d = d
         self.steps = []
 
@@ -140,6 +146,9 @@ class IdentityFlow:
 
     def params(self) -> list[Tensor]:
         return []
+
+    def init_args(self) -> dict:
+        return {"d": self.d}
 
 
 def nf_loss(z: Tensor, log_det: Tensor, n: int, normalize: bool = True) -> Tensor:
@@ -158,34 +167,13 @@ def train_flow(flow: GraphFlow, inputs, *, epochs: int, lr: float,
     Embeddings arrive precomputed because the encoder is frozen by the time
     this phase runs. Returns the per-epoch mean loss trace.
     """
-    if not inputs:
-        raise ContractViolation("training set is empty")
-    if batch_size < 1:
-        raise ConfigError(f"batch_size must be positive, got {batch_size}")
-    opt = Adam(flow.params(), lr=lr)
-    trace = []
-    for epoch in range(epochs):
-        total = 0.0
-        for start in range(0, len(inputs), batch_size):
-            batch = inputs[start:start + batch_size]
-            with Tape() as tape:
-                loss = None
-                for a_hat, h in batch:
-                    try:
-                        z, log_det = flow.forward(ad.constant(h),
-                                                  ad.constant(a_hat))
-                    except NumericFault as exc:
-                        raise TrainingFault(str(exc), epoch=epoch) from None
-                    one = nf_loss(z, log_det, h.shape[0], normalize)
-                    loss = one if loss is None else ad.add(loss, one)
-                if len(batch) > 1:
-                    loss = ad.scale(loss, 1.0 / len(batch))
-                value = loss.item()
-                if not np.isfinite(value):
-                    raise TrainingFault("flow loss went non-finite", epoch=epoch)
-                total += value * len(batch)
-                tape.backward(loss)
-            opt.step()
-            opt.zero_grad()
-        trace.append(total / len(inputs))
-    return trace
+    def graph_loss(pair, epoch):
+        a_hat, h = pair
+        try:
+            z, log_det = flow.forward(ad.constant(h), ad.constant(a_hat))
+        except NumericFault as exc:
+            raise TrainingFault(str(exc), epoch=epoch) from None
+        return nf_loss(z, log_det, h.shape[0], normalize)
+
+    return fit(flow.params(), inputs, graph_loss, epochs=epochs, lr=lr,
+               batch_size=batch_size, what="flow")

@@ -1,11 +1,13 @@
-"""Adaptive-moment optimizer, Glorot initialization, seeded RNG streams."""
+"""Adaptive-moment optimizer, the shared training loop, freezing, Glorot
+initialization, seeded RNG streams."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor
-from .errors import ContractViolation
+from . import autodiff as ad
+from .autodiff import Tape, Tensor
+from .errors import ConfigError, ContractViolation, TrainingFault
 
 
 def make_rng(seed: int, *stream: int) -> np.random.Generator:
@@ -68,17 +70,48 @@ class Adam:
             p.grad = None
 
 
-def adam_step(params, grads, state: Adam):
-    """Functional form: assign ``grads`` onto ``params`` and advance ``state``."""
-    if len(params) != len(grads):
-        raise ContractViolation("params and grads must align one-to-one")
-    for p, g in zip(params, grads):
-        g = np.asarray(g, dtype=np.float64)
-        if g.shape != p.data.shape:
-            raise ContractViolation(
-                f"gradient shape {g.shape} does not match parameter {p.data.shape}"
-            )
-        p.grad = g
-    state.step()
-    state.zero_grad()
-    return params, state
+def fit(params, inputs, graph_loss, *, epochs: int, lr: float,
+        batch_size: int, what: str) -> list[float]:
+    """Adam on the mean per-graph loss, one step per ``batch_size`` inputs.
+
+    ``graph_loss(item, epoch)`` records one input's loss on the active tape.
+    Returns the per-epoch mean per-graph loss; a non-finite batch loss stops
+    training with a TrainingFault naming ``what`` and the epoch."""
+    if not inputs:
+        raise ContractViolation("training set is empty")
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be positive, got {batch_size}")
+    opt = Adam(params, lr=lr)
+    trace = []
+    for epoch in range(epochs):
+        total = 0.0
+        for start in range(0, len(inputs), batch_size):
+            batch = inputs[start:start + batch_size]
+            with Tape() as tape:
+                loss = graph_loss(batch[0], epoch)
+                for item in batch[1:]:
+                    loss = ad.add(loss, graph_loss(item, epoch))
+                if len(batch) > 1:
+                    loss = ad.scale(loss, 1.0 / len(batch))
+                value = loss.item()
+                if not np.isfinite(value):
+                    raise TrainingFault(f"{what} loss went non-finite",
+                                        epoch=epoch)
+                total += value * len(batch)
+                tape.backward(loss)
+            opt.step()
+            opt.zero_grad()
+        trace.append(total / len(inputs))
+    return trace
+
+
+def freeze(*models):
+    """Stops gradient flow into every parameter of ``models`` for good."""
+    for model in models:
+        for p in model.params():
+            p.requires_grad = False
+            p.grad = None
+
+
+def is_frozen(model) -> bool:
+    return not any(p.requires_grad for p in model.params())

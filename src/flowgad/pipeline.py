@@ -13,11 +13,14 @@ flow but keeps the heterogeneous student.
 Every piece of randomness draws from a stream derived from (seed, phase),
 so phases are individually reproducible, and a split guard vets each graph
 index handed to a trainer so test data can never leak into training.
+
+``run_seed`` is the one place that sequences the phases. The library passes
+models between phases in memory; the command line hands it a ``PhaseStore``
+so that each phase is checkpointed and read back.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import time
 from dataclasses import dataclass, field, asdict, replace
@@ -25,30 +28,20 @@ from dataclasses import dataclass, field, asdict, replace
 import numpy as np
 
 from . import autodiff as ad
-from .checkpoint import (load_checkpoint, payload_fingerprint, save_checkpoint,
-                         verify_chain)
-from .data import (AnomalySplit, Graph, GraphSet, majority_class,
-                   make_anomaly_split, normalized_adjacency)
+from .checkpoint import PhaseStore, payload_fingerprint
+from .data import (AnomalySplit, GraphSet, majority_class, make_anomaly_split,
+                   normalized_adjacency)
 from .encoding import build_init_features
 from .errors import (ConfigError, ContractViolation, PhaseOrderError,
                      TrainingFault, UndefinedMetricError)
 from .flow import GraphFlow, IdentityFlow, train_flow
-from .optim import make_rng
+from .optim import freeze, is_frozen, make_rng
 from .source import (FeatureDecoder, GcnEncoder, graph_source_loss,
                      pretrain_source)
 from .target import GinNetwork, READOUTS, distance, train_target
 
 VARIANTS = ("full", "non_st", "asy_st", "non_nf")
-
-# Normal-class conventions for the common benchmark sets. "majority" means
-# the most frequent graph label plays the normal role and everything else
-# is anomalous; this is a convention of the anomaly-detection literature,
-# not a property of the data. Override per run via the normal_class key.
-DATASET_NORMAL_CLASS = {name: "majority" for name in (
-    "AIDS", "BZR", "COX2", "DD", "DHFR", "ENZYMES", "NCI1",
-    "PROTEINS_full", "IMDB-BINARY", "REDDIT-BINARY", "COLLAB",
-    "Tox21_HSE", "Tox21_MMP", "Tox21_p53", "Tox21_PPAR-gamma",
-)}
+PHASES = ("source", "flow", "target")
 
 
 @dataclass
@@ -259,15 +252,11 @@ def compute_auc(scores, flags) -> float:
     if pos == 0 or neg == 0:
         raise UndefinedMetricError(
             f"AUC needs both classes; got {pos} anomalous and {neg} normal")
-    order = np.argsort(s, kind="mergesort")
-    ranks = np.empty(len(s), dtype=np.float64)
-    i = 0
-    while i < len(s):
-        j = i
-        while j + 1 < len(s) and s[order[j + 1]] == s[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0   # mean of 1-based ranks
-        i = j + 1
+    # i, j: 0-based sorted positions of each tie group's first and last member
+    _, group, counts = np.unique(s, return_inverse=True, return_counts=True)
+    j = np.cumsum(counts) - 1
+    i = j - counts + 1
+    ranks = (0.5 * (i + j) + 1.0)[group]   # mean of 1-based ranks
     return float((ranks[f].sum() - pos * (pos + 1) / 2.0) / (pos * neg))
 
 
@@ -285,118 +274,6 @@ def score_histogram(records, width: float = 0.02):
 
 
 # ---------------------------------------------------------------------------
-# checkpoint adapters
-# ---------------------------------------------------------------------------
-
-def _encoder_arrays(encoder: GcnEncoder, decoder: FeatureDecoder) -> dict:
-    arrays = {f"encoder_w{i}": w.data for i, w in enumerate(encoder.weights)}
-    arrays.update(decoder_w1=decoder.w1.data, decoder_b1=decoder.b1.data,
-                  decoder_w2=decoder.w2.data, decoder_b2=decoder.b2.data)
-    return arrays
-
-
-def save_encoder(path: str, encoder: GcnEncoder, decoder: FeatureDecoder,
-                 config_fp: str) -> str:
-    meta = {"d_in": encoder.d_in, "hidden": encoder.hidden,
-            "d_out": encoder.d_out, "layers": len(encoder.weights)}
-    return save_checkpoint(path, "encoder", _encoder_arrays(encoder, decoder),
-                           meta, config_fp)
-
-
-def load_encoder(path: str, config_fp: str):
-    payload = load_checkpoint(path, expect_kind="encoder")
-    verify_chain(payload, None, config_fp, path)
-    meta = payload["meta"]
-    rng = make_rng(0)
-    encoder = GcnEncoder(meta["d_in"], meta["hidden"], meta["d_out"],
-                         meta["layers"], rng)
-    for i, w in enumerate(encoder.weights):
-        w.data = payload["arrays"][f"encoder_w{i}"]
-    encoder.freeze()
-    decoder = FeatureDecoder(meta["d_out"], meta["d_in"], rng)
-    decoder.w1.data = payload["arrays"]["decoder_w1"]
-    decoder.b1.data = payload["arrays"]["decoder_b1"]
-    decoder.w2.data = payload["arrays"]["decoder_w2"]
-    decoder.b2.data = payload["arrays"]["decoder_b2"]
-    return encoder, decoder, payload["fingerprint"]
-
-
-def save_flow(path: str, flow, config_fp: str, encoder_fp: str) -> str:
-    if isinstance(flow, IdentityFlow):
-        meta = {"identity": True, "d": flow.d}
-        return save_checkpoint(path, "flow", {}, meta, config_fp, encoder_fp)
-    arrays = {}
-    for si, step in enumerate(flow.steps):
-        for name, net in (("f1", step.f1), ("f2", step.f2),
-                          ("g1", step.g1), ("g2", step.g2)):
-            arrays[f"step{si}_{name}_w_prop"] = net.w_prop.data
-            arrays[f"step{si}_{name}_w_lin"] = net.w_lin.data
-            arrays[f"step{si}_{name}_bias"] = net.bias.data
-    meta = {"identity": False, "d": flow.d, "steps": len(flow.steps),
-            "s_max": flow.steps[0].s_max}
-    return save_checkpoint(path, "flow", arrays, meta, config_fp, encoder_fp)
-
-
-def load_flow(path: str, config_fp: str, encoder_fp: str):
-    payload = load_checkpoint(path, expect_kind="flow")
-    verify_chain(payload, encoder_fp, config_fp, path)
-    meta = payload["meta"]
-    if meta.get("identity"):
-        return IdentityFlow(meta["d"]), payload["fingerprint"]
-    flow = GraphFlow(meta["d"], meta["steps"], meta["s_max"], make_rng(0))
-    for si, step in enumerate(flow.steps):
-        for name, net in (("f1", step.f1), ("f2", step.f2),
-                          ("g1", step.g1), ("g2", step.g2)):
-            net.w_prop.data = payload["arrays"][f"step{si}_{name}_w_prop"]
-            net.w_lin.data = payload["arrays"][f"step{si}_{name}_w_lin"]
-            net.bias.data = payload["arrays"][f"step{si}_{name}_bias"]
-    for p in flow.params():
-        p.requires_grad = False
-    return flow, payload["fingerprint"]
-
-
-def save_student(path: str, student, config_fp: str, flow_fp: str) -> str:
-    if isinstance(student, GcnEncoder):
-        arrays = {f"w{i}": w.data for i, w in enumerate(student.weights)}
-        meta = {"family": "gcn", "d_in": student.d_in, "hidden": student.hidden,
-                "d_out": student.d_out, "layers": len(student.weights)}
-    else:
-        arrays = {}
-        for li, layer in enumerate(student.layers):
-            arrays[f"layer{li}_w1"] = layer.w1.data
-            arrays[f"layer{li}_b1"] = layer.b1.data
-            arrays[f"layer{li}_w2"] = layer.w2.data
-            arrays[f"layer{li}_b2"] = layer.b2.data
-        meta = {"family": "gin", "d_in": student.d_in,
-                "hidden": student.layers[0].w1.shape[1],
-                "d_out": student.d_out, "layers": len(student.layers),
-                "eps": student.layers[0].eps}
-    return save_checkpoint(path, "target", arrays, meta, config_fp, flow_fp)
-
-
-def load_student(path: str, config_fp: str, flow_fp: str):
-    payload = load_checkpoint(path, expect_kind="target")
-    verify_chain(payload, flow_fp, config_fp, path)
-    meta = payload["meta"]
-    if meta["family"] == "gcn":
-        student = GcnEncoder(meta["d_in"], meta["hidden"], meta["d_out"],
-                             meta["layers"], make_rng(0))
-        for i, w in enumerate(student.weights):
-            w.data = payload["arrays"][f"w{i}"]
-    else:
-        student = GinNetwork(meta["d_in"], meta["hidden"], meta["d_out"],
-                             meta["layers"], make_rng(0), eps=meta["eps"])
-        for li, layer in enumerate(student.layers):
-            layer.w1.data = payload["arrays"][f"layer{li}_w1"]
-            layer.b1.data = payload["arrays"][f"layer{li}_b1"]
-            layer.w2.data = payload["arrays"][f"layer{li}_w2"]
-            layer.b2.data = payload["arrays"][f"layer{li}_b2"]
-    for p in student.params():
-        p.requires_grad = False
-    return student, payload["fingerprint"]
-
-
-# ---------------------------------------------------------------------------
 # phase runners
 # ---------------------------------------------------------------------------
 
@@ -406,19 +283,34 @@ def resolve_normal_class(gs: GraphSet, config: ExperimentConfig) -> int:
     return majority_class(gs)
 
 
-def run_phase_source(inputs, train_idx, config: ExperimentConfig, seed: int):
+def prepare_experiment(gs: GraphSet, config: ExperimentConfig):
+    """The set-up every run shares: returns (subsampled set, normal class,
+    per-graph inputs)."""
+    gs = subsample_graphset(gs, config.max_graphs)
+    return gs, resolve_normal_class(gs, config), precompute_inputs(gs, config)
+
+
+# Each runner takes the upstream models by name and returns its own models
+# by name plus the per-epoch loss trace (None when nothing is trained).
+
+def run_phase_source(upstream: dict, inputs, train_idx,
+                     config: ExperimentConfig, seed: int):
     d_in = inputs[train_idx[0]].x_init.shape[1]
     triples = [(inputs[i].a_hat, inputs[i].adjacency, inputs[i].x_init)
                for i in train_idx]
-    return pretrain_source(
+    encoder, decoder, trace = pretrain_source(
         triples, d_in, hidden=config.hidden, d_out=config.d,
         layers=config.gcn_layers, alpha=config.alpha, epochs=config.s_epochs,
         lr=config.lr, rng=make_rng(seed, 1), batch_size=config.batch_size)
+    return {"encoder": encoder, "decoder": decoder}, trace
 
 
-def run_phase_flow(encoder: GcnEncoder, inputs, train_idx,
+def run_phase_flow(upstream: dict, inputs, train_idx,
                    config: ExperimentConfig, seed: int):
-    if not encoder.frozen:
+    if config.variant != "full":
+        return {"flow": IdentityFlow(config.d)}, None
+    encoder = upstream["encoder"]
+    if not is_frozen(encoder):
         raise PhaseOrderError("encoder must be frozen before the flow phase")
     flow = GraphFlow(config.d, config.flow_steps, config.s_max,
                      make_rng(seed, 2))
@@ -430,16 +322,15 @@ def run_phase_flow(encoder: GcnEncoder, inputs, train_idx,
     trace = train_flow(flow, pairs, epochs=config.n_epochs, lr=config.lr,
                        batch_size=config.batch_size,
                        normalize=config.normalize_nf)
-    for p in flow.params():
-        p.requires_grad = False
-    return flow, trace
+    return {"flow": flow}, trace
 
 
-def run_phase_target(encoder: GcnEncoder, flow, inputs, train_idx,
+def run_phase_target(upstream: dict, inputs, train_idx,
                      config: ExperimentConfig, seed: int):
-    if not encoder.frozen:
+    encoder, flow = upstream["encoder"], upstream["flow"]
+    if not is_frozen(encoder):
         raise PhaseOrderError("encoder must be frozen before the student phase")
-    if any(p.requires_grad for p in flow.params()):
+    if not is_frozen(flow):
         raise PhaseOrderError("flow must be frozen before the student phase")
     d_in = inputs[train_idx[0]].x_init.shape[1]
     rng = make_rng(seed, 3)
@@ -458,15 +349,13 @@ def run_phase_target(encoder: GcnEncoder, flow, inputs, train_idx,
                          epochs=config.t_epochs, lr=config.lr,
                          batch_size=config.batch_size, kind=config.distance,
                          readout=config.readout)
-    for p in student.params():
-        p.requires_grad = False
-    return student, trace
+    return {"student": student}, trace
 
 
 @dataclass
 class SeedResult:
     seed: int
-    auc: float
+    auc: float | None      # None when the held-out graphs were not scored
     records: list          # dicts: graph, flag, score, raw
     traces: dict           # phase -> per-epoch loss list
     split: AnomalySplit
@@ -475,53 +364,78 @@ class SeedResult:
     models: dict = field(default_factory=dict)
 
 
+def phase_chain(variant: str) -> tuple:
+    """The phases a variant runs, in order. The no-flow ablations keep a
+    flow phase that yields an identity flow, so every student checkpoint
+    chains to a flow checkpoint."""
+    return PHASES[:1] if variant == "non_st" else PHASES
+
+
 def run_seed(gs: GraphSet, inputs, config: ExperimentConfig, seed: int,
-             normal: int) -> SeedResult:
+             normal: int, store: PhaseStore | None = None, train=PHASES,
+             score: bool = True) -> SeedResult:
+    """Trains the phases named in ``train`` in order, then scores the
+    held-out graphs unless ``score`` is false.
+
+    Without a store the models pass in memory, so every phase the variant
+    runs must be trained. With a store each trained phase is saved, and
+    every consumer (a later phase, the scorer) reads its upstream phases
+    back through the store, which verifies the checkpoint chain; phases
+    left out of ``train`` come from an earlier run."""
     split = make_anomaly_split(gs, normal, config.test_fraction, seed)
     guard = SplitGuard(split)
+    chain = phase_chain(config.variant)
+    todo = [phase for phase in chain if phase in train]
+    if store is None and len(todo) != len(chain):
+        raise ContractViolation("without a phase store every phase must be trained")
     traces: dict = {}
     seconds: dict = {}
+    models: dict = {}
+    records: list = []
+    auc = None
+
+    def upstream(phases):
+        return (models, None) if store is None else store.load_chain(seed, phases)
+
     try:
-        t0 = time.perf_counter()
-        train_idx = guard.take(split.train)
-        encoder, decoder, traces["source"] = run_phase_source(
-            inputs, train_idx, config, seed)
-        seconds["source"] = time.perf_counter() - t0
-
-        flow = student = None
-        if config.variant == "full":
+        for phase in todo:
+            above, upstream_fp = upstream(chain[:chain.index(phase)])
+            # looked up per call, so a profiler that replaces the module's
+            # runner functions sees every phase
+            runner = {"source": run_phase_source, "flow": run_phase_flow,
+                      "target": run_phase_target}[phase]
             t0 = time.perf_counter()
-            flow, traces["flow"] = run_phase_flow(
-                encoder, inputs, guard.take(split.train), config, seed)
-            seconds["flow"] = time.perf_counter() - t0
-        elif config.variant in ("asy_st", "non_nf"):
-            flow = IdentityFlow(config.d)
-        if config.variant != "non_st":
-            t0 = time.perf_counter()
-            student, traces["target"] = run_phase_target(
-                encoder, flow, inputs, guard.take(split.train), config, seed)
-            seconds["target"] = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        records = []
-        for idx, flag in split.test:
-            if config.variant == "non_st":
-                raw = reconstruction_score(inputs[idx], encoder, decoder,
-                                           config.alpha)
-                score = raw
+            trained, trace = runner(above, inputs, guard.take(split.train),
+                                    config, seed)
+            seconds[phase] = time.perf_counter() - t0
+            freeze(*trained.values())
+            if trace is not None:
+                traces[phase] = trace
+            if store is None:
+                models.update(trained)
             else:
-                score, raw = score_graph(inputs[idx], encoder, flow, student,
-                                         config)
-            records.append({"graph": idx, "flag": bool(flag),
-                            "score": float(score), "raw": float(raw)})
-        seconds["scoring"] = time.perf_counter() - t0
-        auc = compute_auc([r["score"] for r in records],
-                          [r["flag"] for r in records])
+                store.save(seed, phase, trained, upstream_fp, trace)
+
+        if score:
+            models, _ = upstream(chain)
+            t0 = time.perf_counter()
+            for idx, flag in split.test:
+                if config.variant == "non_st":
+                    value = raw = reconstruction_score(
+                        inputs[idx], models["encoder"], models["decoder"],
+                        config.alpha)
+                else:
+                    value, raw = score_graph(inputs[idx], models["encoder"],
+                                             models["flow"], models["student"],
+                                             config)
+                records.append({"graph": idx, "flag": bool(flag),
+                                "score": float(value), "raw": float(raw)})
+            seconds["scoring"] = time.perf_counter() - t0
+            auc = compute_auc([r["score"] for r in records],
+                              [r["flag"] for r in records])
     except (TrainingFault, ContractViolation, PhaseOrderError) as exc:
         exc.args = (f"seed {seed}: {exc.args[0]}",) + exc.args[1:]
         raise
-    models = {"encoder": encoder, "decoder": decoder, "flow": flow,
-              "student": student}
     return SeedResult(seed=seed, auc=auc, records=records, traces=traces,
                       split=split, guard=guard, phase_seconds=seconds,
                       models=models)
@@ -545,18 +459,7 @@ class ScoreReport:
     timestamp: str
 
     def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "variant": self.variant,
-            "config": self.config,
-            "config_fingerprint": self.config_fingerprint,
-            "normal_class": self.normal_class,
-            "per_seed": self.per_seed,
-            "auc_mean": self.auc_mean,
-            "auc_std": self.auc_std,
-            "phase_seconds": self.phase_seconds,
-            "timestamp": self.timestamp,
-        }
+        return asdict(self)
 
     def canonical_bytes(self) -> bytes:
         """Deterministic serialization: wall-clock and timestamp excluded."""
@@ -575,17 +478,9 @@ def report_from_dict(d: dict) -> ScoreReport:
         phase_seconds=d.get("phase_seconds", {}), timestamp=d.get("timestamp", ""))
 
 
-def run_experiment(gs: GraphSet, config: ExperimentConfig,
-                   keep_models: bool = False):
-    """Full multi-seed experiment. Returns (ScoreReport, list of SeedResult);
-    model objects are dropped from the results unless ``keep_models``."""
-    config.validate()
-    gs = subsample_graphset(gs, config.max_graphs)
-    normal = resolve_normal_class(gs, config)
-    inputs = precompute_inputs(gs, config)
-    results = []
-    for seed in config.seeds:
-        results.append(run_seed(gs, inputs, config, seed, normal))
+def build_report(gs: GraphSet, config: ExperimentConfig, normal: int,
+                 results) -> ScoreReport:
+    """Aggregates scored seeds; phase timings are summed over seeds."""
     aucs = np.array([r.auc for r in results])
     seconds: dict = {}
     for r in results:
@@ -593,13 +488,24 @@ def run_experiment(gs: GraphSet, config: ExperimentConfig,
             seconds[k] = seconds.get(k, 0.0) + v
     per_seed = [{"seed": r.seed, "auc": r.auc, "records": r.records,
                  "traces": r.traces} for r in results]
-    report = ScoreReport(
+    return ScoreReport(
         dataset=gs.name, variant=config.variant, config=config.to_dict(),
         config_fingerprint=config.fingerprint(), normal_class=normal,
         per_seed=per_seed, auc_mean=float(aucs.mean()),
         auc_std=float(aucs.std()),
         phase_seconds={k: round(v, 3) for k, v in seconds.items()},
         timestamp=time.strftime("%Y-%m-%dT%H:%M:%S"))
+
+
+def run_experiment(gs: GraphSet, config: ExperimentConfig,
+                   keep_models: bool = False):
+    """Full multi-seed experiment. Returns (ScoreReport, list of SeedResult);
+    model objects are dropped from the results unless ``keep_models``."""
+    config.validate()
+    gs, normal, inputs = prepare_experiment(gs, config)
+    results = [run_seed(gs, inputs, config, seed, normal)
+               for seed in config.seeds]
+    report = build_report(gs, config, normal, results)
     if not keep_models:
         for r in results:
             r.models = {}

@@ -13,9 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tape, Tensor
-from .errors import ConfigError, ContractViolation, TrainingFault
-from .optim import Adam, glorot_init
+from .autodiff import Tensor
+from .errors import ConfigError, ContractViolation
+from .optim import fit, freeze, glorot_init, is_frozen
 
 CLAMP_LO = 1e-12
 CLAMP_HI = 1.0 - 1e-12
@@ -32,7 +32,6 @@ class GcnEncoder:
         self.weights = [glorot_init(widths[i], widths[i + 1], rng)
                         for i in range(layers)]
         self.d_in, self.hidden, self.d_out = d_in, hidden, d_out
-        self.frozen = False
 
     def forward(self, a_hat: Tensor, x: Tensor) -> Tensor:
         if x.shape[1] != self.d_in:
@@ -49,11 +48,13 @@ class GcnEncoder:
     def params(self) -> list[Tensor]:
         return list(self.weights)
 
-    def freeze(self):
-        for w in self.weights:
-            w.requires_grad = False
-            w.grad = None
-        self.frozen = True
+    def init_args(self) -> dict:
+        return {"d_in": self.d_in, "hidden": self.hidden, "d_out": self.d_out,
+                "layers": len(self.weights)}
+
+    @property
+    def frozen(self) -> bool:
+        return is_frozen(self)
 
 
 class FeatureDecoder:
@@ -71,6 +72,9 @@ class FeatureDecoder:
 
     def params(self) -> list[Tensor]:
         return [self.w1, self.b1, self.w2, self.b2]
+
+    def init_args(self) -> dict:
+        return {"d_in": self.w1.shape[0], "d_out": self.w2.shape[1]}
 
 
 def adjacency_recon_loss(h: Tensor, adjacency: np.ndarray) -> Tensor:
@@ -117,36 +121,12 @@ def pretrain_source(inputs, d_in: int, *, hidden: int, d_out: int, layers: int,
     each epoch. The encoder comes back frozen; the decoder is returned too
     because reconstruction-only scoring needs it.
     """
-    if not inputs:
-        raise ContractViolation("training set is empty")
-    if batch_size < 1:
-        raise ConfigError(f"batch_size must be positive, got {batch_size}")
     encoder = GcnEncoder(d_in, hidden, d_out, layers, rng)
     decoder = FeatureDecoder(d_out, d_in, rng)
-    params = encoder.params() + decoder.params()
-    opt = Adam(params, lr=lr)
-    trace = []
-    for epoch in range(epochs):
-        total = 0.0
-        for start in range(0, len(inputs), batch_size):
-            batch = inputs[start:start + batch_size]
-            with Tape() as tape:
-                losses = [graph_source_loss(encoder, decoder, a_hat, adj,
-                                            x_init, alpha)
-                          for a_hat, adj, x_init in batch]
-                loss = losses[0]
-                for extra in losses[1:]:
-                    loss = ad.add(loss, extra)
-                if len(losses) > 1:
-                    loss = ad.scale(loss, 1.0 / len(losses))
-                value = loss.item()
-                if not np.isfinite(value):
-                    raise TrainingFault("reconstruction loss went non-finite",
-                                        epoch=epoch)
-                total += value * len(losses)
-                tape.backward(loss)
-            opt.step()
-            opt.zero_grad()
-        trace.append(total / len(inputs))
-    encoder.freeze()
+    trace = fit(encoder.params() + decoder.params(), inputs,
+                lambda item, epoch: graph_source_loss(encoder, decoder, *item,
+                                                      alpha),
+                epochs=epochs, lr=lr, batch_size=batch_size,
+                what="reconstruction")
+    freeze(encoder)
     return encoder, decoder, trace

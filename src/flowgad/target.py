@@ -11,9 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tape, Tensor
-from .errors import ConfigError, ContractViolation, TrainingFault
-from .optim import Adam, glorot_init
+from .autodiff import Tensor
+from .errors import ConfigError, ContractViolation
+from .optim import fit, glorot_init
 
 _COS_EPS = 1e-30
 
@@ -59,6 +59,11 @@ class GinNetwork:
 
     def params(self) -> list[Tensor]:
         return [p for layer in self.layers for p in layer.params()]
+
+    def init_args(self) -> dict:
+        return {"d_in": self.d_in, "hidden": self.layers[0].w1.shape[1],
+                "d_out": self.d_out, "layers": len(self.layers),
+                "eps": self.layers[0].eps}
 
 
 def readout_max(h: Tensor) -> Tensor:
@@ -143,32 +148,10 @@ def train_target(student, inputs, *, beta: float, epochs: int, lr: float,
     ``prop`` is whichever propagation matrix the student consumes (raw
     adjacency for GIN, normalized for a GCN student). Returns the per-epoch
     mean loss trace."""
-    if not inputs:
-        raise ContractViolation("training set is empty")
-    if batch_size < 1:
-        raise ConfigError(f"batch_size must be positive, got {batch_size}")
-    opt = Adam(student.params(), lr=lr)
-    trace = []
-    for epoch in range(epochs):
-        total = 0.0
-        for start in range(0, len(inputs), batch_size):
-            batch = inputs[start:start + batch_size]
-            with Tape() as tape:
-                loss = None
-                for prop, x_init, z_nodes, z_graph in batch:
-                    out = student.forward(ad.constant(prop), ad.constant(x_init))
-                    one = graph_target_loss(out, z_nodes, z_graph, beta,
-                                            kind, readout)
-                    loss = one if loss is None else ad.add(loss, one)
-                if len(batch) > 1:
-                    loss = ad.scale(loss, 1.0 / len(batch))
-                value = loss.item()
-                if not np.isfinite(value):
-                    raise TrainingFault("distillation loss went non-finite",
-                                        epoch=epoch)
-                total += value * len(batch)
-                tape.backward(loss)
-            opt.step()
-            opt.zero_grad()
-        trace.append(total / len(inputs))
-    return trace
+    def graph_loss(quad, epoch):
+        prop, x_init, z_nodes, z_graph = quad
+        out = student.forward(ad.constant(prop), ad.constant(x_init))
+        return graph_target_loss(out, z_nodes, z_graph, beta, kind, readout)
+
+    return fit(student.params(), inputs, graph_loss, epochs=epochs, lr=lr,
+               batch_size=batch_size, what="distillation")

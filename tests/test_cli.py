@@ -4,9 +4,10 @@ import os
 import numpy as np
 import pytest
 
-from flowgad.cli import main, parse_config_file
+from flowgad.cli import load_dataset, main, parse_config_file
 from flowgad.data import Graph, GraphSet, write_tudataset
 from flowgad.errors import ConfigError
+from flowgad.pipeline import run_experiment
 
 BASE_CONFIG = """\
 # quick synthetic run
@@ -153,6 +154,22 @@ def test_variant_and_seed_override(tmp_path, capsys):
     assert report["per_seed"][0]["seed"] == 7
 
 
+@pytest.mark.parametrize("variant", ["full", "non_st", "asy_st", "non_nf"])
+def test_cli_records_equal_library_records(tmp_path, variant):
+    # the CLI drives the same run_seed as the library, only through
+    # checkpoints, so its scores must match the in-memory run exactly
+    cfg = write_config(tmp_path, BASE_CONFIG + f"variant = {variant}\n"
+                       "batch_size = 3\n")
+    run = str(tmp_path / "run")
+    assert main(["train", cfg, "--out-dir", run]) == 0
+    assert main(["eval", cfg, "--out-dir", run]) == 0
+    cli_report = json.loads((tmp_path / "run" / "report.json").read_text())
+    config = parse_config_file(cfg)
+    report, _ = run_experiment(load_dataset(config), config)
+    assert ([p["records"] for p in cli_report["per_seed"]]
+            == [p["records"] for p in report.per_seed])
+
+
 # ----------------------------------------------------------------- exit codes
 
 def test_flow_phase_without_encoder_exits_4(tmp_path, capsys):
@@ -161,6 +178,29 @@ def test_flow_phase_without_encoder_exits_4(tmp_path, capsys):
                  "--phase", "flow"])
     assert code == 4
     assert "missing" in capsys.readouterr().err
+
+
+def test_truncated_checkpoint_exits_4(tmp_path, capsys):
+    cfg = write_config(tmp_path, BASE_CONFIG.replace("seeds = 0,1", "seeds = 0"))
+    run = str(tmp_path / "run")
+    assert main(["train", cfg, "--out-dir", run]) == 0
+    path = tmp_path / "run" / "0" / "flow.ckpt"
+    data = path.read_bytes()
+    path.write_bytes(data[:len(data) // 2])
+    capsys.readouterr()
+    assert main(["eval", cfg, "--out-dir", run]) == 4
+    assert "flow.ckpt" in capsys.readouterr().err
+
+
+def test_foreign_config_checkpoint_exits_4(tmp_path, capsys):
+    cfg = write_config(tmp_path, BASE_CONFIG.replace("seeds = 0,1", "seeds = 0"))
+    run = str(tmp_path / "run")
+    assert main(["train", cfg, "--out-dir", run, "--phase", "source"]) == 0
+    other = write_config(tmp_path, BASE_CONFIG.replace("seeds = 0,1", "seeds = 0")
+                         + "alpha = 0.5\n", "other.cfg")
+    capsys.readouterr()
+    assert main(["train", other, "--out-dir", run, "--phase", "flow"]) == 4
+    assert "config" in capsys.readouterr().err
 
 
 def test_eval_before_train_exits_4(tmp_path, capsys):

@@ -3,7 +3,7 @@ import pytest
 
 from flowgad.autodiff import Tensor
 from flowgad.errors import ContractViolation
-from flowgad.optim import Adam, adam_step, glorot_init, make_rng
+from flowgad.optim import Adam, glorot_init, make_rng
 
 
 def test_zero_gradient_leaves_params_unchanged():
@@ -60,18 +60,6 @@ def test_none_gradient_skipped():
     opt.step()
     assert q.data[0] == 1.0
     assert p.data[0] != 1.0
-
-
-def test_functional_form_matches_class():
-    p1 = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-    p2 = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-    g = np.array([0.3, -0.7])
-    opt1 = Adam([p1], lr=0.01)
-    p1.grad = g.copy()
-    opt1.step()
-    opt2 = Adam([p2], lr=0.01)
-    adam_step([p2], [g.copy()], opt2)
-    assert np.array_equal(p1.data, p2.data)
 
 
 def test_zero_grad_clears():

@@ -4,17 +4,17 @@ import os
 import numpy as np
 import pytest
 
-from flowgad.checkpoint import load_checkpoint
+from flowgad import checkpoint
+from flowgad.checkpoint import (load_checkpoint, load_models, save_checkpoint,
+                                save_models)
 from flowgad.data import make_anomaly_split
 from flowgad.errors import (ConfigError, ContractViolation, PhaseOrderError,
                             UndefinedMetricError)
 from flowgad.optim import make_rng
 from flowgad.pipeline import (ExperimentConfig, SplitGuard, compute_auc,
                               config_from_dict, export_embeddings,
-                              load_encoder, load_flow, load_student,
                               precompute_inputs, resolve_normal_class,
-                              run_experiment, run_seed, save_encoder,
-                              save_flow, save_student, score_graph,
+                              run_experiment, run_seed, score_graph,
                               score_histogram, subsample_graphset)
 from flowgad.synthetic import planted_anomaly_set
 
@@ -85,6 +85,34 @@ def test_auc_matches_bruteforce_on_random_instances(rng):
             continue
         assert compute_auc(scores, flags) == pytest.approx(
             auc_bruteforce(scores, flags), abs=1e-12)
+
+
+def auc_tie_loop(scores, flags):
+    # reference: ranks from a sorted walk over tie groups
+    s = np.asarray(scores, dtype=np.float64)
+    f = np.asarray(flags, dtype=bool)
+    pos, neg = int(f.sum()), int((~f).sum())
+    order = np.argsort(s, kind="mergesort")
+    ranks = np.empty(len(s), dtype=np.float64)
+    i = 0
+    while i < len(s):
+        j = i
+        while j + 1 < len(s) and s[order[j + 1]] == s[order[i]]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return float((ranks[f].sum() - pos * (pos + 1) / 2.0) / (pos * neg))
+
+
+def test_auc_equals_tie_loop_reference_exactly(rng):
+    for _ in range(200):
+        m = int(rng.integers(2, 60))
+        scores = np.round(rng.random(m), int(rng.integers(0, 3)))
+        scores[rng.random(m) < 0.1] = -0.0
+        flags = rng.random(m) < 0.4
+        if flags.all() or not flags.any():
+            continue
+        assert compute_auc(scores, flags) == auc_tie_loop(scores, flags)
 
 
 def test_auc_single_class_undefined():
@@ -248,18 +276,26 @@ def _trained_models(tmp_path):
     return gs, cfg, precompute_inputs(gs, cfg), results[0]
 
 
+def _save_encoder(path, res, fp):
+    return save_models(path, "encoder", {"encoder": res.models["encoder"],
+                                         "decoder": res.models["decoder"]}, fp)
+
+
 def test_checkpoint_roundtrip_preserves_scores(tmp_path):
     gs, cfg, inputs, res = _trained_models(tmp_path)
     fp = cfg.fingerprint()
-    enc_fp = save_encoder(str(tmp_path / "e.ckpt"), res.models["encoder"],
-                          res.models["decoder"], fp)
-    flow_fp = save_flow(str(tmp_path / "f.ckpt"), res.models["flow"], fp, enc_fp)
-    save_student(str(tmp_path / "t.ckpt"), res.models["student"], fp, flow_fp)
+    enc_fp = _save_encoder(str(tmp_path / "e.ckpt"), res, fp)
+    flow_fp = save_models(str(tmp_path / "f.ckpt"), "flow",
+                          {"flow": res.models["flow"]}, fp, enc_fp)
+    save_models(str(tmp_path / "t.ckpt"), "target",
+                {"student": res.models["student"]}, fp, flow_fp)
 
-    encoder, decoder, enc_fp2 = load_encoder(str(tmp_path / "e.ckpt"), fp)
+    models, enc_fp2 = load_models(str(tmp_path / "e.ckpt"), "encoder", fp)
     assert enc_fp2 == enc_fp
-    flow, flow_fp2 = load_flow(str(tmp_path / "f.ckpt"), fp, enc_fp)
-    student, _ = load_student(str(tmp_path / "t.ckpt"), fp, flow_fp)
+    encoder = models["encoder"]
+    flow = load_models(str(tmp_path / "f.ckpt"), "flow", fp, enc_fp)[0]["flow"]
+    student = load_models(str(tmp_path / "t.ckpt"), "target", fp,
+                          flow_fp)[0]["student"]
     for gi in inputs[:4]:
         orig = score_graph(gi, res.models["encoder"], res.models["flow"],
                            res.models["student"], cfg)
@@ -270,25 +306,50 @@ def test_checkpoint_roundtrip_preserves_scores(tmp_path):
 def test_checkpoint_chain_rejects_stale_upstream(tmp_path):
     gs, cfg, inputs, res = _trained_models(tmp_path)
     fp = cfg.fingerprint()
-    enc_fp = save_encoder(str(tmp_path / "e.ckpt"), res.models["encoder"],
-                          res.models["decoder"], fp)
-    save_flow(str(tmp_path / "f.ckpt"), res.models["flow"], fp, enc_fp)
+    enc_fp = _save_encoder(str(tmp_path / "e.ckpt"), res, fp)
+    save_models(str(tmp_path / "f.ckpt"), "flow", {"flow": res.models["flow"]},
+                fp, enc_fp)
     with pytest.raises(PhaseOrderError, match="retrained"):
-        load_flow(str(tmp_path / "f.ckpt"), fp, "0" * 64)
+        load_models(str(tmp_path / "f.ckpt"), "flow", fp, "0" * 64)
     with pytest.raises(PhaseOrderError, match="config"):
-        load_encoder(str(tmp_path / "e.ckpt"), "1" * 64)
+        load_models(str(tmp_path / "e.ckpt"), "encoder", "1" * 64)
 
 
 def test_checkpoint_detects_tampering(tmp_path):
     gs, cfg, inputs, res = _trained_models(tmp_path)
     path = str(tmp_path / "e.ckpt")
-    save_encoder(path, res.models["encoder"], res.models["decoder"],
-                 cfg.fingerprint())
+    _save_encoder(path, res, cfg.fingerprint())
     text = open(path).read()
     with open(path, "w") as fh:
-        fh.write(text.replace("encoder_w0", "encoder_wX", 1))
+        fh.write(text.replace('"encoder.0"', '"encoder.X"', 1))
     with pytest.raises(PhaseOrderError, match="verification"):
         load_checkpoint(path)
+
+
+def test_old_adapter_format_is_phase_order_error(tmp_path):
+    # a checkpoint that verifies but whose meta does not describe models
+    path = str(tmp_path / "old.ckpt")
+    save_checkpoint(path, "encoder", {"encoder_w0": np.ones((3, 2))},
+                    {"d_in": 3, "hidden": 2, "d_out": 2, "layers": 1}, "fp")
+    with pytest.raises(PhaseOrderError, match="old.ckpt cannot be rebuilt"):
+        load_models(path, "encoder", "fp")
+
+
+def test_interrupted_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    gs, cfg, inputs, res = _trained_models(tmp_path)
+    path = tmp_path / "e.ckpt"
+    _save_encoder(str(path), res, cfg.fingerprint())
+    before = path.read_bytes()
+
+    def failing_dump(obj, fh, **kwargs):
+        fh.write('{"arrays": {"enc')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(checkpoint.json, "dump", failing_dump)
+    with pytest.raises(OSError, match="disk full"):
+        _save_encoder(str(path), res, "another config")
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["e.ckpt"]
 
 
 def test_missing_checkpoint_is_phase_order_error(tmp_path):
