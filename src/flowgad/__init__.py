@@ -16,7 +16,7 @@ from .encoding import build_init_features, rw_structural_encoding
 from .errors import (ConfigError, ContractViolation, DatasetError,
                      DeterminismError, FlowgadError, NumericFault,
                      PhaseOrderError, TrainingFault, UndefinedMetricError)
-from .flow import CouplingStep, GraphFlow, IdentityFlow, nf_loss, train_flow
+from .flow import CouplingStep, GraphFlow, nf_loss, train_flow
 from .optim import Adam, glorot_init, make_rng
 from .pipeline import (ExperimentConfig, ScoreReport, SplitGuard,
                        compute_auc, export_embeddings, run_experiment,

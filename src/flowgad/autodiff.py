@@ -47,41 +47,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    # operator sugar; scalars take the cheap constant path
-    def __add__(self, other):
-        if isinstance(other, (int, float)):
-            return add_scalar(self, float(other))
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (int, float)):
-            return add_scalar(self, -float(other))
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, 1.0 / float(other))
-        return div(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    @property
-    def T(self):
-        return transpose(self)
-
 
 class Node:
     """One recorded primitive: op name, input/output refs, backward closure."""

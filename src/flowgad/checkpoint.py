@@ -15,21 +15,21 @@ doubles exactly, so save/load is lossless and byte-stable.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from .data import payload_fingerprint
 from .errors import ContractViolation, PhaseOrderError
-from .flow import GraphFlow, IdentityFlow
+from .flow import GraphFlow
 from .optim import freeze, make_rng
 from .source import FeatureDecoder, GcnEncoder
 from .target import GinNetwork
 
 _MODEL_CLASSES = {cls.__name__: cls for cls in (
-    GcnEncoder, FeatureDecoder, GraphFlow, IdentityFlow, GinNetwork)}
+    GcnEncoder, FeatureDecoder, GraphFlow, GinNetwork)}
 
 
 def write_csv(path: str, header: list[str], rows):
@@ -39,14 +39,6 @@ def write_csv(path: str, header: list[str], rows):
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-
-
-def _canonical_bytes(payload: dict) -> bytes:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
-
-
-def payload_fingerprint(payload: dict) -> str:
-    return hashlib.sha256(_canonical_bytes(payload)).hexdigest()
 
 
 def save_checkpoint(path: str, kind: str, arrays: dict, meta: dict,

@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 internal error, 2 dataset/parse, 3 configuration,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -21,8 +22,8 @@ import sys
 import numpy as np
 
 from .checkpoint import PhaseStore, write_csv
-from .data import (dataset_fingerprint, graphset_to_dict, make_anomaly_split,
-                   parse_tudataset)
+from .data import (canonical_bytes, dataset_fingerprint, graphset_to_dict,
+                   make_anomaly_split, parse_tudataset)
 from .errors import (ConfigError, DatasetError, FlowgadError, NumericFault,
                      PhaseOrderError, TrainingFault, UndefinedMetricError)
 from .pipeline import (PHASES, ExperimentConfig, build_report,
@@ -42,10 +43,8 @@ EXIT_CODES = (
 
 _BOOL_WORDS = {"true": True, "false": False, "yes": True, "no": False,
                "1": True, "0": False}
-_INT_KEYS = {"gcn_layers", "hidden", "d", "flow_steps", "gin_layers", "k_se",
-             "s_epochs", "n_epochs", "t_epochs", "batch_size", "max_graphs"}
-_FLOAT_KEYS = {"test_fraction", "alpha", "beta", "s_max", "lr"}
-_BOOL_KEYS = {"include_degree", "normalize_nf"}
+# each key's value type is the type of its field's default
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
 
 
 def parse_config_file(path: str) -> ExperimentConfig:
@@ -71,19 +70,18 @@ def parse_config_file(path: str) -> ExperimentConfig:
 
 
 def _parse_value(key: str, value: str, path: str, line_no: int):
+    kind = type(_DEFAULTS.get(key))
     try:
         if key == "seeds":
             return tuple(int(v) for v in value.split(",") if v.strip())
         if key == "normal_class":
             return value if value == "majority" else int(value)
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-        if key in _BOOL_KEYS:
+        if kind is bool:
             if value.lower() not in _BOOL_WORDS:
                 raise ValueError(value)
             return _BOOL_WORDS[value.lower()]
+        if kind in (int, float):
+            return kind(value)
     except ValueError:
         raise ConfigError(
             f"{path}:{line_no}: bad value {value!r} for key {key!r}") from None
@@ -116,10 +114,8 @@ def cmd_prepare(args) -> int:
     print("labels: " + ", ".join(f"{k}: {v}" for k, v in sorted(labels.items())))
     print(f"fingerprint: {dataset_fingerprint(gs)}")
     out = args.out or f"{args.name}_canonical.json"
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(graphset_to_dict(gs), fh, sort_keys=True,
-                  separators=(",", ":"))
-        fh.write("\n")
+    with open(out, "wb") as fh:
+        fh.write(canonical_bytes(graphset_to_dict(gs)) + b"\n")
     print(f"wrote {out}")
     return 0
 
@@ -220,12 +216,11 @@ def cmd_plotdata(args) -> int:
     gs, _, inputs = prepare_experiment(load_dataset(config), config)
     split = make_anomaly_split(gs, report.normal_class, config.test_fraction,
                                first_seed)
-    stages = phase_chain(config.variant)
-    models, _ = store.load_chain(first_seed, stages)
-    for stage in stages:
-        rows = export_embeddings(inputs, split.test, stage, models["encoder"],
-                                 models.get("flow"), models.get("student"),
-                                 config)
+    models, _ = store.load_chain(first_seed, phase_chain(config.variant))
+    embeddings = export_embeddings(inputs, split.test, models["encoder"],
+                                   models.get("flow"), models.get("student"),
+                                   config)
+    for stage, rows in embeddings.items():
         write_csv(os.path.join(out_dir, f"embeddings_{stage}.csv"),
                   ["graph", "flag"] + [f"e{j}" for j in range(config.d)],
                   [row[:2] + [repr(v) for v in row[2:]] for row in rows])

@@ -1,4 +1,5 @@
-"""Attributed-graph containers, TUDataset text-format I/O, anomaly splits.
+"""Attributed-graph containers, TUDataset text-format I/O, anomaly splits,
+and the canonical JSON encoding that every fingerprint hashes.
 
 The on-disk format is the public TUDataset convention: per-dataset directory
 holding ``<DS>_A.txt`` (comma-separated 1-based edge endpoints),
@@ -295,10 +296,17 @@ def graphset_from_dict(d: dict) -> GraphSet:
     return GraphSet(name=d["name"], graphs=graphs)
 
 
+def canonical_bytes(payload) -> bytes:
+    """Sorted-key, whitespace-free JSON: what every fingerprint hashes."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+
+
+def payload_fingerprint(payload) -> str:
+    return hashlib.sha256(canonical_bytes(payload)).hexdigest()
+
+
 def dataset_fingerprint(gs: GraphSet) -> str:
-    payload = json.dumps(graphset_to_dict(gs), sort_keys=True,
-                         separators=(",", ":")).encode()
-    return hashlib.sha256(payload).hexdigest()
+    return payload_fingerprint(graphset_to_dict(gs))
 
 
 # ---------------------------------------------------------------------------

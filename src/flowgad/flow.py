@@ -82,15 +82,17 @@ class CouplingStep:
 
 
 class GraphFlow:
-    """T coupling steps over fixed column halves."""
+    """T coupling steps over fixed column halves. With zero steps the flow
+    is the identity (z = h, log-det 0), which is how the no-flow ablations
+    keep the source -> flow -> target stack."""
 
     def __init__(self, d: int, steps: int, s_max: float,
                  rng: np.random.Generator, zero_last: bool = True):
         if d % 2 != 0:
             raise ContractViolation(f"embedding width must be even, got {d}")
-        if steps < 1:
-            raise ContractViolation(f"need at least one step, got {steps}")
-        self.d = d
+        if steps < 0:
+            raise ContractViolation(f"step count must be non-negative, got {steps}")
+        self.d, self.s_max = d, s_max
         self.steps = [CouplingStep(d // 2, s_max, rng, zero_last)
                       for _ in range(steps)]
 
@@ -125,30 +127,7 @@ class GraphFlow:
         return [p for step in self.steps for p in step.params()]
 
     def init_args(self) -> dict:
-        return {"d": self.d, "steps": len(self.steps),
-                "s_max": self.steps[0].s_max}
-
-
-class IdentityFlow:
-    """Stand-in flow for the no-flow ablations: z = h, log-det 0. The
-    ``rng`` argument is ignored; it lets checkpoints rebuild every model
-    class through the same call."""
-
-    def __init__(self, d: int, rng: np.random.Generator | None = None):
-        self.d = d
-        self.steps = []
-
-    def forward(self, h: Tensor, a_hat: Tensor):
-        return h, ad.constant(0.0)
-
-    def inverse(self, z: Tensor, a_hat: Tensor) -> Tensor:
-        return z
-
-    def params(self) -> list[Tensor]:
-        return []
-
-    def init_args(self) -> dict:
-        return {"d": self.d}
+        return {"d": self.d, "steps": len(self.steps), "s_max": self.s_max}
 
 
 def nf_loss(z: Tensor, log_det: Tensor, n: int, normalize: bool = True) -> Tensor:

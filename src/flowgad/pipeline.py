@@ -21,20 +21,19 @@ so that each phase is checkpointed and read back.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
 from . import autodiff as ad
-from .checkpoint import PhaseStore, payload_fingerprint
-from .data import (AnomalySplit, GraphSet, majority_class, make_anomaly_split,
-                   normalized_adjacency)
+from .checkpoint import PhaseStore
+from .data import (AnomalySplit, GraphSet, canonical_bytes, majority_class,
+                   make_anomaly_split, normalized_adjacency, payload_fingerprint)
 from .encoding import build_init_features
 from .errors import (ConfigError, ContractViolation, PhaseOrderError,
                      TrainingFault, UndefinedMetricError)
-from .flow import GraphFlow, IdentityFlow, train_flow
+from .flow import GraphFlow, train_flow
 from .optim import freeze, is_frozen, make_rng
 from .source import (FeatureDecoder, GcnEncoder, graph_source_loss,
                      pretrain_source)
@@ -202,16 +201,33 @@ def subsample_graphset(gs: GraphSet, max_graphs: int) -> GraphSet:
 
 
 # ---------------------------------------------------------------------------
-# scoring and AUC
+# the model stack, scoring and AUC
 # ---------------------------------------------------------------------------
 
-def flow_targets(encoder: GcnEncoder, flow, gi: GraphInputs,
-                 readout: str) -> tuple[np.ndarray, np.ndarray]:
-    """Latent node matrix and pooled graph vector for one graph, no tape."""
-    h = encoder.forward(ad.constant(gi.a_hat), ad.constant(gi.x_init))
-    z, _ = flow.forward(h, ad.constant(gi.a_hat))
-    z_graph = READOUTS[readout](z)
-    return z.data, np.ravel(z_graph.data)
+def student_propagation(gi: GraphInputs, student) -> np.ndarray:
+    """A GCN student (``asy_st``) reads A_hat, a GIN student raw A."""
+    return gi.a_hat if isinstance(student, GcnEncoder) else gi.adjacency
+
+
+def forward_stack(gi: GraphInputs, encoder: GcnEncoder, flow=None,
+                  student=None) -> dict:
+    """Node matrices of one graph at each stage the given models reach:
+    "source" (teacher embeddings), "flow" (their latent) and "target" (the
+    student's output). Frozen models record nothing, so no tape is built."""
+    a_hat, x = ad.constant(gi.a_hat), ad.constant(gi.x_init)
+    h = encoder.forward(a_hat, x)
+    stages = {"source": h.data}
+    if flow is not None:
+        stages["flow"] = flow.forward(h, a_hat)[0].data
+    if student is not None:
+        prop = ad.constant(student_propagation(gi, student))
+        stages["target"] = student.forward(prop, x).data
+    return stages
+
+
+def pooled(nodes: np.ndarray, readout: str) -> np.ndarray:
+    """The graph vector that ``readout`` pools from a node matrix."""
+    return np.ravel(READOUTS[readout](ad.constant(nodes)).data)
 
 
 def score_graph(gi: GraphInputs, encoder: GcnEncoder, flow, student,
@@ -219,12 +235,11 @@ def score_graph(gi: GraphInputs, encoder: GcnEncoder, flow, student,
     """Returns (score, raw). The score averages the graph-level and mean
     node-level disagreement so it lives in [0, 1] under the cosine distance;
     raw is their plain sum."""
-    z_nodes, z_graph = flow_targets(encoder, flow, gi, config.readout)
-    prop = gi.a_hat if isinstance(student, GcnEncoder) else gi.adjacency
-    out = student.forward(ad.constant(prop), ad.constant(gi.x_init))
-    s_graph = np.ravel(READOUTS[config.readout](out).data)
-    graph_term = distance(s_graph, z_graph, config.distance)
-    node_terms = [distance(out.data[i], z_nodes[i], config.distance)
+    stages = forward_stack(gi, encoder, flow, student)
+    z_nodes, out = stages["flow"], stages["target"]
+    graph_term = distance(pooled(out, config.readout),
+                          pooled(z_nodes, config.readout), config.distance)
+    node_terms = [distance(out[i], z_nodes[i], config.distance)
                   for i in range(gi.n)]
     raw = graph_term + float(np.mean(node_terms))
     return raw / 2.0, raw
@@ -307,18 +322,16 @@ def run_phase_source(upstream: dict, inputs, train_idx,
 
 def run_phase_flow(upstream: dict, inputs, train_idx,
                    config: ExperimentConfig, seed: int):
-    if config.variant != "full":
-        return {"flow": IdentityFlow(config.d)}, None
+    """The no-flow ablations get an untrained zero-step (identity) flow."""
     encoder = upstream["encoder"]
     if not is_frozen(encoder):
         raise PhaseOrderError("encoder must be frozen before the flow phase")
-    flow = GraphFlow(config.d, config.flow_steps, config.s_max,
-                     make_rng(seed, 2))
-    pairs = []
-    for i in train_idx:
-        gi = inputs[i]
-        h = encoder.forward(ad.constant(gi.a_hat), ad.constant(gi.x_init))
-        pairs.append((gi.a_hat, h.data))
+    steps = config.flow_steps if config.variant == "full" else 0
+    flow = GraphFlow(config.d, steps, config.s_max, make_rng(seed, 2))
+    if not flow.steps:
+        return {"flow": flow}, None
+    pairs = [(inputs[i].a_hat, forward_stack(inputs[i], encoder)["source"])
+             for i in train_idx]
     trace = train_flow(flow, pairs, epochs=config.n_epochs, lr=config.lr,
                        batch_size=config.batch_size,
                        normalize=config.normalize_nf)
@@ -342,9 +355,9 @@ def run_phase_target(upstream: dict, inputs, train_idx,
     quads = []
     for i in train_idx:
         gi = inputs[i]
-        z_nodes, z_graph = flow_targets(encoder, flow, gi, config.readout)
-        prop = gi.a_hat if config.variant == "asy_st" else gi.adjacency
-        quads.append((prop, gi.x_init, z_nodes, z_graph))
+        z_nodes = forward_stack(gi, encoder, flow)["flow"]
+        quads.append((student_propagation(gi, student), gi.x_init, z_nodes,
+                      pooled(z_nodes, config.readout)))
     trace = train_target(student, quads, beta=config.beta,
                          epochs=config.t_epochs, lr=config.lr,
                          batch_size=config.batch_size, kind=config.distance,
@@ -366,7 +379,7 @@ class SeedResult:
 
 def phase_chain(variant: str) -> tuple:
     """The phases a variant runs, in order. The no-flow ablations keep a
-    flow phase that yields an identity flow, so every student checkpoint
+    flow phase that yields a zero-step flow, so every student checkpoint
     chains to a flow checkpoint."""
     return PHASES[:1] if variant == "non_st" else PHASES
 
@@ -466,7 +479,7 @@ class ScoreReport:
         d = self.to_dict()
         d.pop("phase_seconds")
         d.pop("timestamp")
-        return json.dumps(d, sort_keys=True, separators=(",", ":")).encode()
+        return canonical_bytes(d)
 
 
 def report_from_dict(d: dict) -> ScoreReport:
@@ -512,24 +525,16 @@ def run_experiment(gs: GraphSet, config: ExperimentConfig,
     return report, results
 
 
-def export_embeddings(inputs, index_flags, stage: str, encoder: GcnEncoder,
-                      flow, student, config: ExperimentConfig) -> list[list]:
-    """Rows of (graph index, flag, pooled d-vector) at the requested stage."""
-    if stage not in ("source", "flow", "target"):
-        raise ConfigError(f"unknown embedding stage {stage!r}")
-    if stage == "target" and student is None:
-        raise ConfigError(f"variant {config.variant!r} trains no student network")
-    rows = []
+def export_embeddings(inputs, index_flags, encoder: GcnEncoder, flow, student,
+                      config: ExperimentConfig) -> dict:
+    """Rows of (graph index, flag, pooled d-vector) for every stage of the
+    variant's phase chain, keyed by stage; one forward pass per graph."""
+    chain = phase_chain(config.variant)
+    rows: dict = {stage: [] for stage in chain}
     for idx, flag in index_flags:
-        gi = inputs[idx]
-        if stage == "source":
-            h = encoder.forward(ad.constant(gi.a_hat), ad.constant(gi.x_init))
-            vec = np.ravel(READOUTS[config.readout](h).data)
-        elif stage == "flow":
-            _, vec = flow_targets(encoder, flow, gi, config.readout)
-        else:
-            prop = gi.a_hat if isinstance(student, GcnEncoder) else gi.adjacency
-            out = student.forward(ad.constant(prop), ad.constant(gi.x_init))
-            vec = np.ravel(READOUTS[config.readout](out).data)
-        rows.append([int(idx), int(bool(flag))] + [float(v) for v in vec])
+        stages = forward_stack(inputs[idx], encoder, flow, student)
+        for stage in chain:
+            vec = pooled(stages[stage], config.readout)
+            rows[stage].append([int(idx), int(bool(flag))]
+                               + [float(v) for v in vec])
     return rows

@@ -15,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ContractViolation
-from .optim import fit, freeze, glorot_init, is_frozen
+from .optim import fit, freeze, glorot_init
 
 CLAMP_LO = 1e-12
 CLAMP_HI = 1.0 - 1e-12
@@ -51,10 +51,6 @@ class GcnEncoder:
     def init_args(self) -> dict:
         return {"d_in": self.d_in, "hidden": self.hidden, "d_out": self.d_out,
                 "layers": len(self.weights)}
-
-    @property
-    def frozen(self) -> bool:
-        return is_frozen(self)
 
 
 class FeatureDecoder:

@@ -104,8 +104,13 @@ def distance(u: np.ndarray, v: np.ndarray, kind: str = "cosine") -> float:
 
 
 def pair_distances(u: Tensor, v: Tensor, kind: str = "cosine") -> Tensor:
-    """Differentiable rowwise distances, n x 1; training never feeds exactly
-    zero rows, so the cosine denominator is only epsilon-guarded."""
+    """Differentiable rowwise distances, n x 1. The cosine denominator is
+    only epsilon-guarded, so a pair of all-zero rows costs 0.5 here but 0
+    under the score-time ``distance``. Such pairs occur under ``asy_st``:
+    an isolated attribute-free node has a zero encoding row, which the
+    bias-free GCN teacher, the zero-step flow and the GCN student keep at
+    zero. At beta = 1/2, k such pairs among n nodes make the loss exceed
+    the score by k / (4n)."""
     if u.shape != v.shape:
         raise ContractViolation(f"shape mismatch: {u.shape} vs {v.shape}")
     if kind == "sqeuclidean":

@@ -1,13 +1,16 @@
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
 
+from flowgad import autodiff as ad
+from flowgad import flow
 from flowgad.cli import load_dataset, main, parse_config_file
-from flowgad.data import Graph, GraphSet, write_tudataset
+from flowgad.data import Graph, GraphSet, make_anomaly_split, write_tudataset
 from flowgad.errors import ConfigError
-from flowgad.pipeline import run_experiment
+from flowgad.pipeline import ExperimentConfig, prepare_experiment, run_experiment
 
 BASE_CONFIG = """\
 # quick synthetic run
@@ -69,6 +72,26 @@ def test_config_errors_name_the_line(tmp_path):
         parse_config_file(bad)
     bad = write_config(tmp_path, "just words\n", "noeq.cfg")
     with pytest.raises(ConfigError, match="key = value"):
+        parse_config_file(bad)
+
+
+def test_every_config_field_parses_to_its_default_type(tmp_path):
+    # value types come from the config's defaults, so a file spelling out
+    # every default parses back to the default config, type for type
+    lines = []
+    for f in dataclasses.fields(ExperimentConfig):
+        value = f.default
+        if isinstance(value, tuple):
+            value = ",".join(str(v) for v in value)
+        elif isinstance(value, bool):
+            value = str(value).lower()
+        lines.append(f"{f.name} = {value}")
+    cfg = parse_config_file(write_config(tmp_path, "\n".join(lines) + "\n"))
+    assert cfg == ExperimentConfig()
+    for f in dataclasses.fields(ExperimentConfig):
+        assert type(getattr(cfg, f.name)) is type(f.default), f.name
+    bad = write_config(tmp_path, "normalize_nf = maybe\n", "badbool.cfg")
+    with pytest.raises(ConfigError, match="badbool.cfg:1"):
         parse_config_file(bad)
 
 
@@ -178,6 +201,29 @@ def test_flow_phase_without_encoder_exits_4(tmp_path, capsys):
                  "--phase", "flow"])
     assert code == 4
     assert "missing" in capsys.readouterr().err
+
+
+def test_nan_in_flow_phase_exits_5(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path, BASE_CONFIG.replace("seeds = 0,1", "seeds = 0"))
+    config = parse_config_file(cfg)
+    gs, normal, _ = prepare_experiment(load_dataset(config), config)
+    n_train = len(make_anomaly_split(gs, normal, config.test_fraction, 0).train)
+    real_nf_loss = flow.nf_loss
+    calls = []
+
+    def poisoned_nf_loss(*args, **kwargs):
+        # batch size 1: call 2 * n_train + 1 is the first graph of epoch 2
+        calls.append(None)
+        loss = real_nf_loss(*args, **kwargs)
+        return ad.add_scalar(loss, np.nan) if len(calls) > 2 * n_train else loss
+
+    monkeypatch.setattr(flow, "nf_loss", poisoned_nf_loss)
+    run = tmp_path / "run"
+    assert main(["train", cfg, "--out-dir", str(run)]) == 5
+    assert "seed 0: flow loss went non-finite (epoch 2)" in capsys.readouterr().err
+    assert len(calls) == 2 * n_train + 1
+    assert (run / "0" / "encoder.ckpt").is_file()
+    assert not (run / "0" / "flow.ckpt").exists()
 
 
 def test_truncated_checkpoint_exits_4(tmp_path, capsys):

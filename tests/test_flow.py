@@ -5,8 +5,7 @@ from flowgad import autodiff as ad
 from flowgad.autodiff import Tensor, gradcheck
 from flowgad.data import Graph, normalized_adjacency
 from flowgad.errors import ContractViolation, TrainingFault
-from flowgad.flow import (CouplingStep, GraphFlow, IdentityFlow, nf_loss,
-                          train_flow)
+from flowgad.flow import CouplingStep, GraphFlow, nf_loss, train_flow
 from flowgad.optim import make_rng
 
 
@@ -253,12 +252,17 @@ def test_nf_loss_gradcheck_through_two_steps(rng):
 
 
 def test_identity_flow_object(rng):
-    flow = IdentityFlow(4)
+    # the no-flow ablations' flow: zero coupling steps map h to itself
+    flow = GraphFlow(4, 0, 2.0, make_rng(0))
     h = Tensor(rng.normal(size=(3, 4)))
     z, log_det = flow.forward(h, ad.constant(np.eye(3)))
-    assert z is h
+    assert np.array_equal(z.data, h.data)
     assert log_det.item() == 0.0
     assert flow.params() == []
+    assert np.array_equal(flow.inverse(z, ad.constant(np.eye(3))).data, h.data)
+    assert flow.init_args() == {"d": 4, "steps": 0, "s_max": 2.0}
+    with pytest.raises(ContractViolation):
+        GraphFlow(4, -1, 2.0, make_rng(0))
 
 
 def test_flow_width_checks(rng):

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from flowgad import autodiff as ad
 from flowgad import checkpoint
 from flowgad.checkpoint import (load_checkpoint, load_models, save_checkpoint,
                                 save_models)
@@ -13,10 +14,11 @@ from flowgad.errors import (ConfigError, ContractViolation, PhaseOrderError,
 from flowgad.optim import make_rng
 from flowgad.pipeline import (ExperimentConfig, SplitGuard, compute_auc,
                               config_from_dict, export_embeddings,
-                              precompute_inputs, resolve_normal_class,
-                              run_experiment, run_seed, score_graph,
-                              score_histogram, subsample_graphset)
+                              forward_stack, pooled, precompute_inputs,
+                              resolve_normal_class, run_experiment, run_seed,
+                              score_graph, score_histogram, subsample_graphset)
 from flowgad.synthetic import planted_anomaly_set
+from flowgad.target import graph_target_loss
 
 TINY = dict(s_epochs=6, n_epochs=6, t_epochs=6, d=8, hidden=8, k_se=8,
             seeds=(0,))
@@ -257,6 +259,33 @@ def test_score_graph_agreement_is_zero(rng):
     assert score < 1e-9 and raw < 1e-9
 
 
+@pytest.mark.parametrize("variant", ["full", "asy_st"])
+def test_score_is_half_beta_loss_up_to_zero_row_pairs(variant):
+    # scoring counts a pair of all-zero rows as agreement (0), the training
+    # loss's epsilon-guarded cosine as 0.5; everything else is the same sum
+    gs = planted_anomaly_set()
+    cfg = ExperimentConfig(variant=variant, seeds=(0,), s_epochs=5,
+                           n_epochs=5, t_epochs=5)
+    _, results = run_experiment(gs, cfg, keep_models=True)
+    models = results[0].models
+    stack = (models["encoder"], models["flow"], models["student"])
+    graphs_with_zero_pairs = 0
+    for gi in precompute_inputs(gs, cfg):
+        with ad.Tape() as tape:
+            stages = forward_stack(gi, *stack)
+        assert tape.nodes == []
+        z_nodes, out = stages["flow"], stages["target"]
+        k = int(np.sum(~z_nodes.any(axis=1) & ~out.any(axis=1)))
+        loss = graph_target_loss(ad.constant(out), z_nodes,
+                                 pooled(z_nodes, cfg.readout), 0.5,
+                                 cfg.distance, cfg.readout).item()
+        score = score_graph(gi, *stack, cfg)[0]
+        assert loss - score == pytest.approx(k / (4 * gi.n), abs=1e-12)
+        graphs_with_zero_pairs += k > 0
+    # isolated attribute-free nodes stay zero only without a trained flow
+    assert (graphs_with_zero_pairs > 0) == (variant == "asy_st")
+
+
 def test_run_seed_annotates_failures():
     gs = small_set()
     cfg = ExperimentConfig(**{**TINY, "lr": 1e80})
@@ -362,19 +391,18 @@ def test_missing_checkpoint_is_phase_order_error(tmp_path):
 def test_export_embeddings_shapes_and_stage_check(tmp_path):
     gs, cfg, inputs, res = _trained_models(tmp_path)
     pairs = res.split.test[:3]
-    for stage in ("source", "flow", "target"):
-        rows = export_embeddings(inputs, pairs, stage, res.models["encoder"],
-                                 res.models["flow"], res.models["student"], cfg)
-        assert len(rows) == 3
-        assert all(len(row) == 2 + cfg.d for row in rows)
-    with pytest.raises(ConfigError):
-        export_embeddings(inputs, pairs, "latent", res.models["encoder"],
-                          res.models["flow"], res.models["student"], cfg)
-    rows1 = export_embeddings(inputs, pairs, "source", res.models["encoder"],
-                              res.models["flow"], res.models["student"], cfg)
-    rows2 = export_embeddings(inputs, pairs, "source", res.models["encoder"],
-                              res.models["flow"], res.models["student"], cfg)
-    assert rows1 == rows2
+    models = (res.models["encoder"], res.models["flow"], res.models["student"])
+    rows = export_embeddings(inputs, pairs, *models, cfg)
+    assert list(rows) == ["source", "flow", "target"]
+    for stage_rows in rows.values():
+        assert len(stage_rows) == 3
+        assert all(len(row) == 2 + cfg.d for row in stage_rows)
+    assert rows == export_embeddings(inputs, pairs, *models, cfg)
+    # the reconstruction baseline has only the teacher's stage
+    only_source = export_embeddings(inputs, pairs, res.models["encoder"],
+                                    None, None,
+                                    dataclasses.replace(cfg, variant="non_st"))
+    assert only_source == {"source": rows["source"]}
 
 
 def test_resolve_normal_class_majority_and_override():
