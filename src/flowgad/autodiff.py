@@ -301,14 +301,16 @@ def tanh(a: Tensor) -> Tensor:
     return _record("tanh", (a,), out_data, backprop)
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below, with e = exp(-|x|), so
+    neither branch can overflow."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
 def sigmoid(a: Tensor) -> Tensor:
     a = as_tensor(a)
-    x = a.data
-    out_data = np.empty_like(x)
-    pos = x >= 0
-    out_data[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out_data[~pos] = ex / (1.0 + ex)
+    out_data = _sigmoid(a.data)
 
     def backprop(g):
         if a.requires_grad:
@@ -338,6 +340,47 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
             _accum(a, g * ((a.data >= lo) & (a.data <= hi)))
 
     return _record("clip", (a,), out_data, backprop)
+
+
+def gram_bce(h: Tensor, adjacency: np.ndarray, lo: float, hi: float) -> Tensor:
+    """Summed binary cross entropy of p = clip(sigmoid(h h^T), lo, hi)
+    against a 0/1 matrix A: -sum(A log p + (1 - A) log(1 - p)).
+
+    One node with a hand-written backward; value and gradient are
+    bit-identical to the composed transpose/matmul/sigmoid/clip/log chain.
+    With A in {0, 1} and 0 < lo <= hi < 1, one log of where(A, p, 1 - p)
+    equals the two-term sum. Only p and the masks are kept for the backward
+    pass.
+    """
+    h = as_tensor(h)
+    n = h.data.shape[0]
+    if adjacency.shape != (n, n):
+        raise ContractViolation(
+            f"gram_bce needs a {n}x{n} target, got {adjacency.shape}")
+    edge = adjacency != 0
+    s = _sigmoid(h.data @ h.data.T)
+    p = np.clip(s, lo, hi)
+    inside = (s >= lo) & (s <= hi)
+    del s
+    out_data = -np.log(np.where(edge, p, 1.0 - p)).sum()
+
+    def backprop(g):
+        if not h.requires_grad:
+            return
+        # d/dp of the summed terms: g*-1/p on edges, -(g*-1/(1-p))
+        # elsewhere; "+ 0.0" and "0.0 -" make a zero g give +0 everywhere,
+        # as the chain's sum of a term and a zero term did
+        dz = (g * -1.0 + 0.0) / np.where(edge, p, 1.0 - p)
+        np.subtract(0.0, dz, out=dz, where=~edge)
+        # then clip and sigmoid; p equals sigmoid(h h^T) wherever the mask
+        # passes the gradient, and both are >= 0 where it zeroes it
+        dz *= inside
+        dz *= p
+        dz *= 1.0 - p
+        _accum(h, dz @ h.data)
+        _accum(h, (h.data.T @ dz).T)
+
+    return _record("gram_bce", (h,), out_data, backprop)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ stale downstream checkpoints instead of silently mixing. A file that cannot
 be parsed, verified or rebuilt is a phase-order error naming the file.
 
 Values serialize through Python floats, whose repr round-trips 64-bit
-doubles exactly, so save/load is lossless and byte-stable.
+doubles exactly, so save/load is lossless and byte-stable. Checkpoints and
+every other file a run writes (reports, CSV tables, canonical dumps) go
+through ``atomic_write``.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,10 +35,25 @@ _MODEL_CLASSES = {cls.__name__: cls for cls in (
     GcnEncoder, FeatureDecoder, GraphFlow, GinNetwork)}
 
 
+@contextmanager
+def atomic_write(path: str, mode: str = "w", **open_args):
+    """Opens a temporary file beside ``path`` that replaces ``path`` only
+    when the block completes, so an interrupted write leaves the previous
+    file intact and no temporary file behind."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **open_args) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def write_csv(path: str, header: list[str], rows):
     """The CSV dialect of every table a run writes."""
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -44,9 +62,7 @@ def write_csv(path: str, header: list[str], rows):
 def save_checkpoint(path: str, kind: str, arrays: dict, meta: dict,
                     config_fingerprint: str,
                     upstream_fingerprint: str | None = None) -> str:
-    """Writes the checkpoint and returns its fingerprint. The bytes go to a
-    temporary file beside ``path`` that then replaces it, so an interrupted
-    write leaves the previous checkpoint intact."""
+    """Writes the checkpoint atomically and returns its fingerprint."""
     payload = {
         "kind": kind,
         "meta": meta,
@@ -60,16 +76,9 @@ def save_checkpoint(path: str, kind: str, arrays: dict, meta: dict,
     }
     fingerprint = payload_fingerprint(payload)
     payload["fingerprint"] = fingerprint
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-            fh.write("\n")
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    with atomic_write(path, encoding="utf-8") as fh:
+        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
+        fh.write("\n")
     return fingerprint
 
 
@@ -126,8 +135,14 @@ def save_models(path: str, kind: str, models: dict, config_fingerprint: str,
                            upstream_fingerprint)
 
 
-def _rebuild(name: str, entry: dict, arrays: dict):
-    model = _MODEL_CLASSES[entry["class"]](**entry["args"], rng=make_rng(0))
+def _rebuild(path: str, name: str, entry: dict, arrays: dict):
+    cls = _MODEL_CLASSES.get(entry["class"])
+    if cls is None:
+        raise PhaseOrderError(
+            f"checkpoint {path} holds a model of class {entry['class']!r}, "
+            f"which this version does not have; retrain the phase that "
+            f"wrote it")
+    model = cls(**entry["args"], rng=make_rng(0))
     for i, p in enumerate(model.params()):
         stored = arrays.pop(f"{name}.{i}")
         if stored["shape"] != list(p.data.shape):
@@ -145,7 +160,7 @@ def load_models(path: str, kind: str, config_fingerprint: str,
     verify_chain(payload, upstream_fingerprint, config_fingerprint, path)
     arrays = dict(payload["arrays"])
     try:
-        models = {name: _rebuild(name, entry, arrays)
+        models = {name: _rebuild(path, name, entry, arrays)
                   for name, entry in payload["meta"].items()}
         if arrays:
             raise ValueError(f"no model takes the arrays {sorted(arrays)}")

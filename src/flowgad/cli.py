@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .checkpoint import PhaseStore, write_csv
+from .checkpoint import PhaseStore, atomic_write, write_csv
 from .data import (canonical_bytes, dataset_fingerprint, graphset_to_dict,
                    make_anomaly_split, parse_tudataset)
 from .errors import (ConfigError, DatasetError, FlowgadError, NumericFault,
@@ -114,7 +114,7 @@ def cmd_prepare(args) -> int:
     print("labels: " + ", ".join(f"{k}: {v}" for k, v in sorted(labels.items())))
     print(f"fingerprint: {dataset_fingerprint(gs)}")
     out = args.out or f"{args.name}_canonical.json"
-    with open(out, "wb") as fh:
+    with atomic_write(out, "wb") as fh:
         fh.write(canonical_bytes(graphset_to_dict(gs)) + b"\n")
     print(f"wrote {out}")
     return 0
@@ -172,7 +172,7 @@ def cmd_eval(args) -> int:
         print(f"seed {seed}: AUC {results[-1].auc:.4f}")
     report = build_report(gs, config, normal, results)
     report_path = os.path.join(store.root, "report.json")
-    with open(report_path, "w", encoding="utf-8") as fh:
+    with atomic_write(report_path, encoding="utf-8") as fh:
         json.dump(report.to_dict(), fh, sort_keys=True, indent=1)
         fh.write("\n")
     write_csv(os.path.join(store.root, "scores.csv"),

@@ -4,8 +4,11 @@ The encoder maps initial features to node embeddings through degree-normalized
 propagation. Pre-training minimizes a convex combination of an inner-product
 adjacency reconstruction term (summed binary cross entropy over the full
 n x n matrix) and a squared Frobenius feature reconstruction term produced
-by a small perceptron decoder. Afterwards the encoder is frozen; later
-phases only read it.
+by a small perceptron decoder. The adjacency term is one fused tape
+primitive (``autodiff.gram_bce``) with an exact hand-written backward, so a
+step keeps the clamped probabilities and a mask alive for the backward pass
+instead of one n x n buffer per composed op.
+Afterwards the encoder is frozen; later phases only read it.
 """
 
 from __future__ import annotations
@@ -74,13 +77,9 @@ class FeatureDecoder:
 
 
 def adjacency_recon_loss(h: Tensor, adjacency: np.ndarray) -> Tensor:
-    """Summed BCE between sigmoid(h_i . h_j) and A over all n^2 entries."""
-    probs = ad.clip(ad.sigmoid(ad.matmul(h, ad.transpose(h))), CLAMP_LO, CLAMP_HI)
-    a = ad.constant(adjacency)
-    not_a = ad.constant(1.0 - adjacency)
-    hit = ad.mul(a, ad.log(probs))
-    miss = ad.mul(not_a, ad.log(ad.add_scalar(ad.scale(probs, -1.0), 1.0)))
-    return ad.scale(ad.reduce_sum(ad.add(hit, miss)), -1.0)
+    """Summed BCE between sigmoid(h_i . h_j), clamped to [CLAMP_LO, CLAMP_HI],
+    and the 0/1 adjacency over all n^2 entries."""
+    return ad.gram_bce(h, adjacency, CLAMP_LO, CLAMP_HI)
 
 
 def feature_recon_loss(x_init: np.ndarray, x_star: Tensor) -> Tensor:

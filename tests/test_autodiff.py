@@ -110,6 +110,21 @@ def test_scalar_ops_and_clip_gradchecks(rng):
         lambda x: ad.reduce_sum(ad.clip(x, -0.99, 0.99)), [x]) < 1e-6
 
 
+def test_sigmoid_bit_equals_masked_reference(rng):
+    def masked_sigmoid(x):
+        out = np.empty_like(x)
+        pos = x >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        out[~pos] = ex / (1.0 + ex)
+        return out
+
+    x = rng.normal(size=(40, 25)) * np.where(rng.random((40, 25)) < 0.3, 300.0, 3.0)
+    x[0, :6] = [0.0, -0.0, 40.5, -40.5, 745.0, -745.0]
+    assert np.abs(x).max() > 40 and (x < 0).any() and (x > 0).any()
+    assert ad.sigmoid(Tensor(x)).data.tobytes() == masked_sigmoid(x).tobytes()
+
+
 def test_reduce_axes_gradcheck(rng):
     x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
     for axis, keep in [(0, True), (1, True), (0, False), (1, False)]:

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from flowgad import autodiff as ad
-from flowgad import flow
+from flowgad import checkpoint, flow
 from flowgad.cli import load_dataset, main, parse_config_file
-from flowgad.data import Graph, GraphSet, make_anomaly_split, write_tudataset
+from flowgad.data import (Graph, GraphSet, make_anomaly_split, payload_fingerprint,
+                          write_tudataset)
 from flowgad.errors import ConfigError
 from flowgad.pipeline import ExperimentConfig, prepare_experiment, run_experiment
 
@@ -236,6 +237,79 @@ def test_truncated_checkpoint_exits_4(tmp_path, capsys):
     capsys.readouterr()
     assert main(["eval", cfg, "--out-dir", run]) == 4
     assert "flow.ckpt" in capsys.readouterr().err
+
+
+def test_corrupt_array_digit_fails_verification(tmp_path, capsys):
+    cfg = write_config(tmp_path, BASE_CONFIG.replace("seeds = 0,1", "seeds = 0"))
+    run = str(tmp_path / "run")
+    assert main(["train", cfg, "--out-dir", run]) == 0
+    path = tmp_path / "run" / "0" / "encoder.ckpt"
+    text = path.read_text()
+    # the leading digit of the first stored value: flipping it must change
+    # the number, whatever its magnitude
+    at = text.index('"data":[') + len('"data":[')
+    at += text[at] == "-"
+    digit = text[at]
+    corrupt = text[:at] + ("1" if digit != "1" else "2") + text[at + 1:]
+    before = json.loads(text)["arrays"]
+    after = json.loads(corrupt)["arrays"]
+    assert before.keys() == after.keys() and before != after
+    path.write_text(corrupt)
+    capsys.readouterr()
+    assert main(["eval", cfg, "--out-dir", run]) == 4
+    err = capsys.readouterr().err
+    assert "failed verification" in err and str(path) in err
+
+
+def test_checkpoint_of_unknown_model_class_exits_4(tmp_path, capsys):
+    # an asy_st flow checkpoint as earlier versions wrote it: an
+    # IdentityFlow without arrays, re-fingerprinted so that it verifies
+    cfg = write_config(tmp_path, BASE_CONFIG.replace("seeds = 0,1", "seeds = 0")
+                       + "variant = asy_st\n")
+    run = str(tmp_path / "run")
+    assert main(["train", cfg, "--out-dir", run]) == 0
+    path = tmp_path / "run" / "0" / "flow.ckpt"
+    payload = json.loads(path.read_text())
+    del payload["fingerprint"]
+    payload["meta"] = {"flow": {"class": "IdentityFlow", "args": {"d": 8}}}
+    payload["arrays"] = {}
+    payload["fingerprint"] = payload_fingerprint(payload)
+    path.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+    capsys.readouterr()
+    assert main(["eval", cfg, "--out-dir", run]) == 4
+    err = capsys.readouterr().err
+    assert str(path) in err and "'IdentityFlow'" in err and "retrain" in err
+    assert "KeyError" not in err
+
+
+def test_interrupted_output_writes_keep_previous_files(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path, BASE_CONFIG.replace("seeds = 0,1", "seeds = 0"))
+    run = tmp_path / "run"
+    assert main(["train", cfg, "--out-dir", str(run)]) == 0
+    assert main(["eval", cfg, "--out-dir", str(run)]) == 0
+    report, scores = run / "report.json", run / "scores.csv"
+    before = report.read_bytes(), scores.read_bytes()
+
+    def failing_dump(obj, fh, **kwargs):
+        fh.write('{"auc')
+        raise OSError("disk full")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(json, "dump", failing_dump)
+        with pytest.raises(OSError, match="disk full"):
+            main(["eval", cfg, "--out-dir", str(run)])
+    assert (report.read_bytes(), scores.read_bytes()) == before
+
+    def failing_writer(fh, *args, **kwargs):
+        fh.write("seed,gra")
+        raise OSError("disk full")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(checkpoint.csv, "writer", failing_writer)
+        with pytest.raises(OSError, match="disk full"):
+            main(["eval", cfg, "--out-dir", str(run)])
+    assert scores.read_bytes() == before[1]
+    assert not list(run.rglob("*.tmp"))
 
 
 def test_foreign_config_checkpoint_exits_4(tmp_path, capsys):

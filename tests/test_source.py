@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from flowgad import autodiff as ad
-from flowgad.autodiff import Tensor, gradcheck
+from flowgad.autodiff import Tape, Tensor, gradcheck
 from flowgad.data import Graph, normalized_adjacency
 from flowgad.encoding import build_init_features
-from flowgad.errors import ConfigError, TrainingFault
+from flowgad.errors import ConfigError, ContractViolation, TrainingFault
 from flowgad.optim import is_frozen, make_rng
-from flowgad.source import (FeatureDecoder, GcnEncoder, adjacency_recon_loss,
-                            feature_recon_loss, graph_source_loss,
-                            pretrain_source, source_loss)
+from flowgad.source import (CLAMP_HI, CLAMP_LO, FeatureDecoder, GcnEncoder,
+                            adjacency_recon_loss, feature_recon_loss,
+                            graph_source_loss, pretrain_source, source_loss)
 
 
 def _identity_encoder(d):
@@ -68,6 +68,70 @@ def test_recon_loss_permutation_invariant(rng):
     l1 = adjacency_recon_loss(Tensor(h_data), a).item()
     l2 = adjacency_recon_loss(Tensor(p @ h_data), p @ a @ p.T).item()
     assert l1 == pytest.approx(l2, rel=1e-12)
+
+
+def _composed_recon_loss(h, adjacency):
+    """The adjacency term as the chain of tape primitives it was built from
+    before it became one fused node: the reference it must bit-equal."""
+    probs = ad.clip(ad.sigmoid(ad.matmul(h, ad.transpose(h))), CLAMP_LO, CLAMP_HI)
+    a = ad.constant(adjacency)
+    not_a = ad.constant(1.0 - adjacency)
+    hit = ad.mul(a, ad.log(probs))
+    miss = ad.mul(not_a, ad.log(ad.add_scalar(ad.scale(probs, -1.0), 1.0)))
+    return ad.scale(ad.reduce_sum(ad.add(hit, miss)), -1.0)
+
+
+def _recon_value_and_grad(recon, h_data, adjacency, weight, feature_term):
+    """Value of ``weight * recon`` and the gradient reaching h, optionally
+    after another term has already written h's gradient buffer (as the
+    feature decoder does in ``source_loss``)."""
+    h = Tensor(h_data.copy(), requires_grad=True)
+    with Tape() as tape:
+        loss = ad.scale(recon(h, adjacency), weight)
+        if feature_term:
+            loss = ad.add(loss, ad.scale(ad.reduce_sum(ad.mul(h, h)),
+                                         1.0 - weight))
+    tape.backward(loss)
+    return loss.data.tobytes(), h.grad.tobytes()
+
+
+def _recon_cases(rng):
+    for n in [1, 2, 3] + [int(v) for v in rng.integers(4, 60, size=12)]:
+        d = int(rng.integers(1, 6))
+        upper = np.triu((rng.random((n, n)) < rng.random()).astype(np.float64), k=1)
+        yield "random", rng.normal(size=(n, d)), upper + upper.T
+        # logits in the hundreds: sigmoid hits exactly 0 and 1, so the
+        # clamp binds at both ends, and some entries stay unclamped
+        big = rng.normal(size=(n, d)) * np.where(rng.random((n, 1)) < 0.5, 30.0, 1.0)
+        yield "saturated", big, upper + upper.T
+        yield "all-zero", rng.normal(size=(n, d)), np.zeros((n, n))
+        yield "all-one", big, np.ones((n, n))
+
+
+@pytest.mark.parametrize("weight", [0.0, 0.3, 1.0])
+def test_fused_recon_loss_bit_equals_composed_chain(rng, weight):
+    for kind, h_data, adjacency in _recon_cases(rng):
+        for feature_term in (False, True):
+            fused = _recon_value_and_grad(adjacency_recon_loss, h_data,
+                                          adjacency, weight, feature_term)
+            chain = _recon_value_and_grad(_composed_recon_loss, h_data,
+                                          adjacency, weight, feature_term)
+            assert fused == chain, (kind, h_data.shape, feature_term)
+
+
+def test_fused_recon_loss_records_one_tape_node(rng):
+    h = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+    with Tape() as tape:
+        adjacency_recon_loss(h, np.eye(6))
+    assert [node.op for node in tape.nodes] == ["gram_bce"]
+    with Tape() as tape:
+        adjacency_recon_loss(Tensor(h.data), np.eye(6))
+    assert tape.nodes == []
+
+
+def test_fused_recon_loss_rejects_mismatched_target(rng):
+    with pytest.raises(ContractViolation, match="3x3"):
+        adjacency_recon_loss(Tensor(rng.normal(size=(3, 2))), np.zeros((3, 4)))
 
 
 def test_source_loss_weighting(rng):
