@@ -18,6 +18,7 @@ import dataclasses
 import json
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -158,7 +159,11 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     config = _apply_overrides(parse_config_file(args.config), args)
     store = _store(config, args)
-    gs, normal, inputs = prepare_experiment(load_dataset(config), config)
+    t0 = time.perf_counter()
+    gs = load_dataset(config)
+    t1 = time.perf_counter()
+    gs, normal, inputs = prepare_experiment(gs, config)
+    once = {"load": t1 - t0, "setup": time.perf_counter() - t1}
     missing = [seed for seed in config.seeds
                if not os.path.isfile(store.path(seed, "source"))]
     if missing:
@@ -170,7 +175,7 @@ def cmd_eval(args) -> int:
         results.append(run_seed(gs, inputs, config, seed, normal, store=store,
                                 train=()))
         print(f"seed {seed}: AUC {results[-1].auc:.4f}")
-    report = build_report(gs, config, normal, results)
+    report = build_report(gs, config, normal, results, once)
     report_path = os.path.join(store.root, "report.json")
     with atomic_write(report_path, encoding="utf-8") as fh:
         json.dump(report.to_dict(), fh, sort_keys=True, indent=1)

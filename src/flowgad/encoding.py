@@ -2,7 +2,8 @@
 
 Column ``t`` of the structural block is the diagonal of the t-step random
 walk operator ``(D^-1 A)^t``, i.e. the probability a walk starting at node
-``i`` is back at ``i`` after ``t`` steps. Isolated nodes get zero rows.
+``i`` is back at ``i`` after ``t`` steps (the RWSE of Dwivedi et al.,
+arXiv:2110.07875). Isolated nodes get zero rows.
 """
 
 from __future__ import annotations
@@ -14,18 +15,32 @@ from .errors import ContractViolation
 
 
 def rw_structural_encoding(g: Graph, k_se: int) -> np.ndarray:
-    """n x k_se matrix whose column t-1 is diag((D^-1 A)^t)."""
+    """n x k_se matrix whose column t-1 is diag((D^-1 A)^t).
+
+    ``D^-1 A`` is similar to the symmetric ``S = D^-1/2 A D^-1/2``, so both
+    have the same diagonal powers, and for symmetric powers
+    ``diag(S^(a+b)) = rowsum(S^a * S^b)``. Walking ``P = S^j`` upward, each
+    product ``Q = P @ S`` gives two columns: ``t = 2j`` from ``P * P`` and
+    ``t = 2j + 1`` from ``P * Q``. That is ``ceil(k_se / 2) - 1`` matrix
+    products instead of ``k_se - 1`` (7 instead of 15 at k_se = 16), with
+    the same three n x n buffers alive at a time. The row sums are
+    ``np.vecdot``, which has less per-call overhead than ``einsum`` on
+    the 20-40-node graphs of the small TUDataset sets.
+    """
     if k_se < 1:
         raise ContractViolation(f"k_se must be positive, got {k_se}")
     deg = g.adjacency.sum(axis=1)
-    inv_deg = np.where(deg > 0, 1.0 / np.where(deg > 0, deg, 1.0), 0.0)
-    walk = g.adjacency * inv_deg[:, None]
+    inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
+    s = g.adjacency * inv_sqrt[:, None] * inv_sqrt[None, :]
     out = np.empty((g.n, k_se), dtype=np.float64)
-    power = walk.copy()
-    out[:, 0] = np.diagonal(power)
-    for t in range(1, k_se):
-        power = power @ walk
-        out[:, t] = np.diagonal(power)
+    out[:, 0] = np.diagonal(s)
+    power = s
+    for t in range(2, k_se + 1, 2):
+        out[:, t - 1] = np.vecdot(power, power)
+        if t < k_se:
+            nxt = power @ s
+            out[:, t] = np.vecdot(power, nxt)
+            power = nxt
     return out
 
 

@@ -492,10 +492,14 @@ def report_from_dict(d: dict) -> ScoreReport:
 
 
 def build_report(gs: GraphSet, config: ExperimentConfig, normal: int,
-                 results) -> ScoreReport:
-    """Aggregates scored seeds; phase timings are summed over seeds."""
+                 results, once: dict) -> ScoreReport:
+    """Aggregates scored seeds; phase timings are summed over seeds.
+
+    ``once`` holds the phases timed once before the seeds: ``setup`` is
+    ``prepare_experiment`` (split, adjacencies, encodings) in every report,
+    and ``eval`` adds ``load``, the reading of the dataset files."""
     aucs = np.array([r.auc for r in results])
-    seconds: dict = {}
+    seconds: dict = dict(once)
     for r in results:
         for k, v in r.phase_seconds.items():
             seconds[k] = seconds.get(k, 0.0) + v
@@ -515,10 +519,12 @@ def run_experiment(gs: GraphSet, config: ExperimentConfig,
     """Full multi-seed experiment. Returns (ScoreReport, list of SeedResult);
     model objects are dropped from the results unless ``keep_models``."""
     config.validate()
+    t0 = time.perf_counter()
     gs, normal, inputs = prepare_experiment(gs, config)
+    once = {"setup": time.perf_counter() - t0}
     results = [run_seed(gs, inputs, config, seed, normal)
                for seed in config.seeds]
-    report = build_report(gs, config, normal, results)
+    report = build_report(gs, config, normal, results, once)
     if not keep_models:
         for r in results:
             r.models = {}

@@ -11,7 +11,8 @@ from flowgad.cli import load_dataset, main, parse_config_file
 from flowgad.data import (Graph, GraphSet, make_anomaly_split, payload_fingerprint,
                           write_tudataset)
 from flowgad.errors import ConfigError
-from flowgad.pipeline import ExperimentConfig, prepare_experiment, run_experiment
+from flowgad.pipeline import (ExperimentConfig, prepare_experiment,
+                              report_from_dict, run_experiment)
 
 BASE_CONFIG = """\
 # quick synthetic run
@@ -142,6 +143,22 @@ def test_train_eval_plotdata_roundtrip(tmp_path, capsys):
         emb = (tmp_path / "plots" / f"embeddings_{stage}.csv").read_text()
         header = emb.splitlines()[0].split(",")
         assert header[:2] == ["graph", "flag"] and len(header) == 2 + 8
+
+
+def test_eval_report_times_setup_outside_the_digest(tmp_path):
+    cfg = write_config(tmp_path, BASE_CONFIG.replace("seeds = 0,1", "seeds = 0"))
+    run = str(tmp_path / "run")
+    assert main(["train", cfg, "--out-dir", run]) == 0
+    assert main(["eval", cfg, "--out-dir", run]) == 0
+    with open(os.path.join(run, "report.json"), encoding="utf-8") as fh:
+        written = json.load(fh)
+    assert set(written["phase_seconds"]) == {"load", "setup", "scoring"}
+    assert written["phase_seconds"]["setup"] >= 0.0
+    assert written["phase_seconds"]["load"] >= 0.0
+    report = report_from_dict(written)
+    written["phase_seconds"]["setup"] += 7.0
+    written["phase_seconds"]["load"] += 3.0
+    assert report_from_dict(written).canonical_bytes() == report.canonical_bytes()
 
 
 def test_rerun_is_byte_identical(tmp_path):

@@ -94,3 +94,51 @@ def test_init_features_degree_column_optional():
     with_deg = build_init_features(g, k_se=2, include_degree=True)
     assert with_deg.shape == (2, 4)
     assert np.array_equal(with_deg[:, 1], [1.0, 1.0])   # degree column
+
+
+def _power_loop_encoding(a, k_se):
+    """The k_se - 1 dense products of D^-1 A that the encoding replaced."""
+    deg = a.sum(axis=1)
+    inv_deg = np.where(deg > 0, 1.0 / np.where(deg > 0, deg, 1.0), 0.0)
+    walk = a * inv_deg[:, None]
+    out = np.empty((a.shape[0], k_se))
+    power = walk.copy()
+    out[:, 0] = np.diagonal(power)
+    for t in range(1, k_se):
+        power = power @ walk
+        out[:, t] = np.diagonal(power)
+    return out
+
+
+def _sparse_graph(rng, n, mean_degree, loop_p=0.1, isolated_p=0.1):
+    """Random graph with self-loops and isolated nodes."""
+    upper = np.triu((rng.random((n, n)) < mean_degree / max(n, 1))
+                    .astype(np.float64), k=1)
+    a = upper + upper.T
+    a[np.diag_indices(n)] = rng.random(n) < loop_p
+    cut = rng.random(n) < isolated_p
+    a[cut, :] = 0.0
+    a[:, cut] = 0.0
+    return _graph(a)
+
+
+K_SE_VALUES = (1, 2, 3, 8, 16, 17)
+
+
+def test_two_power_walk_matches_power_loop(rng):
+    graphs = [_graph(np.zeros((1, 1))), _graph([[1.0]]),
+              _graph([[0, 1], [1, 0]]), _graph([[1, 1], [1, 0]]),
+              _graph([[0, 1, 0], [1, 1, 1], [0, 1, 0]]),
+              _graph(np.zeros((3, 3))), _graph(np.ones((3, 3)))]
+    graphs += [_sparse_graph(rng, int(rng.integers(1, 61)),
+                             mean_degree=float(rng.uniform(0.5, 12)))
+               for _ in range(40)]
+    graphs += [_sparse_graph(rng, 300, 5.0), _sparse_graph(rng, 600, 5.0),
+               _sparse_graph(rng, 300, 60.0, loop_p=0.5, isolated_p=0.0)]
+    for g in graphs:
+        oracle = _power_loop_encoding(g.adjacency, max(K_SE_VALUES))
+        for k_se in K_SE_VALUES:
+            enc = rw_structural_encoding(g, k_se)
+            assert enc.shape == (g.n, k_se)
+            assert np.max(np.abs(enc - oracle[:, :k_se])) <= 1e-12
+            assert enc.min() >= 0.0 and enc.max() <= 1.0

@@ -194,6 +194,17 @@ def test_report_canonical_bytes_deterministic():
     assert r1.canonical_bytes() == r2.canonical_bytes()
 
 
+def test_report_times_setup_outside_the_digest():
+    report, _ = run_experiment(small_set(), ExperimentConfig(**TINY))
+    seconds = report.phase_seconds
+    assert set(seconds) == {"setup", "source", "flow", "target", "scoring"}
+    assert all(v >= 0.0 for v in seconds.values())
+    retimed = dataclasses.replace(
+        report, phase_seconds={**seconds, "setup": seconds["setup"] + 7.0})
+    assert retimed.canonical_bytes() == report.canonical_bytes()
+    assert retimed.to_dict() != report.to_dict()
+
+
 def test_all_variants_run_and_report():
     gs = small_set()
     for variant in ("non_st", "asy_st", "non_nf"):
