@@ -2,10 +2,12 @@
 
 For every ablation variant and batch size this runs ``run_experiment`` on
 the default planted set (seeds 0 and 1, 5 epochs per phase) and prints
-``sha256(ScoreReport.canonical_bytes())``. Run it on two commits and diff
-the output: a change that claims byte-identical results must print the
-same lines. The digests depend on the numpy and BLAS build and on the BLAS
-thread count, so compare runs made on one machine with one setting.
+``sha256(ScoreReport.canonical_bytes())`` followed by the per-seed AUCs.
+Run it on two commits and diff the output: a change that claims
+byte-identical results must print the same lines, and a change that moves
+the digests reports its AUCs from the same output. The digests depend on
+the numpy and BLAS build and on the BLAS thread count, so compare runs
+made on one machine with one setting.
 
 Usage: PYTHONPATH=src python3 scripts/digests.py
 """
@@ -14,24 +16,27 @@ from __future__ import annotations
 
 import hashlib
 
-from flowgad.pipeline import ExperimentConfig, run_experiment
+from flowgad.pipeline import VARIANTS, ExperimentConfig, run_experiment
 from flowgad.synthetic import planted_anomaly_set
 
-VARIANTS = ("full", "non_st", "asy_st", "non_nf")
 BATCH_SIZES = (1, 4)
 
 
-def digest(variant: str, batch_size: int) -> str:
+def digest(variant: str, batch_size: int) -> tuple[str, list]:
+    """The report digest and the per-seed AUCs of one run."""
     config = ExperimentConfig(variant=variant, seeds=(0, 1), s_epochs=5,
                               n_epochs=5, t_epochs=5, batch_size=batch_size)
     report, _ = run_experiment(planted_anomaly_set(), config)
-    return hashlib.sha256(report.canonical_bytes()).hexdigest()
+    aucs = [seed["auc"] for seed in report.per_seed]
+    return hashlib.sha256(report.canonical_bytes()).hexdigest(), aucs
 
 
 def main():
     for variant in VARIANTS:
         for batch_size in BATCH_SIZES:
-            print(f"{variant:<7} batch {batch_size}  {digest(variant, batch_size)}")
+            hexdigest, aucs = digest(variant, batch_size)
+            print(f"{variant:<7} batch {batch_size}  {hexdigest}  auc "
+                  + " ".join(f"{auc:.4f}" for auc in aucs))
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ from .data import (canonical_bytes, dataset_fingerprint, graphset_to_dict,
                    make_anomaly_split, parse_tudataset)
 from .errors import (ConfigError, DatasetError, FlowgadError, NumericFault,
                      PhaseOrderError, TrainingFault, UndefinedMetricError)
-from .pipeline import (PHASES, ExperimentConfig, build_report,
+from .pipeline import (PHASES, VARIANTS, ExperimentConfig, build_report,
                        config_from_dict, export_embeddings, phase_chain,
                        prepare_experiment, report_from_dict, run_seed,
                        score_histogram)
@@ -250,15 +250,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_prepare)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--variant", choices=("full", "non_st", "asy_st", "non_nf"))
+    common.add_argument("--variant", choices=VARIANTS)
     common.add_argument("--seed-override", help="comma-separated seed list")
     common.add_argument("--out-dir", help="run directory (default runs/<dataset>_<variant>)")
 
     p = sub.add_parser("train", parents=[common],
                        help="run training phases and write checkpoints")
     p.add_argument("config", help="key = value config file")
-    p.add_argument("--phase", choices=("all", "source", "flow", "target"),
-                   default="all")
+    p.add_argument("--phase", choices=("all",) + PHASES, default="all")
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("eval", parents=[common],

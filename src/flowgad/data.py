@@ -194,10 +194,13 @@ def parse_tudataset(directory: str, dataset_name: str) -> GraphSet:
 
     # node id -> (graph index, local index); indicator ids are 1-based and
     # local indices follow node-id order within each graph
-    bad = np.flatnonzero(indicator < 1)
-    if bad.size:
-        raise DatasetError(f"graph indicator {indicator[bad[0]]} out of range",
-                           path=ind_path, line=int(bad[0]) + 1)
+    if (indicator < 1).any():
+        def check(line, line_no):
+            value = _parse_int(line, ind_path, line_no)
+            if value < 1:
+                raise DatasetError(f"graph indicator {value} out of range",
+                                   path=ind_path, line=line_no)
+        _first_bad_line(ind_path, check)
     graph_of = indicator - 1
     sizes = np.bincount(graph_of, minlength=num_graphs)
     if not sizes.all():

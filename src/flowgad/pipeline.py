@@ -3,7 +3,8 @@
 Phase 1 pre-trains the reconstruction encoder on normal graphs and freezes
 it. Phase 2 fits the coupling flow to the frozen embeddings. Phase 3
 distills a student network toward the flow outputs. A graph's anomaly score
-is the disagreement between student and flow at graph and node level.
+is the distillation loss at beta = 1/2: the disagreement between student
+and flow at graph and node level.
 
 Variants swap parts out: ``non_st`` stops after phase 1 and scores by
 reconstruction loss; ``asy_st`` drops the flow and distills a student with
@@ -37,7 +38,7 @@ from .flow import GraphFlow, train_flow
 from .optim import freeze, is_frozen, make_rng
 from .source import (FeatureDecoder, GcnEncoder, graph_source_loss,
                      pretrain_source)
-from .target import GinNetwork, READOUTS, distance, train_target
+from .target import GinNetwork, READOUTS, graph_target_loss, train_target
 
 VARIANTS = ("full", "non_st", "asy_st", "non_nf")
 PHASES = ("source", "flow", "target")
@@ -232,17 +233,16 @@ def pooled(nodes: np.ndarray, readout: str) -> np.ndarray:
 
 def score_graph(gi: GraphInputs, encoder: GcnEncoder, flow, student,
                 config: ExperimentConfig) -> tuple[float, float]:
-    """Returns (score, raw). The score averages the graph-level and mean
-    node-level disagreement so it lives in [0, 1] under the cosine distance;
-    raw is their plain sum."""
+    """Returns (score, raw). The score is the distillation loss at
+    beta = 1/2: the mean of the graph-level and mean node-level
+    disagreement, in [0, 1] under the cosine distance. Raw is their plain
+    sum, exactly twice the score."""
     stages = forward_stack(gi, encoder, flow, student)
     z_nodes, out = stages["flow"], stages["target"]
-    graph_term = distance(pooled(out, config.readout),
-                          pooled(z_nodes, config.readout), config.distance)
-    node_terms = [distance(out[i], z_nodes[i], config.distance)
-                  for i in range(gi.n)]
-    raw = graph_term + float(np.mean(node_terms))
-    return raw / 2.0, raw
+    score = graph_target_loss(ad.constant(out), z_nodes,
+                              pooled(z_nodes, config.readout), 0.5,
+                              config.distance, config.readout).item()
+    return score, 2.0 * score
 
 
 def reconstruction_score(gi: GraphInputs, encoder: GcnEncoder,

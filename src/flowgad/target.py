@@ -1,9 +1,10 @@
 """Student side: GIN network distilled against the frozen flow output.
 
-Each layer aggregates (1+eps)*H + A*H over the raw adjacency and pushes the
-result through a two-layer perceptron. A columnwise max readout produces the
-graph vector (mean readout available). Disagreement is measured by halved
-cosine distance, bounded in [0, 1], so downstream scores are too.
+Each layer aggregates H + A*H over the raw adjacency (GIN-0, no epsilon)
+and pushes the result through a two-layer perceptron. A columnwise max
+readout produces the graph vector (mean readout available). Disagreement is
+measured by halved cosine distance, bounded in [0, 1]; at beta = 1/2 the
+distillation loss is also the anomaly score.
 """
 
 from __future__ import annotations
@@ -20,15 +21,14 @@ _COS_EPS = 1e-30
 
 class GinLayer:
     def __init__(self, d_in: int, hidden: int, d_out: int,
-                 rng: np.random.Generator, eps: float = 0.0):
-        self.eps = eps
+                 rng: np.random.Generator):
         self.w1 = glorot_init(d_in, hidden, rng)
         self.b1 = Tensor(np.zeros((1, hidden)), requires_grad=True)
         self.w2 = glorot_init(hidden, d_out, rng)
         self.b2 = Tensor(np.zeros((1, d_out)), requires_grad=True)
 
     def forward(self, a: Tensor, h: Tensor) -> Tensor:
-        agg = ad.add(ad.scale(h, 1.0 + self.eps), ad.matmul(a, h))
+        agg = ad.add(h, ad.matmul(a, h))
         hidden = ad.relu(ad.add(ad.matmul(agg, self.w1), self.b1))
         return ad.add(ad.matmul(hidden, self.w2), self.b2)
 
@@ -37,14 +37,14 @@ class GinLayer:
 
 
 class GinNetwork:
-    """Stack of GIN layers ending at width d_out; eps fixed, not learned."""
+    """Stack of GIN layers ending at width d_out."""
 
     def __init__(self, d_in: int, hidden: int, d_out: int, layers: int,
-                 rng: np.random.Generator, eps: float = 0.0):
+                 rng: np.random.Generator):
         if layers < 1:
             raise ContractViolation(f"need at least one layer, got {layers}")
         widths = [d_in] + [hidden] * (layers - 1) + [d_out]
-        self.layers = [GinLayer(widths[i], hidden, widths[i + 1], rng, eps)
+        self.layers = [GinLayer(widths[i], hidden, widths[i + 1], rng)
                        for i in range(layers)]
         self.d_in, self.d_out = d_in, d_out
 
@@ -62,8 +62,7 @@ class GinNetwork:
 
     def init_args(self) -> dict:
         return {"d_in": self.d_in, "hidden": self.layers[0].w1.shape[1],
-                "d_out": self.d_out, "layers": len(self.layers),
-                "eps": self.layers[0].eps}
+                "d_out": self.d_out, "layers": len(self.layers)}
 
 
 def readout_max(h: Tensor) -> Tensor:
@@ -82,35 +81,13 @@ def readout_mean(h: Tensor) -> Tensor:
 READOUTS = {"max": readout_max, "mean": readout_mean}
 
 
-def distance(u: np.ndarray, v: np.ndarray, kind: str = "cosine") -> float:
-    """Score-time vector distance. Cosine form is (1 - cos)/2 in [0, 1];
-    a pair of zero vectors is perfectly agreeing (0), exactly one zero
-    vector is maximally uninformative (0.5)."""
-    u = np.ravel(np.asarray(u, dtype=np.float64))
-    v = np.ravel(np.asarray(v, dtype=np.float64))
-    if u.shape != v.shape:
-        raise ContractViolation(f"length mismatch: {u.shape} vs {v.shape}")
-    if kind == "sqeuclidean":
-        return float(np.sum((u - v) ** 2))
-    if kind != "cosine":
-        raise ConfigError(f"unknown distance kind {kind!r}")
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if nu == 0.0 and nv == 0.0:
-        return 0.0
-    if nu == 0.0 or nv == 0.0:
-        return 0.5
-    cos = float(np.dot(u, v) / (nu * nv))
-    return (1.0 - min(1.0, max(-1.0, cos))) / 2.0
-
-
 def pair_distances(u: Tensor, v: Tensor, kind: str = "cosine") -> Tensor:
-    """Differentiable rowwise distances, n x 1. The cosine denominator is
-    only epsilon-guarded, so a pair of all-zero rows costs 0.5 here but 0
-    under the score-time ``distance``. Such pairs occur under ``asy_st``:
-    an isolated attribute-free node has a zero encoding row, which the
-    bias-free GCN teacher, the zero-step flow and the GCN student keep at
-    zero. At beta = 1/2, k such pairs among n nodes make the loss exceed
-    the score by k / (4n)."""
+    """Differentiable rowwise distances, n x 1. The cosine form is
+    (1 - cos)/2 in [0, 1]. A row pair with exactly one all-zero row costs
+    0.5 (maximally uninformative); a pair of all-zero rows agrees, costs 0
+    and passes no gradient. Such pairs occur under ``asy_st``: an isolated
+    attribute-free node has a zero encoding row, which the bias-free GCN
+    teacher, the zero-step flow and the GCN student keep at zero."""
     if u.shape != v.shape:
         raise ContractViolation(f"shape mismatch: {u.shape} vs {v.shape}")
     if kind == "sqeuclidean":
@@ -123,14 +100,21 @@ def pair_distances(u: Tensor, v: Tensor, kind: str = "cosine") -> Tensor:
     sq_v = ad.reduce_sum(ad.mul(v, v), axis=1, keepdims=True)
     denom = ad.sqrt(ad.add_scalar(ad.mul(sq_u, sq_v), _COS_EPS))
     cos = ad.div(dot, denom)
-    return ad.add_scalar(ad.scale(cos, -0.5), 0.5)
+    dist = ad.add_scalar(ad.scale(cos, -0.5), 0.5)
+    # the epsilon guard alone would give a zero/zero pair cos = 0, i.e. 0.5
+    either_nonzero = (u.data.any(axis=1, keepdims=True)
+                      | v.data.any(axis=1, keepdims=True))
+    if not either_nonzero.all():
+        dist = ad.mul(dist, ad.constant(either_nonzero.astype(np.float64)))
+    return dist
 
 
 def graph_target_loss(student_nodes: Tensor, z_nodes: np.ndarray,
                       z_graph: np.ndarray, beta: float, kind: str = "cosine",
                       readout: str = "max") -> Tensor:
     """(1-beta) * graph-level distance + beta * mean node-level distance
-    for one graph; the trainer averages this across graphs."""
+    for one graph; the trainer averages this across graphs, and at
+    beta = 1/2 it is the graph's anomaly score."""
     if not (0.0 <= beta <= 1.0):
         raise ConfigError(f"beta must lie in [0, 1], got {beta}")
     if student_nodes.shape[0] != z_nodes.shape[0]:

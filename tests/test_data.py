@@ -282,6 +282,9 @@ PARSE_ERRORS = [
      r"^graph indicator 0 out of range ", "graph_indicator", 2),
     ({"A": "", "graph_indicator": "1\n-2\n1\n", "graph_labels": "0\n"},
      r"^graph indicator -2 out of range ", "graph_indicator", 2),
+    # an out-of-range id is named by its line in the file, blank lines counted
+    ({"A": "", "graph_indicator": "\n1\n\n0\n", "graph_labels": "0\n"},
+     r"^graph indicator 0 out of range ", "graph_indicator", 4),
     ({"A": "", "graph_indicator": "1\n3\n", "graph_labels": "0\n0\n0\n"},
      r"^graph 2 has no nodes ", "graph_indicator", None),
     ({"A": "", "graph_indicator": "\n  \n", "graph_labels": "0\n"},

@@ -18,7 +18,9 @@ from flowgad.pipeline import (ExperimentConfig, SplitGuard, compute_auc,
                               resolve_normal_class, run_experiment, run_seed,
                               score_graph, score_histogram, subsample_graphset)
 from flowgad.synthetic import planted_anomaly_set
-from flowgad.target import graph_target_loss
+from flowgad.target import GinNetwork
+
+from conftest import reference_distance
 
 TINY = dict(s_epochs=6, n_epochs=6, t_epochs=6, d=8, hidden=8, k_se=8,
             seeds=(0,))
@@ -271,9 +273,9 @@ def test_score_graph_agreement_is_zero(rng):
 
 
 @pytest.mark.parametrize("variant", ["full", "asy_st"])
-def test_score_is_half_beta_loss_up_to_zero_row_pairs(variant):
-    # scoring counts a pair of all-zero rows as agreement (0), the training
-    # loss's epsilon-guarded cosine as 0.5; everything else is the same sum
+def test_score_matches_per_node_reference(variant):
+    # the score is the beta = 1/2 distillation loss; the oracle averages a
+    # scalar distance over the node rows, one at a time
     gs = planted_anomaly_set()
     cfg = ExperimentConfig(variant=variant, seeds=(0,), s_epochs=5,
                            n_epochs=5, t_epochs=5)
@@ -284,15 +286,18 @@ def test_score_is_half_beta_loss_up_to_zero_row_pairs(variant):
     for gi in precompute_inputs(gs, cfg):
         with ad.Tape() as tape:
             stages = forward_stack(gi, *stack)
+            score, raw = score_graph(gi, *stack, cfg)
         assert tape.nodes == []
         z_nodes, out = stages["flow"], stages["target"]
-        k = int(np.sum(~z_nodes.any(axis=1) & ~out.any(axis=1)))
-        loss = graph_target_loss(ad.constant(out), z_nodes,
-                                 pooled(z_nodes, cfg.readout), 0.5,
-                                 cfg.distance, cfg.readout).item()
-        score = score_graph(gi, *stack, cfg)[0]
-        assert loss - score == pytest.approx(k / (4 * gi.n), abs=1e-12)
-        graphs_with_zero_pairs += k > 0
+        graph_term = reference_distance(pooled(out, cfg.readout),
+                                        pooled(z_nodes, cfg.readout))
+        node_term = np.mean([reference_distance(out[i], z_nodes[i])
+                             for i in range(gi.n)])
+        assert score == pytest.approx((graph_term + node_term) / 2, abs=1e-15)
+        assert raw == 2.0 * score
+        assert 0.0 <= score <= 1.0
+        graphs_with_zero_pairs += bool(np.any(~z_nodes.any(axis=1)
+                                              & ~out.any(axis=1)))
     # isolated attribute-free nodes stay zero only without a trained flow
     assert (graphs_with_zero_pairs > 0) == (variant == "asy_st")
 
@@ -373,6 +378,19 @@ def test_old_adapter_format_is_phase_order_error(tmp_path):
                     {"d_in": 3, "hidden": 2, "d_out": 2, "layers": 1}, "fp")
     with pytest.raises(PhaseOrderError, match="old.ckpt cannot be rebuilt"):
         load_models(path, "encoder", "fp")
+
+
+def test_student_checkpoint_with_gin_epsilon_is_phase_order_error(tmp_path):
+    # students saved while GIN layers took an epsilon record it in their
+    # constructor arguments; the GIN-0 student no longer accepts it
+    student = GinNetwork(3, 4, 4, 1, make_rng(0))
+    path = str(tmp_path / "t.ckpt")
+    meta = {"student": {"class": "GinNetwork",
+                        "args": {**student.init_args(), "eps": 0.0}}}
+    arrays = {f"student.{i}": p.data for i, p in enumerate(student.params())}
+    save_checkpoint(path, "target", arrays, meta, "fp", "up")
+    with pytest.raises(PhaseOrderError, match="t.ckpt cannot be rebuilt"):
+        load_models(path, "target", "fp", "up")
 
 
 def test_interrupted_save_keeps_previous_checkpoint(tmp_path, monkeypatch):

@@ -5,9 +5,17 @@ from flowgad import autodiff as ad
 from flowgad.autodiff import Tensor, gradcheck
 from flowgad.errors import ConfigError, ContractViolation
 from flowgad.optim import make_rng
-from flowgad.target import (GinNetwork, distance, graph_target_loss,
-                            pair_distances, readout_max, readout_mean,
-                            train_target)
+from flowgad.target import (GinNetwork, graph_target_loss, pair_distances,
+                            readout_max, readout_mean, train_target)
+
+from conftest import reference_distance
+
+
+def _rows(u, v, kind="cosine"):
+    """pair_distances on constant rows, as a flat array."""
+    u = np.atleast_2d(np.asarray(u, dtype=np.float64))
+    v = np.atleast_2d(np.asarray(v, dtype=np.float64))
+    return pair_distances(ad.constant(u), ad.constant(v), kind).data.ravel()
 
 
 def _identity_gin(d, layers=1):
@@ -32,15 +40,6 @@ def test_two_node_path_aggregation():
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
     out = net.forward(ad.constant(a), ad.constant([[1.0, 0.0], [0.0, 1.0]]))
     assert np.array_equal(out.data, [[1.0, 1.0], [1.0, 1.0]])
-
-
-def test_epsilon_weights_self_term():
-    net = _identity_gin(2)
-    for layer in net.layers:
-        layer.eps = 1.0
-    a = np.array([[0.0, 1.0], [1.0, 0.0]])
-    out = net.forward(ad.constant(a), ad.constant([[1.0, 0.0], [0.0, 1.0]]))
-    assert np.array_equal(out.data, [[2.0, 1.0], [1.0, 2.0]])
 
 
 def test_gin_permutation_equivariance(rng):
@@ -73,44 +72,71 @@ def test_readout_permutation_invariance(rng):
 
 
 def test_distance_basic_values(rng):
-    u = rng.normal(size=5)
-    assert distance(u, u) == pytest.approx(0.0, abs=1e-12)
-    assert distance(u, -u) == pytest.approx(1.0, abs=1e-12)
-    assert distance([1.0, 0.0], [0.0, 1.0]) == pytest.approx(0.5)
+    u = rng.normal(size=(1, 5))
+    assert _rows(u, u)[0] == pytest.approx(0.0, abs=1e-12)
+    assert _rows(u, -u)[0] == pytest.approx(1.0, abs=1e-12)
+    assert _rows([1.0, 0.0], [0.0, 1.0])[0] == pytest.approx(0.5)
 
 
 def test_distance_zero_policies():
     z = np.zeros(4)
     u = np.array([1.0, 2.0, 0.0, -1.0])
-    assert distance(z, z) == 0.0
-    assert distance(z, u) == 0.5
-    assert distance(u, z) == 0.5
+    assert np.array_equal(_rows([z, z, u, u], [z, u, z, u]),
+                          [0.0, 0.5, 0.5, 0.0])
 
 
 def test_distance_properties(rng):
-    for _ in range(30):
-        u = rng.normal(size=6)
-        v = rng.normal(size=6)
-        d1 = distance(u, v)
-        assert 0.0 <= d1 <= 1.0
-        assert d1 == pytest.approx(distance(v, u), abs=1e-12)
-        c = float(np.abs(rng.normal())) + 0.1
-        assert distance(c * u, v) == pytest.approx(d1, abs=1e-12)
+    u = rng.normal(size=(30, 6))
+    v = rng.normal(size=(30, 6))
+    c = np.abs(rng.normal(size=(30, 1))) + 0.1
+    d1 = _rows(u, v)
+    assert np.all((0.0 <= d1) & (d1 <= 1.0))
+    assert np.allclose(_rows(v, u), d1, rtol=0.0, atol=1e-12)
+    assert np.allclose(_rows(c * u, v), d1, rtol=0.0, atol=1e-12)
 
 
 def test_distance_sqeuclidean_variant():
-    assert distance([1.0, 2.0], [1.0, 2.0], kind="sqeuclidean") == 0.0
-    assert distance([0.0, 0.0], [3.0, 4.0], kind="sqeuclidean") == 25.0
+    assert np.array_equal(_rows([[1.0, 2.0], [0.0, 0.0]],
+                                [[1.0, 2.0], [3.0, 4.0]], kind="sqeuclidean"),
+                          [0.0, 25.0])
     with pytest.raises(ConfigError):
-        distance([1.0], [1.0], kind="manhattan")
+        _rows([1.0], [1.0], kind="manhattan")
 
 
 def test_pair_distances_match_scalar_route(rng):
     u = rng.normal(size=(5, 3))
     v = rng.normal(size=(5, 3))
-    rows = pair_distances(Tensor(u), Tensor(v)).data.ravel()
-    for i in range(5):
-        assert rows[i] == pytest.approx(distance(u[i], v[i]), abs=1e-9)
+    u[3] = v[3] = 0.0
+    v[4] = 0.0
+    for kind in ("cosine", "sqeuclidean"):
+        rows = _rows(u, v, kind)
+        for i in range(5):
+            assert rows[i] == pytest.approx(
+                reference_distance(u[i], v[i], kind), abs=1e-15)
+
+
+def test_zero_row_pair_costs_nothing_and_passes_no_gradient(rng):
+    # rows 0 and 1 agree and disagree as usual; row 2 is zero on both sides
+    u_data = np.vstack([rng.normal(size=(2, 4)), np.zeros((1, 4))])
+    v_data = np.vstack([u_data[:1], rng.normal(size=(1, 4)), np.zeros((1, 4))])
+    u = Tensor(u_data, requires_grad=True)
+    v = Tensor(v_data, requires_grad=True)
+    with ad.Tape() as tape:
+        dist = pair_distances(u, v)
+        loss = ad.reduce_sum(dist)
+    tape.backward(loss)
+    assert dist.data[2, 0] == 0.0
+    assert np.array_equal(dist.data[:2, 0], _rows(u_data[:2], v_data[:2]))
+    assert np.array_equal(u.grad[2], np.zeros(4))
+    assert np.array_equal(v.grad[2], np.zeros(4))
+    assert np.all(np.isfinite(u.grad)) and np.any(u.grad[1] != 0.0)
+    # a whole loss made of zero/zero pairs is 0 with a zero gradient
+    out = Tensor(np.zeros((3, 4)), requires_grad=True)
+    with ad.Tape() as tape:
+        loss = graph_target_loss(out, np.zeros((3, 4)), np.zeros(4), beta=0.5)
+    tape.backward(loss)
+    assert loss.item() == 0.0
+    assert np.array_equal(out.grad, np.zeros((3, 4)))
 
 
 def test_target_loss_zero_when_outputs_match(rng):
@@ -125,11 +151,12 @@ def test_target_loss_beta_extremes(rng):
     z_nodes = rng.normal(size=(3, 2))
     z_graph = rng.normal(size=2)
     node_only = graph_target_loss(Tensor(out), z_nodes, z_graph, beta=1.0)
-    expected = np.mean([distance(out[i], z_nodes[i]) for i in range(3)])
+    expected = np.mean([reference_distance(out[i], z_nodes[i])
+                        for i in range(3)])
     assert node_only.item() == pytest.approx(expected, abs=1e-9)
     graph_only = graph_target_loss(Tensor(out), z_nodes, z_graph, beta=0.0)
     assert graph_only.item() == pytest.approx(
-        distance(out.max(axis=0), z_graph), abs=1e-9)
+        reference_distance(out.max(axis=0), z_graph), abs=1e-9)
 
 
 def test_target_loss_anticolinear_saturates():
