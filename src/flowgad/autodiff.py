@@ -49,13 +49,12 @@ class Tensor:
 
 
 class Node:
-    """One recorded primitive: op name, input/output refs, backward closure."""
+    """One recorded primitive: op name, output ref, backward closure."""
 
-    __slots__ = ("op", "inputs", "out", "backprop")
+    __slots__ = ("op", "out", "backprop")
 
-    def __init__(self, op: str, inputs: tuple, out: Tensor, backprop: Callable):
+    def __init__(self, op: str, out: Tensor, backprop: Callable):
         self.op = op
-        self.inputs = inputs
         self.out = out
         self.backprop = backprop
 
@@ -129,7 +128,7 @@ def _record(op: str, inputs: tuple, out_data: np.ndarray, backprop) -> Tensor:
     tape = _active_tape()
     if tape is not None and any(t.requires_grad for t in inputs):
         out = Tensor(out_data, requires_grad=True)
-        tape.nodes.append(Node(op, inputs, out, backprop))
+        tape.nodes.append(Node(op, out, backprop))
         return out
     return Tensor(out_data)
 

@@ -108,33 +108,6 @@ def load_checkpoint(path: str, expect_kind: str | None = None) -> dict:
     return payload
 
 
-def verify_chain(payload: dict, upstream_fingerprint: str | None,
-                 config_fingerprint: str, path: str):
-    """Raises unless the checkpoint was built on exactly these upstreams."""
-    if payload.get("config_fingerprint") != config_fingerprint:
-        raise PhaseOrderError(
-            f"checkpoint {path} was produced under config fingerprint "
-            f"{payload.get('config_fingerprint')}, current config is "
-            f"{config_fingerprint}; re-run the earlier phase")
-    if payload.get("upstream_fingerprint") != upstream_fingerprint:
-        raise PhaseOrderError(
-            f"checkpoint {path} expected upstream fingerprint "
-            f"{upstream_fingerprint} but was built on "
-            f"{payload.get('upstream_fingerprint')}; upstream phase was "
-            f"retrained after this checkpoint was written")
-
-
-def save_models(path: str, kind: str, models: dict, config_fingerprint: str,
-                upstream_fingerprint: str | None = None) -> str:
-    """Checkpoints named models; returns the checkpoint's fingerprint."""
-    meta = {name: {"class": type(model).__name__, "args": model.init_args()}
-            for name, model in models.items()}
-    arrays = {f"{name}.{i}": p.data for name, model in models.items()
-              for i, p in enumerate(model.params())}
-    return save_checkpoint(path, kind, arrays, meta, config_fingerprint,
-                           upstream_fingerprint)
-
-
 def _rebuild(path: str, name: str, entry: dict, arrays: dict):
     cls = _MODEL_CLASSES.get(entry["class"])
     if cls is None:
@@ -152,26 +125,6 @@ def _rebuild(path: str, name: str, entry: dict, arrays: dict):
     return model
 
 
-def load_models(path: str, kind: str, config_fingerprint: str,
-                upstream_fingerprint: str | None = None):
-    """Verifies the checkpoint and its chain, then rebuilds its models frozen.
-    Returns (name -> model, the checkpoint's fingerprint)."""
-    payload = load_checkpoint(path, expect_kind=kind)
-    verify_chain(payload, upstream_fingerprint, config_fingerprint, path)
-    arrays = dict(payload["arrays"])
-    try:
-        models = {name: _rebuild(path, name, entry, arrays)
-                  for name, entry in payload["meta"].items()}
-        if arrays:
-            raise ValueError(f"no model takes the arrays {sorted(arrays)}")
-    except (KeyError, TypeError, ValueError, AttributeError,
-            ContractViolation) as exc:
-        raise PhaseOrderError(
-            f"checkpoint {path} cannot be rebuilt: {exc!r}") from None
-    freeze(*models.values())
-    return models, payload["fingerprint"]
-
-
 @dataclass
 class PhaseStore:
     """The checkpoints of one run directory: ``<root>/<seed>/encoder.ckpt``,
@@ -187,21 +140,52 @@ class PhaseStore:
 
     def save(self, seed: int, phase: str, models: dict,
              upstream_fingerprint: str | None, trace=None) -> str:
+        """Checkpoints the named models of ``phase``; returns the
+        checkpoint's fingerprint."""
         path = self.path(seed, phase)
-        fingerprint = save_models(path, self.KINDS[phase], models,
-                                  self.config_fingerprint, upstream_fingerprint)
+        meta = {name: {"class": type(model).__name__, "args": model.init_args()}
+                for name, model in models.items()}
+        arrays = {f"{name}.{i}": p.data for name, model in models.items()
+                  for i, p in enumerate(model.params())}
+        fingerprint = save_checkpoint(path, self.KINDS[phase], arrays, meta,
+                                      self.config_fingerprint,
+                                      upstream_fingerprint)
         if trace is not None:
             write_csv(os.path.join(os.path.dirname(path), f"loss_{phase}.csv"),
                       ["epoch", "loss"], [[i, repr(v)] for i, v in enumerate(trace)])
         return fingerprint
 
     def load_chain(self, seed: int, phases):
-        """Models of ``phases``, read in order, each checkpoint verified
-        against the one before. Returns (name -> model, last fingerprint)."""
-        models, fingerprint = {}, None
+        """Models of ``phases``, read in order and rebuilt frozen. Each
+        checkpoint must carry this store's config fingerprint and have been
+        built on exactly the checkpoint before it. Returns (name -> model,
+        last fingerprint)."""
+        models, upstream = {}, None
         for phase in phases:
-            loaded, fingerprint = load_models(
-                self.path(seed, phase), self.KINDS[phase],
-                self.config_fingerprint, fingerprint)
+            path = self.path(seed, phase)
+            payload = load_checkpoint(path, expect_kind=self.KINDS[phase])
+            if payload.get("config_fingerprint") != self.config_fingerprint:
+                raise PhaseOrderError(
+                    f"checkpoint {path} was produced under config fingerprint "
+                    f"{payload.get('config_fingerprint')}, current config is "
+                    f"{self.config_fingerprint}; re-run the earlier phase")
+            if payload.get("upstream_fingerprint") != upstream:
+                raise PhaseOrderError(
+                    f"checkpoint {path} expected upstream fingerprint "
+                    f"{upstream} but was built on "
+                    f"{payload.get('upstream_fingerprint')}; upstream phase was "
+                    f"retrained after this checkpoint was written")
+            arrays = dict(payload["arrays"])
+            try:
+                loaded = {name: _rebuild(path, name, entry, arrays)
+                          for name, entry in payload["meta"].items()}
+                if arrays:
+                    raise ValueError(f"no model takes the arrays {sorted(arrays)}")
+            except (KeyError, TypeError, ValueError, AttributeError,
+                    ContractViolation) as exc:
+                raise PhaseOrderError(
+                    f"checkpoint {path} cannot be rebuilt: {exc!r}") from None
+            freeze(*loaded.values())
             models.update(loaded)
-        return models, fingerprint
+            upstream = payload["fingerprint"]
+        return models, upstream

@@ -181,9 +181,9 @@ def cmd_eval(args) -> int:
         json.dump(report.to_dict(), fh, sort_keys=True, indent=1)
         fh.write("\n")
     write_csv(os.path.join(store.root, "scores.csv"),
-              ["seed", "graph", "flag", "score", "raw"],
-              [[r.seed, rec["graph"], int(rec["flag"]), repr(rec["score"]),
-                repr(rec["raw"])] for r in results for rec in r.records])
+              ["seed", "graph", "flag", "score"],
+              [[r.seed, rec["graph"], int(rec["flag"]), repr(rec["score"])]
+               for r in results for rec in r.records])
     print(f"{gs.name} {config.variant} "
           f"{100 * report.auc_mean:.2f}±{100 * report.auc_std:.2f}")
     print(f"wrote {report_path}")
@@ -222,9 +222,7 @@ def cmd_plotdata(args) -> int:
     split = make_anomaly_split(gs, report.normal_class, config.test_fraction,
                                first_seed)
     models, _ = store.load_chain(first_seed, phase_chain(config.variant))
-    embeddings = export_embeddings(inputs, split.test, models["encoder"],
-                                   models.get("flow"), models.get("student"),
-                                   config)
+    embeddings = export_embeddings(inputs, split.test, models, config)
     for stage, rows in embeddings.items():
         write_csv(os.path.join(out_dir, f"embeddings_{stage}.csv"),
                   ["graph", "flag"] + [f"e{j}" for j in range(config.d)],

@@ -36,13 +36,8 @@ class ConfigError(FlowgadError):
 
 
 class TrainingFault(FlowgadError):
-    """Training diverged (non-finite loss); carries the epoch index."""
-
-    def __init__(self, message, epoch=None):
-        if epoch is not None:
-            message = f"{message} (epoch {epoch})"
-        super().__init__(message)
-        self.epoch = epoch
+    """Training diverged: a loss went non-finite. The message names the
+    epoch and the operation that first produced a non-finite value."""
 
 
 class PhaseOrderError(FlowgadError):

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ContractViolation, NumericFault, TrainingFault
+from .errors import ContractViolation, NumericFault
 from .optim import fit, glorot_init
 
 
@@ -146,12 +146,9 @@ def train_flow(flow: GraphFlow, inputs, *, epochs: int, lr: float,
     Embeddings arrive precomputed because the encoder is frozen by the time
     this phase runs. Returns the per-epoch mean loss trace.
     """
-    def graph_loss(pair, epoch):
+    def graph_loss(pair):
         a_hat, h = pair
-        try:
-            z, log_det = flow.forward(ad.constant(h), ad.constant(a_hat))
-        except NumericFault as exc:
-            raise TrainingFault(str(exc), epoch=epoch) from None
+        z, log_det = flow.forward(ad.constant(h), ad.constant(a_hat))
         return nf_loss(z, log_det, h.shape[0], normalize)
 
     return fit(flow.params(), inputs, graph_loss, epochs=epochs, lr=lr,

@@ -7,7 +7,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .errors import ConfigError, ContractViolation, TrainingFault
+from .errors import ConfigError, ContractViolation, NumericFault, TrainingFault
 
 
 def make_rng(seed: int, *stream: int) -> np.random.Generator:
@@ -74,9 +74,10 @@ def fit(params, inputs, graph_loss, *, epochs: int, lr: float,
         batch_size: int, what: str) -> list[float]:
     """Adam on the mean per-graph loss, one step per ``batch_size`` inputs.
 
-    ``graph_loss(item, epoch)`` records one input's loss on the active tape.
-    Returns the per-epoch mean per-graph loss; a non-finite batch loss stops
-    training with a TrainingFault naming ``what`` and the epoch."""
+    ``graph_loss(item)`` records one input's loss on the active tape.
+    Returns the per-epoch mean per-graph loss. A NumericFault while a batch
+    loss is built, or a non-finite batch loss, stops training with a
+    TrainingFault naming ``what``, the epoch and the fault's source."""
     if not inputs:
         raise ContractViolation("training set is empty")
     if batch_size < 1:
@@ -88,17 +89,19 @@ def fit(params, inputs, graph_loss, *, epochs: int, lr: float,
         for start in range(0, len(inputs), batch_size):
             batch = inputs[start:start + batch_size]
             with Tape() as tape:
-                loss = graph_loss(batch[0], epoch)
-                for item in batch[1:]:
-                    loss = ad.add(loss, graph_loss(item, epoch))
-                if len(batch) > 1:
-                    loss = ad.scale(loss, 1.0 / len(batch))
-                value = loss.item()
-                if not np.isfinite(value):
-                    raise TrainingFault(f"{what} loss went non-finite",
-                                        epoch=epoch)
-                total += value * len(batch)
-                tape.backward(loss)
+                try:
+                    loss = graph_loss(batch[0])
+                    for item in batch[1:]:
+                        loss = ad.add(loss, graph_loss(item))
+                    if len(batch) > 1:
+                        loss = ad.scale(loss, 1.0 / len(batch))
+                    # a non-finite loss raises here, naming the first
+                    # recorded op that produced a non-finite value
+                    tape.backward(loss)
+                except NumericFault as exc:
+                    raise TrainingFault(f"{what} loss went non-finite "
+                                        f"(epoch {epoch}): {exc}") from None
+                total += loss.item() * len(batch)
             opt.step()
             opt.zero_grad()
         trace.append(total / len(inputs))

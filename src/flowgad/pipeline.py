@@ -36,8 +36,7 @@ from .errors import (ConfigError, ContractViolation, PhaseOrderError,
                      TrainingFault, UndefinedMetricError)
 from .flow import GraphFlow, train_flow
 from .optim import freeze, is_frozen, make_rng
-from .source import (FeatureDecoder, GcnEncoder, graph_source_loss,
-                     pretrain_source)
+from .source import GcnEncoder, graph_source_loss, pretrain_source
 from .target import GinNetwork, READOUTS, graph_target_loss, train_target
 
 VARIANTS = ("full", "non_st", "asy_st", "non_nf")
@@ -133,7 +132,6 @@ def config_from_dict(d: dict) -> ExperimentConfig:
 
 @dataclass
 class GraphInputs:
-    n: int
     adjacency: np.ndarray
     a_hat: np.ndarray
     x_init: np.ndarray
@@ -147,7 +145,6 @@ def precompute_inputs(gs: GraphSet, config: ExperimentConfig) -> list[GraphInput
     out = []
     for g in gs.graphs:
         out.append(GraphInputs(
-            n=g.n,
             adjacency=g.adjacency,
             a_hat=normalized_adjacency(g),
             x_init=build_init_features(g, config.k_se, config.include_degree),
@@ -231,26 +228,23 @@ def pooled(nodes: np.ndarray, readout: str) -> np.ndarray:
     return np.ravel(READOUTS[readout](ad.constant(nodes)).data)
 
 
-def score_graph(gi: GraphInputs, encoder: GcnEncoder, flow, student,
-                config: ExperimentConfig) -> tuple[float, float]:
-    """Returns (score, raw). The score is the distillation loss at
-    beta = 1/2: the mean of the graph-level and mean node-level
-    disagreement, in [0, 1] under the cosine distance. Raw is their plain
-    sum, exactly twice the score."""
-    stages = forward_stack(gi, encoder, flow, student)
+def score_graph(gi: GraphInputs, models: dict,
+                config: ExperimentConfig) -> float:
+    """The graph's anomaly score from the models of the variant's phase
+    chain. The flow-less baseline (``non_st``) scores by its reconstruction
+    loss; every other variant by the distillation loss at beta = 1/2: the
+    mean of the graph-level and mean node-level disagreement, in [0, 1]
+    under the cosine distance."""
+    if config.variant == "non_st":
+        return graph_source_loss(models["encoder"], models["decoder"],
+                                 gi.a_hat, gi.adjacency, gi.x_init,
+                                 config.alpha).item()
+    stages = forward_stack(gi, models["encoder"], models["flow"],
+                           models["student"])
     z_nodes, out = stages["flow"], stages["target"]
-    score = graph_target_loss(ad.constant(out), z_nodes,
-                              pooled(z_nodes, config.readout), 0.5,
-                              config.distance, config.readout).item()
-    return score, 2.0 * score
-
-
-def reconstruction_score(gi: GraphInputs, encoder: GcnEncoder,
-                         decoder: FeatureDecoder, alpha: float) -> float:
-    """Per-graph reconstruction loss, the score of the flow-less baseline."""
-    loss = graph_source_loss(encoder, decoder, gi.a_hat, gi.adjacency,
-                             gi.x_init, alpha)
-    return loss.item()
+    return graph_target_loss(ad.constant(out), z_nodes,
+                             pooled(z_nodes, config.readout), 0.5,
+                             config.distance, config.readout).item()
 
 
 def compute_auc(scores, flags) -> float:
@@ -369,7 +363,7 @@ def run_phase_target(upstream: dict, inputs, train_idx,
 class SeedResult:
     seed: int
     auc: float | None      # None when the held-out graphs were not scored
-    records: list          # dicts: graph, flag, score, raw
+    records: list          # dicts: graph, flag, score
     traces: dict           # phase -> per-epoch loss list
     split: AnomalySplit
     guard: SplitGuard
@@ -433,16 +427,9 @@ def run_seed(gs: GraphSet, inputs, config: ExperimentConfig, seed: int,
             models, _ = upstream(chain)
             t0 = time.perf_counter()
             for idx, flag in split.test:
-                if config.variant == "non_st":
-                    value = raw = reconstruction_score(
-                        inputs[idx], models["encoder"], models["decoder"],
-                        config.alpha)
-                else:
-                    value, raw = score_graph(inputs[idx], models["encoder"],
-                                             models["flow"], models["student"],
-                                             config)
                 records.append({"graph": idx, "flag": bool(flag),
-                                "score": float(value), "raw": float(raw)})
+                                "score": score_graph(inputs[idx], models,
+                                                     config)})
             seconds["scoring"] = time.perf_counter() - t0
             auc = compute_auc([r["score"] for r in records],
                               [r["flag"] for r in records])
@@ -531,14 +518,15 @@ def run_experiment(gs: GraphSet, config: ExperimentConfig,
     return report, results
 
 
-def export_embeddings(inputs, index_flags, encoder: GcnEncoder, flow, student,
+def export_embeddings(inputs, index_flags, models: dict,
                       config: ExperimentConfig) -> dict:
     """Rows of (graph index, flag, pooled d-vector) for every stage of the
     variant's phase chain, keyed by stage; one forward pass per graph."""
     chain = phase_chain(config.variant)
     rows: dict = {stage: [] for stage in chain}
     for idx, flag in index_flags:
-        stages = forward_stack(inputs[idx], encoder, flow, student)
+        stages = forward_stack(inputs[idx], models["encoder"],
+                               models.get("flow"), models.get("student"))
         for stage in chain:
             vec = pooled(stages[stage], config.readout)
             rows[stage].append([int(idx), int(bool(flag))]

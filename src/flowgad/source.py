@@ -119,8 +119,7 @@ def pretrain_source(inputs, d_in: int, *, hidden: int, d_out: int, layers: int,
     encoder = GcnEncoder(d_in, hidden, d_out, layers, rng)
     decoder = FeatureDecoder(d_out, d_in, rng)
     trace = fit(encoder.params() + decoder.params(), inputs,
-                lambda item, epoch: graph_source_loss(encoder, decoder, *item,
-                                                      alpha),
+                lambda item: graph_source_loss(encoder, decoder, *item, alpha),
                 epochs=epochs, lr=lr, batch_size=batch_size,
                 what="reconstruction")
     freeze(encoder)

@@ -16,8 +16,6 @@ from .autodiff import Tensor
 from .errors import ConfigError, ContractViolation
 from .optim import fit, glorot_init
 
-_COS_EPS = 1e-30
-
 
 class GinLayer:
     def __init__(self, d_in: int, hidden: int, d_out: int,
@@ -84,10 +82,11 @@ READOUTS = {"max": readout_max, "mean": readout_mean}
 def pair_distances(u: Tensor, v: Tensor, kind: str = "cosine") -> Tensor:
     """Differentiable rowwise distances, n x 1. The cosine form is
     (1 - cos)/2 in [0, 1]. A row pair with exactly one all-zero row costs
-    0.5 (maximally uninformative); a pair of all-zero rows agrees, costs 0
-    and passes no gradient. Such pairs occur under ``asy_st``: an isolated
-    attribute-free node has a zero encoding row, which the bias-free GCN
-    teacher, the zero-step flow and the GCN student keep at zero."""
+    0.5 (maximally uninformative) with a bounded gradient; a pair of
+    all-zero rows agrees, costs 0 and passes no gradient. Such pairs occur
+    under ``asy_st``: an isolated attribute-free node has a zero encoding
+    row, which the bias-free GCN teacher, the zero-step flow and the GCN
+    student keep at zero."""
     if u.shape != v.shape:
         raise ContractViolation(f"shape mismatch: {u.shape} vs {v.shape}")
     if kind == "sqeuclidean":
@@ -98,10 +97,15 @@ def pair_distances(u: Tensor, v: Tensor, kind: str = "cosine") -> Tensor:
     dot = ad.reduce_sum(ad.mul(u, v), axis=1, keepdims=True)
     sq_u = ad.reduce_sum(ad.mul(u, u), axis=1, keepdims=True)
     sq_v = ad.reduce_sum(ad.mul(v, v), axis=1, keepdims=True)
-    denom = ad.sqrt(ad.add_scalar(ad.mul(sq_u, sq_v), _COS_EPS))
-    cos = ad.div(dot, denom)
+    norms_sq = ad.mul(sq_u, sq_v)
+    # a pair with a zero row has dot = 0; a denominator of exactly 1 keeps
+    # its cosine at 0 and its gradient of the size of the other row
+    zero = norms_sq.data == 0.0
+    if zero.any():
+        norms_sq = ad.add(norms_sq, ad.constant(zero.astype(np.float64)))
+    cos = ad.div(dot, ad.sqrt(norms_sq))
     dist = ad.add_scalar(ad.scale(cos, -0.5), 0.5)
-    # the epsilon guard alone would give a zero/zero pair cos = 0, i.e. 0.5
+    # the unit denominator alone would give a zero/zero pair cos = 0, i.e. 0.5
     either_nonzero = (u.data.any(axis=1, keepdims=True)
                       | v.data.any(axis=1, keepdims=True))
     if not either_nonzero.all():
@@ -137,7 +141,7 @@ def train_target(student, inputs, *, beta: float, epochs: int, lr: float,
     ``prop`` is whichever propagation matrix the student consumes (raw
     adjacency for GIN, normalized for a GCN student). Returns the per-epoch
     mean loss trace."""
-    def graph_loss(quad, epoch):
+    def graph_loss(quad):
         prop, x_init, z_nodes, z_graph = quad
         out = student.forward(ad.constant(prop), ad.constant(x_init))
         return graph_target_loss(out, z_nodes, z_graph, beta, kind, readout)

@@ -128,7 +128,7 @@ def test_train_eval_plotdata_roundtrip(tmp_path, capsys):
     assert 0.0 <= report["auc_mean"] <= 1.0
     assert len(report["per_seed"]) == 2
     scores = open(os.path.join(run, "scores.csv")).read().splitlines()
-    assert scores[0] == "seed,graph,flag,score,raw"
+    assert scores[0] == "seed,graph,flag,score"
     n_test = sum(len(p["records"]) for p in report["per_seed"])
     assert len(scores) == 1 + n_test
 
@@ -238,7 +238,10 @@ def test_nan_in_flow_phase_exits_5(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(flow, "nf_loss", poisoned_nf_loss)
     run = tmp_path / "run"
     assert main(["train", cfg, "--out-dir", str(run)]) == 5
-    assert "seed 0: flow loss went non-finite (epoch 2)" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "seed 0: flow loss went non-finite (epoch 2)" in err
+    # the fault names the op that first produced a non-finite value
+    assert "'add_scalar'" in err
     assert len(calls) == 2 * n_train + 1
     assert (run / "0" / "encoder.ckpt").is_file()
     assert not (run / "0" / "flow.ckpt").exists()
@@ -327,6 +330,56 @@ def test_interrupted_output_writes_keep_previous_files(tmp_path, monkeypatch):
             main(["eval", cfg, "--out-dir", str(run)])
     assert scores.read_bytes() == before[1]
     assert not list(run.rglob("*.tmp"))
+
+
+def test_interrupted_target_phase_reruns_or_is_rejected(tmp_path, capsys,
+                                                      monkeypatch):
+    # a run interrupted while the student checkpoint is written: eval
+    # refuses it, rerunning the phase completes it, and a student left over
+    # from before its flow was retrained is refused
+    cfg = write_config(tmp_path, BASE_CONFIG.replace("seeds = 0,1", "seeds = 0"))
+    whole, run = tmp_path / "whole", tmp_path / "run"
+    assert main(["train", cfg, "--out-dir", str(whole)]) == 0
+    assert main(["eval", cfg, "--out-dir", str(whole)]) == 0
+    for phase in ("source", "flow"):
+        assert main(["train", cfg, "--out-dir", str(run), "--phase", phase]) == 0
+
+    def failing_dump(obj, fh, **kwargs):
+        fh.write('{"arrays": {"stu')
+        raise OSError("disk full")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(checkpoint.json, "dump", failing_dump)
+        with pytest.raises(OSError, match="disk full"):
+            main(["train", cfg, "--out-dir", str(run), "--phase", "target"])
+    assert not (run / "0" / "target.ckpt").exists()
+    assert not list(run.rglob("*.tmp"))
+    capsys.readouterr()
+    assert main(["eval", cfg, "--out-dir", str(run)]) == 4
+    assert "target.ckpt" in capsys.readouterr().err
+
+    assert main(["train", cfg, "--out-dir", str(run), "--phase", "target"]) == 0
+    assert main(["eval", cfg, "--out-dir", str(run)]) == 0
+
+    def canonical(root):
+        with open(root / "report.json", encoding="utf-8") as fh:
+            return report_from_dict(json.load(fh)).canonical_bytes()
+
+    assert canonical(run) == canonical(whole)
+    for name in ("encoder.ckpt", "flow.ckpt", "target.ckpt", "loss_target.csv"):
+        assert (run / "0" / name).read_bytes() == (whole / "0" / name).read_bytes()
+
+    flow_before = (run / "0" / "flow.ckpt").read_bytes()
+    real_nf_loss = flow.nf_loss
+    with monkeypatch.context() as patch:
+        patch.setattr(flow, "nf_loss",
+                      lambda *args: ad.scale(real_nf_loss(*args), 2.0))
+        assert main(["train", cfg, "--out-dir", str(run), "--phase", "flow"]) == 0
+    assert (run / "0" / "flow.ckpt").read_bytes() != flow_before
+    capsys.readouterr()
+    assert main(["eval", cfg, "--out-dir", str(run)]) == 4
+    err = capsys.readouterr().err
+    assert "target.ckpt" in err and "retrained" in err
 
 
 def test_foreign_config_checkpoint_exits_4(tmp_path, capsys):

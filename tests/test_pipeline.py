@@ -6,17 +6,18 @@ import pytest
 
 from flowgad import autodiff as ad
 from flowgad import checkpoint
-from flowgad.checkpoint import (load_checkpoint, load_models, save_checkpoint,
-                                save_models)
+from flowgad.checkpoint import PhaseStore, load_checkpoint, save_checkpoint
 from flowgad.data import make_anomaly_split
 from flowgad.errors import (ConfigError, ContractViolation, PhaseOrderError,
                             UndefinedMetricError)
+from flowgad.flow import GraphFlow
 from flowgad.optim import make_rng
-from flowgad.pipeline import (ExperimentConfig, SplitGuard, compute_auc,
+from flowgad.pipeline import (PHASES, ExperimentConfig, SplitGuard, compute_auc,
                               config_from_dict, export_embeddings,
                               forward_stack, pooled, precompute_inputs,
                               resolve_normal_class, run_experiment, run_seed,
                               score_graph, score_histogram, subsample_graphset)
+from flowgad.source import FeatureDecoder, GcnEncoder
 from flowgad.synthetic import planted_anomaly_set
 from flowgad.target import GinNetwork
 
@@ -185,7 +186,6 @@ def test_full_variant_separates_planted_anomalies():
     assert len(report.per_seed) == 1
     for rec in report.per_seed[0]["records"]:
         assert 0.0 <= rec["score"] <= 1.0
-        assert rec["raw"] == pytest.approx(2 * rec["score"])
 
 
 def test_report_canonical_bytes_deterministic():
@@ -247,8 +247,6 @@ def test_score_graph_agreement_is_zero(rng):
     # student outputs identical to the flow targets give score 0; the
     # cheapest construction is scoring the source against itself through
     # an identity flow and an identity-like student stub
-    from flowgad.source import GcnEncoder
-
     gs = small_set()
     cfg = ExperimentConfig(**TINY)
     inputs = precompute_inputs(gs, cfg)
@@ -265,11 +263,10 @@ def test_score_graph_agreement_is_zero(rng):
             return z
 
     _, results = run_experiment(gs, cfg, keep_models=True)
-    encoder = results[0].models["encoder"]
-    flow = results[0].models["flow"]
-    echo = Echo(encoder, flow)
-    score, raw = score_graph(inputs[0], encoder, flow, echo, cfg)
-    assert score < 1e-9 and raw < 1e-9
+    models = results[0].models
+    echo = Echo(models["encoder"], models["flow"])
+    score = score_graph(inputs[0], {**models, "student": echo}, cfg)
+    assert score < 1e-9
 
 
 @pytest.mark.parametrize("variant", ["full", "asy_st"])
@@ -286,15 +283,14 @@ def test_score_matches_per_node_reference(variant):
     for gi in precompute_inputs(gs, cfg):
         with ad.Tape() as tape:
             stages = forward_stack(gi, *stack)
-            score, raw = score_graph(gi, *stack, cfg)
+            score = score_graph(gi, models, cfg)
         assert tape.nodes == []
         z_nodes, out = stages["flow"], stages["target"]
         graph_term = reference_distance(pooled(out, cfg.readout),
                                         pooled(z_nodes, cfg.readout))
         node_term = np.mean([reference_distance(out[i], z_nodes[i])
-                             for i in range(gi.n)])
+                             for i in range(len(out))])
         assert score == pytest.approx((graph_term + node_term) / 2, abs=1e-15)
-        assert raw == 2.0 * score
         assert 0.0 <= score <= 1.0
         graphs_with_zero_pairs += bool(np.any(~z_nodes.any(axis=1)
                                               & ~out.any(axis=1)))
@@ -321,49 +317,48 @@ def _trained_models(tmp_path):
     return gs, cfg, precompute_inputs(gs, cfg), results[0]
 
 
-def _save_encoder(path, res, fp):
-    return save_models(path, "encoder", {"encoder": res.models["encoder"],
-                                         "decoder": res.models["decoder"]}, fp)
+def _save_encoder(store, res):
+    return store.save(0, "source", {"encoder": res.models["encoder"],
+                                    "decoder": res.models["decoder"]}, None)
 
 
 def test_checkpoint_roundtrip_preserves_scores(tmp_path):
     gs, cfg, inputs, res = _trained_models(tmp_path)
-    fp = cfg.fingerprint()
-    enc_fp = _save_encoder(str(tmp_path / "e.ckpt"), res, fp)
-    flow_fp = save_models(str(tmp_path / "f.ckpt"), "flow",
-                          {"flow": res.models["flow"]}, fp, enc_fp)
-    save_models(str(tmp_path / "t.ckpt"), "target",
-                {"student": res.models["student"]}, fp, flow_fp)
+    store = PhaseStore(str(tmp_path), cfg.fingerprint())
+    enc_fp = _save_encoder(store, res)
+    flow_fp = store.save(0, "flow", {"flow": res.models["flow"]}, enc_fp)
+    target_fp = store.save(0, "target", {"student": res.models["student"]},
+                           flow_fp)
 
-    models, enc_fp2 = load_models(str(tmp_path / "e.ckpt"), "encoder", fp)
-    assert enc_fp2 == enc_fp
-    encoder = models["encoder"]
-    flow = load_models(str(tmp_path / "f.ckpt"), "flow", fp, enc_fp)[0]["flow"]
-    student = load_models(str(tmp_path / "t.ckpt"), "target", fp,
-                          flow_fp)[0]["student"]
+    assert store.load_chain(0, ("source",))[1] == enc_fp
+    assert store.load_chain(0, PHASES[:2])[1] == flow_fp
+    models, last_fp = store.load_chain(0, PHASES)
+    assert last_fp == target_fp
+    assert set(models) == {"encoder", "decoder", "flow", "student"}
     for gi in inputs[:4]:
-        orig = score_graph(gi, res.models["encoder"], res.models["flow"],
-                           res.models["student"], cfg)
-        loaded = score_graph(gi, encoder, flow, student, cfg)
+        orig = score_graph(gi, res.models, cfg)
+        loaded = score_graph(gi, models, cfg)
         assert orig == loaded
 
 
 def test_checkpoint_chain_rejects_stale_upstream(tmp_path):
     gs, cfg, inputs, res = _trained_models(tmp_path)
     fp = cfg.fingerprint()
-    enc_fp = _save_encoder(str(tmp_path / "e.ckpt"), res, fp)
-    save_models(str(tmp_path / "f.ckpt"), "flow", {"flow": res.models["flow"]},
-                fp, enc_fp)
+    store = PhaseStore(str(tmp_path), fp)
+    _save_encoder(store, res)
+    # a flow built on an encoder other than the one on disk
+    store.save(0, "flow", {"flow": res.models["flow"]}, "0" * 64)
     with pytest.raises(PhaseOrderError, match="retrained"):
-        load_models(str(tmp_path / "f.ckpt"), "flow", fp, "0" * 64)
+        store.load_chain(0, PHASES[:2])
     with pytest.raises(PhaseOrderError, match="config"):
-        load_models(str(tmp_path / "e.ckpt"), "encoder", "1" * 64)
+        PhaseStore(str(tmp_path), "1" * 64).load_chain(0, ("source",))
 
 
 def test_checkpoint_detects_tampering(tmp_path):
     gs, cfg, inputs, res = _trained_models(tmp_path)
-    path = str(tmp_path / "e.ckpt")
-    _save_encoder(path, res, cfg.fingerprint())
+    store = PhaseStore(str(tmp_path), cfg.fingerprint())
+    _save_encoder(store, res)
+    path = store.path(0, "source")
     text = open(path).read()
     with open(path, "w") as fh:
         fh.write(text.replace('"encoder.0"', '"encoder.X"', 1))
@@ -373,30 +368,37 @@ def test_checkpoint_detects_tampering(tmp_path):
 
 def test_old_adapter_format_is_phase_order_error(tmp_path):
     # a checkpoint that verifies but whose meta does not describe models
-    path = str(tmp_path / "old.ckpt")
-    save_checkpoint(path, "encoder", {"encoder_w0": np.ones((3, 2))},
+    store = PhaseStore(str(tmp_path), "fp")
+    save_checkpoint(store.path(0, "source"), "encoder",
+                    {"encoder_w0": np.ones((3, 2))},
                     {"d_in": 3, "hidden": 2, "d_out": 2, "layers": 1}, "fp")
-    with pytest.raises(PhaseOrderError, match="old.ckpt cannot be rebuilt"):
-        load_models(path, "encoder", "fp")
+    with pytest.raises(PhaseOrderError, match="encoder.ckpt cannot be rebuilt"):
+        store.load_chain(0, ("source",))
 
 
 def test_student_checkpoint_with_gin_epsilon_is_phase_order_error(tmp_path):
     # students saved while GIN layers took an epsilon record it in their
     # constructor arguments; the GIN-0 student no longer accepts it
+    store = PhaseStore(str(tmp_path), "fp")
+    enc_fp = store.save(0, "source", {
+        "encoder": GcnEncoder(3, 4, 4, 1, make_rng(0)),
+        "decoder": FeatureDecoder(4, 3, make_rng(0))}, None)
+    flow_fp = store.save(0, "flow", {"flow": GraphFlow(4, 0, 2.0, make_rng(0))},
+                         enc_fp)
     student = GinNetwork(3, 4, 4, 1, make_rng(0))
-    path = str(tmp_path / "t.ckpt")
     meta = {"student": {"class": "GinNetwork",
                         "args": {**student.init_args(), "eps": 0.0}}}
     arrays = {f"student.{i}": p.data for i, p in enumerate(student.params())}
-    save_checkpoint(path, "target", arrays, meta, "fp", "up")
-    with pytest.raises(PhaseOrderError, match="t.ckpt cannot be rebuilt"):
-        load_models(path, "target", "fp", "up")
+    save_checkpoint(store.path(0, "target"), "target", arrays, meta, "fp",
+                    flow_fp)
+    with pytest.raises(PhaseOrderError, match="target.ckpt cannot be rebuilt"):
+        store.load_chain(0, PHASES)
 
 
 def test_interrupted_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
     gs, cfg, inputs, res = _trained_models(tmp_path)
-    path = tmp_path / "e.ckpt"
-    _save_encoder(str(path), res, cfg.fingerprint())
+    path = tmp_path / "0" / "encoder.ckpt"
+    _save_encoder(PhaseStore(str(tmp_path), cfg.fingerprint()), res)
     before = path.read_bytes()
 
     def failing_dump(obj, fh, **kwargs):
@@ -405,9 +407,9 @@ def test_interrupted_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
 
     monkeypatch.setattr(checkpoint.json, "dump", failing_dump)
     with pytest.raises(OSError, match="disk full"):
-        _save_encoder(str(path), res, "another config")
+        _save_encoder(PhaseStore(str(tmp_path), "another config"), res)
     assert path.read_bytes() == before
-    assert os.listdir(tmp_path) == ["e.ckpt"]
+    assert os.listdir(tmp_path / "0") == ["encoder.ckpt"]
 
 
 def test_missing_checkpoint_is_phase_order_error(tmp_path):
@@ -420,16 +422,15 @@ def test_missing_checkpoint_is_phase_order_error(tmp_path):
 def test_export_embeddings_shapes_and_stage_check(tmp_path):
     gs, cfg, inputs, res = _trained_models(tmp_path)
     pairs = res.split.test[:3]
-    models = (res.models["encoder"], res.models["flow"], res.models["student"])
-    rows = export_embeddings(inputs, pairs, *models, cfg)
+    rows = export_embeddings(inputs, pairs, res.models, cfg)
     assert list(rows) == ["source", "flow", "target"]
     for stage_rows in rows.values():
         assert len(stage_rows) == 3
         assert all(len(row) == 2 + cfg.d for row in stage_rows)
-    assert rows == export_embeddings(inputs, pairs, *models, cfg)
+    assert rows == export_embeddings(inputs, pairs, res.models, cfg)
     # the reconstruction baseline has only the teacher's stage
-    only_source = export_embeddings(inputs, pairs, res.models["encoder"],
-                                    None, None,
+    teacher = {k: res.models[k] for k in ("encoder", "decoder")}
+    only_source = export_embeddings(inputs, pairs, teacher,
                                     dataclasses.replace(cfg, variant="non_st"))
     assert only_source == {"source": rows["source"]}
 

@@ -139,6 +139,20 @@ def test_zero_row_pair_costs_nothing_and_passes_no_gradient(rng):
     assert np.array_equal(out.grad, np.zeros((3, 4)))
 
 
+def test_one_zero_row_pair_has_a_bounded_gradient():
+    # row 0 of u is zero against a nonzero v row: it costs 0.5, and its
+    # gradient is -v/2 (d cos = v / |v| |u| would blow up at |u| = 0)
+    u = Tensor(np.array([[0.0, 0.0], [1.0, 2.0]]), requires_grad=True)
+    v = Tensor(np.array([[0.3, -0.4], [1.0, 0.0]]), requires_grad=True)
+    with ad.Tape() as tape:
+        loss = ad.reduce_sum(pair_distances(u, v))
+    tape.backward(loss)
+    assert loss.item() == 0.7763932022500211
+    assert np.allclose(u.grad[0], [-0.15, 0.2], rtol=0.0, atol=1e-15)
+    assert np.array_equal(v.grad[0], np.zeros(2))
+    assert np.all(np.abs(u.grad) < 1.0) and np.all(np.abs(v.grad) < 1.0)
+
+
 def test_target_loss_zero_when_outputs_match(rng):
     out = rng.normal(size=(4, 3))
     z_graph = out.max(axis=0)
