@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import payload_fingerprint
+from .data import canonical_bytes, payload_fingerprint
 from .errors import ContractViolation, PhaseOrderError
 from .flow import GraphFlow
 from .optim import freeze, make_rng
@@ -76,13 +76,12 @@ def save_checkpoint(path: str, kind: str, arrays: dict, meta: dict,
     }
     fingerprint = payload_fingerprint(payload)
     payload["fingerprint"] = fingerprint
-    with atomic_write(path, encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    with atomic_write(path, "wb") as fh:
+        fh.write(canonical_bytes(payload) + b"\n")
     return fingerprint
 
 
-def load_checkpoint(path: str, expect_kind: str | None = None) -> dict:
+def load_checkpoint(path: str, expect_kind: str) -> dict:
     """Reads a checkpoint and re-verifies its self-fingerprint; each entry
     under 'arrays' holds a 'shape' and the row-major 'data'."""
     if not os.path.isfile(path):
@@ -100,7 +99,7 @@ def load_checkpoint(path: str, expect_kind: str | None = None) -> dict:
         raise PhaseOrderError(
             f"checkpoint {path} failed verification: stored fingerprint "
             f"{stored} but content hashes to {actual}")
-    if expect_kind is not None and payload.get("kind") != expect_kind:
+    if payload.get("kind") != expect_kind:
         raise PhaseOrderError(
             f"checkpoint {path} is a {payload.get('kind')!r} checkpoint, "
             f"expected {expect_kind!r}")
@@ -163,7 +162,7 @@ class PhaseStore:
         models, upstream = {}, None
         for phase in phases:
             path = self.path(seed, phase)
-            payload = load_checkpoint(path, expect_kind=self.KINDS[phase])
+            payload = load_checkpoint(path, self.KINDS[phase])
             if payload.get("config_fingerprint") != self.config_fingerprint:
                 raise PhaseOrderError(
                     f"checkpoint {path} was produced under config fingerprint "

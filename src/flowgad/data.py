@@ -19,6 +19,7 @@ from typing import NoReturn
 import numpy as np
 
 from .errors import ConfigError, ContractViolation, DatasetError
+from .optim import make_rng
 
 
 @dataclass
@@ -400,7 +401,7 @@ def make_anomaly_split(gs: GraphSet, normal_class: int, test_fraction: float,
         raise ConfigError(f"test_fraction must lie in (0, 1), got {test_fraction}")
     normal = [i for i, g in enumerate(gs.graphs) if g.label == normal_class]
     anomalous = [i for i, g in enumerate(gs.graphs) if g.label != normal_class]
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(0,))))
+    rng = make_rng(seed, 0)
     order = rng.permutation(len(normal))
     n_test = int(np.floor(test_fraction * len(normal) + 0.5))
     test_normal = sorted(normal[i] for i in order[:n_test])
@@ -421,7 +422,13 @@ def majority_class(gs: GraphSet) -> int:
 
 
 def normalized_adjacency(g: Graph) -> np.ndarray:
-    """Symmetric degree-normalized propagation operator over A plus self-loops."""
-    a_tilde = g.adjacency + np.eye(g.n)
-    inv_sqrt_deg = 1.0 / np.sqrt(a_tilde.sum(axis=1))
-    return a_tilde * inv_sqrt_deg[:, None] * inv_sqrt_deg[None, :]
+    """Symmetric degree-normalized propagation operator over A plus self-loops.
+
+    Built in its one output buffer: n x n temporaries freed between the
+    long-lived operators of a data set fragment the heap and stay resident."""
+    a_hat = g.adjacency.astype(np.float64)
+    a_hat[np.diag_indices(g.n)] += 1.0
+    inv_sqrt_deg = 1.0 / np.sqrt(a_hat.sum(axis=1))
+    a_hat *= inv_sqrt_deg[:, None]
+    a_hat *= inv_sqrt_deg[None, :]
+    return a_hat

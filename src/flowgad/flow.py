@@ -22,18 +22,13 @@ from .optim import fit, glorot_init
 class CouplingSubnet:
     """h -> (A_hat h W_prop) W_lin + b, width preserved.
 
-    The final linear map starts at zero by default so a fresh flow is the
-    identity; training wakes it up gradually. Pass ``zero_last=False`` for
-    a fully random subnet (exercised by the invertibility properties).
+    The final linear map starts at zero so a fresh flow is the identity;
+    training wakes it up gradually.
     """
 
-    def __init__(self, width: int, rng: np.random.Generator,
-                 zero_last: bool = True):
+    def __init__(self, width: int, rng: np.random.Generator):
         self.w_prop = glorot_init(width, width, rng)
-        if zero_last:
-            self.w_lin = Tensor(np.zeros((width, width)), requires_grad=True)
-        else:
-            self.w_lin = glorot_init(width, width, rng)
+        self.w_lin = Tensor(np.zeros((width, width)), requires_grad=True)
         self.bias = Tensor(np.zeros((1, width)), requires_grad=True)
 
     def forward(self, a_hat: Tensor, h: Tensor) -> Tensor:
@@ -45,15 +40,14 @@ class CouplingSubnet:
 
 
 class CouplingStep:
-    def __init__(self, half_width: int, s_max: float, rng: np.random.Generator,
-                 zero_last: bool = True):
+    def __init__(self, half_width: int, s_max: float, rng: np.random.Generator):
         if s_max <= 0:
             raise ContractViolation(f"s_max must be positive, got {s_max}")
         self.s_max = s_max
-        self.f1 = CouplingSubnet(half_width, rng, zero_last)
-        self.f2 = CouplingSubnet(half_width, rng, zero_last)
-        self.g1 = CouplingSubnet(half_width, rng, zero_last)
-        self.g2 = CouplingSubnet(half_width, rng, zero_last)
+        self.f1 = CouplingSubnet(half_width, rng)
+        self.f2 = CouplingSubnet(half_width, rng)
+        self.g1 = CouplingSubnet(half_width, rng)
+        self.g2 = CouplingSubnet(half_width, rng)
 
     def _clamped(self, raw: Tensor) -> Tensor:
         return ad.scale(ad.tanh(ad.scale(raw, 1.0 / self.s_max)), self.s_max)
@@ -87,14 +81,13 @@ class GraphFlow:
     keep the source -> flow -> target stack."""
 
     def __init__(self, d: int, steps: int, s_max: float,
-                 rng: np.random.Generator, zero_last: bool = True):
+                 rng: np.random.Generator):
         if d % 2 != 0:
             raise ContractViolation(f"embedding width must be even, got {d}")
         if steps < 0:
             raise ContractViolation(f"step count must be non-negative, got {steps}")
         self.d, self.s_max = d, s_max
-        self.steps = [CouplingStep(d // 2, s_max, rng, zero_last)
-                      for _ in range(steps)]
+        self.steps = [CouplingStep(d // 2, s_max, rng) for _ in range(steps)]
 
     def forward(self, h: Tensor, a_hat: Tensor):
         """Maps embeddings to the latent; returns (z, log_det) Tensors."""
@@ -130,13 +123,14 @@ class GraphFlow:
         return {"d": self.d, "steps": len(self.steps), "s_max": self.s_max}
 
 
-def nf_loss(z: Tensor, log_det: Tensor, n: int, normalize: bool = True) -> Tensor:
+def nf_loss(z: Tensor, log_det: Tensor, normalize: bool = True) -> Tensor:
     """Negative log likelihood under a standard-normal latent, up to the
-    constant (d/2)log(2 pi) per node. ``normalize`` divides by node count
-    so graphs of different sizes contribute comparably."""
+    constant (d/2)log(2 pi) per node. ``normalize`` divides by the node
+    count (the rows of ``z``) so graphs of different sizes contribute
+    comparably."""
     energy = ad.scale(ad.reduce_sum(ad.mul(z, z)), 0.5)
     loss = ad.sub(energy, log_det)
-    return ad.scale(loss, 1.0 / n) if normalize else loss
+    return ad.scale(loss, 1.0 / z.shape[0]) if normalize else loss
 
 
 def train_flow(flow: GraphFlow, inputs, *, epochs: int, lr: float,
@@ -149,7 +143,7 @@ def train_flow(flow: GraphFlow, inputs, *, epochs: int, lr: float,
     def graph_loss(pair):
         a_hat, h = pair
         z, log_det = flow.forward(ad.constant(h), ad.constant(a_hat))
-        return nf_loss(z, log_det, h.shape[0], normalize)
+        return nf_loss(z, log_det, normalize)
 
     return fit(flow.params(), inputs, graph_loss, epochs=epochs, lr=lr,
                batch_size=batch_size, what="flow")

@@ -31,16 +31,17 @@ def glorot_init(rows: int, cols: int, seed) -> Tensor:
     return Tensor(rng.uniform(-bound, bound, size=(rows, cols)), requires_grad=True)
 
 
+BETA1 = 0.9      # decay of the first-moment estimate
+BETA2 = 0.999    # decay of the second-moment estimate
+EPS = 1e-8       # keeps the update finite where the second moment is 0
+
+
 class Adam:
     """Bias-corrected adaptive-moment updates over a fixed parameter list."""
 
-    def __init__(self, params, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params, lr: float = 1e-3):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.first_moment = [np.zeros_like(p.data) for p in self.params]
         self.second_moment = [np.zeros_like(p.data) for p in self.params]
@@ -49,8 +50,8 @@ class Adam:
         """Apply one update from the gradients currently on the parameters."""
         self.step_count += 1
         t = self.step_count
-        c1 = 1.0 - self.beta1 ** t
-        c2 = 1.0 - self.beta2 ** t
+        c1 = 1.0 - BETA1 ** t
+        c2 = 1.0 - BETA2 ** t
         for p, m, v in zip(self.params, self.first_moment, self.second_moment):
             g = p.grad
             if g is None:
@@ -59,11 +60,11 @@ class Adam:
                 raise ContractViolation(
                     f"gradient shape {g.shape} does not match parameter {p.data.shape}"
                 )
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
+            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + EPS)
 
     def zero_grad(self):
         for p in self.params:

@@ -23,7 +23,7 @@ so that each phase is checkpointed and read back.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, asdict, replace
 
 import numpy as np
 
@@ -36,7 +36,8 @@ from .errors import (ConfigError, ContractViolation, PhaseOrderError,
                      TrainingFault, UndefinedMetricError)
 from .flow import GraphFlow, train_flow
 from .optim import freeze, is_frozen, make_rng
-from .source import GcnEncoder, graph_source_loss, pretrain_source
+from .source import (FeatureDecoder, GcnEncoder, graph_source_loss,
+                     pretrain_source)
 from .target import GinNetwork, READOUTS, graph_target_loss, train_target
 
 VARIANTS = ("full", "non_st", "asy_st", "non_nf")
@@ -207,17 +208,17 @@ def student_propagation(gi: GraphInputs, student) -> np.ndarray:
     return gi.a_hat if isinstance(student, GcnEncoder) else gi.adjacency
 
 
-def forward_stack(gi: GraphInputs, encoder: GcnEncoder, flow=None,
-                  student=None) -> dict:
-    """Node matrices of one graph at each stage the given models reach:
+def forward_stack(gi: GraphInputs, models: dict) -> dict:
+    """Node matrices of one graph at each stage the named models reach:
     "source" (teacher embeddings), "flow" (their latent) and "target" (the
     student's output). Frozen models record nothing, so no tape is built."""
     a_hat, x = ad.constant(gi.a_hat), ad.constant(gi.x_init)
-    h = encoder.forward(a_hat, x)
+    h = models["encoder"].forward(a_hat, x)
     stages = {"source": h.data}
-    if flow is not None:
-        stages["flow"] = flow.forward(h, a_hat)[0].data
-    if student is not None:
+    if "flow" in models:
+        stages["flow"] = models["flow"].forward(h, a_hat)[0].data
+    if "student" in models:
+        student = models["student"]
         prop = ad.constant(student_propagation(gi, student))
         stages["target"] = student.forward(prop, x).data
     return stages
@@ -239,12 +240,9 @@ def score_graph(gi: GraphInputs, models: dict,
         return graph_source_loss(models["encoder"], models["decoder"],
                                  gi.a_hat, gi.adjacency, gi.x_init,
                                  config.alpha).item()
-    stages = forward_stack(gi, models["encoder"], models["flow"],
-                           models["student"])
-    z_nodes, out = stages["flow"], stages["target"]
-    return graph_target_loss(ad.constant(out), z_nodes,
-                             pooled(z_nodes, config.readout), 0.5,
-                             config.distance, config.readout).item()
+    stages = forward_stack(gi, models)
+    return graph_target_loss(ad.constant(stages["target"]), stages["flow"],
+                             0.5, config.distance, config.readout).item()
 
 
 def compute_auc(scores, flags) -> float:
@@ -269,17 +267,17 @@ def compute_auc(scores, flags) -> float:
     return float((ranks[f].sum() - pos * (pos + 1) / 2.0) / (pos * neg))
 
 
-def score_histogram(records, width: float = 0.02):
-    """Per-class binned score counts over [0, 1]; out-of-range scores land
-    in the edge bins. Returns (edges, normal_counts, anomaly_counts)."""
-    nbins = int(round(1.0 / width))
-    edges = np.linspace(0.0, 1.0, nbins + 1)
-    normal = np.zeros(nbins, dtype=np.int64)
-    anomalous = np.zeros(nbins, dtype=np.int64)
-    for rec in records:
-        b = min(nbins - 1, max(0, int(rec["score"] / width)))
-        (anomalous if rec["flag"] else normal)[b] += 1
-    return edges, normal, anomalous
+def score_histogram(records):
+    """Per-class score counts in 50 equal bins over [min(0, lowest score),
+    max(1, highest score)]: bins of 0.02 when every score lies in [0, 1],
+    wider when a score (a ``non_st`` reconstruction loss) lies outside.
+    Returns (edges, normal_counts, anomaly_counts)."""
+    scores = np.array([rec["score"] for rec in records], dtype=np.float64)
+    flags = np.array([rec["flag"] for rec in records], dtype=bool)
+    edges = np.histogram_bin_edges(
+        scores, bins=50, range=(scores.min(initial=0.0), scores.max(initial=1.0)))
+    return (edges, np.histogram(scores[~flags], bins=edges)[0],
+            np.histogram(scores[flags], bins=edges)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -305,12 +303,14 @@ def prepare_experiment(gs: GraphSet, config: ExperimentConfig):
 def run_phase_source(upstream: dict, inputs, train_idx,
                      config: ExperimentConfig, seed: int):
     d_in = inputs[train_idx[0]].x_init.shape[1]
+    rng = make_rng(seed, 1)
+    encoder = GcnEncoder(d_in, config.hidden, config.d, config.gcn_layers, rng)
+    decoder = FeatureDecoder(config.d, d_in, rng)
     triples = [(inputs[i].a_hat, inputs[i].adjacency, inputs[i].x_init)
                for i in train_idx]
-    encoder, decoder, trace = pretrain_source(
-        triples, d_in, hidden=config.hidden, d_out=config.d,
-        layers=config.gcn_layers, alpha=config.alpha, epochs=config.s_epochs,
-        lr=config.lr, rng=make_rng(seed, 1), batch_size=config.batch_size)
+    trace = pretrain_source(encoder, decoder, triples, alpha=config.alpha,
+                            epochs=config.s_epochs, lr=config.lr,
+                            batch_size=config.batch_size)
     return {"encoder": encoder, "decoder": decoder}, trace
 
 
@@ -324,7 +324,7 @@ def run_phase_flow(upstream: dict, inputs, train_idx,
     flow = GraphFlow(config.d, steps, config.s_max, make_rng(seed, 2))
     if not flow.steps:
         return {"flow": flow}, None
-    pairs = [(inputs[i].a_hat, forward_stack(inputs[i], encoder)["source"])
+    pairs = [(inputs[i].a_hat, forward_stack(inputs[i], upstream)["source"])
              for i in train_idx]
     trace = train_flow(flow, pairs, epochs=config.n_epochs, lr=config.lr,
                        batch_size=config.batch_size,
@@ -346,13 +346,9 @@ def run_phase_target(upstream: dict, inputs, train_idx,
                              config.gcn_layers, rng)
     else:
         student = GinNetwork(d_in, config.d, config.d, config.gin_layers, rng)
-    quads = []
-    for i in train_idx:
-        gi = inputs[i]
-        z_nodes = forward_stack(gi, encoder, flow)["flow"]
-        quads.append((student_propagation(gi, student), gi.x_init, z_nodes,
-                      pooled(z_nodes, config.readout)))
-    trace = train_target(student, quads, beta=config.beta,
+    triples = [(student_propagation(inputs[i], student), inputs[i].x_init,
+                forward_stack(inputs[i], upstream)["flow"]) for i in train_idx]
+    trace = train_target(student, triples, beta=config.beta,
                          epochs=config.t_epochs, lr=config.lr,
                          batch_size=config.batch_size, kind=config.distance,
                          readout=config.readout)
@@ -368,7 +364,7 @@ class SeedResult:
     split: AnomalySplit
     guard: SplitGuard
     phase_seconds: dict
-    models: dict = field(default_factory=dict)
+    models: dict           # name -> frozen model; {} if a store run skips scoring
 
 
 def phase_chain(variant: str) -> tuple:
@@ -501,21 +497,16 @@ def build_report(gs: GraphSet, config: ExperimentConfig, normal: int,
         timestamp=time.strftime("%Y-%m-%dT%H:%M:%S"))
 
 
-def run_experiment(gs: GraphSet, config: ExperimentConfig,
-                   keep_models: bool = False):
+def run_experiment(gs: GraphSet, config: ExperimentConfig):
     """Full multi-seed experiment. Returns (ScoreReport, list of SeedResult);
-    model objects are dropped from the results unless ``keep_models``."""
+    each result keeps its seed's trained, frozen models."""
     config.validate()
     t0 = time.perf_counter()
     gs, normal, inputs = prepare_experiment(gs, config)
     once = {"setup": time.perf_counter() - t0}
     results = [run_seed(gs, inputs, config, seed, normal)
                for seed in config.seeds]
-    report = build_report(gs, config, normal, results, once)
-    if not keep_models:
-        for r in results:
-            r.models = {}
-    return report, results
+    return build_report(gs, config, normal, results, once), results
 
 
 def export_embeddings(inputs, index_flags, models: dict,
@@ -525,8 +516,7 @@ def export_embeddings(inputs, index_flags, models: dict,
     chain = phase_chain(config.variant)
     rows: dict = {stage: [] for stage in chain}
     for idx, flag in index_flags:
-        stages = forward_stack(inputs[idx], models["encoder"],
-                               models.get("flow"), models.get("student"))
+        stages = forward_stack(inputs[idx], models)
         for stage in chain:
             vec = pooled(stages[stage], config.readout)
             rows[stage].append([int(idx), int(bool(flag))]

@@ -18,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ContractViolation
-from .optim import fit, freeze, glorot_init
+from .optim import fit, glorot_init
 
 CLAMP_LO = 1e-12
 CLAMP_HI = 1.0 - 1e-12
@@ -105,22 +105,16 @@ def graph_source_loss(encoder: GcnEncoder, decoder: FeatureDecoder,
     return source_loss(h, adjacency, x_init, x_star, alpha)
 
 
-def pretrain_source(inputs, d_in: int, *, hidden: int, d_out: int, layers: int,
+def pretrain_source(encoder: GcnEncoder, decoder: FeatureDecoder, inputs, *,
                     alpha: float, epochs: int, lr: float,
-                    rng: np.random.Generator, batch_size: int = 1):
-    """Pre-train encoder+decoder on normal graphs; returns them frozen-ready.
+                    batch_size: int = 1) -> list[float]:
+    """Pre-train encoder+decoder on normal graphs.
 
     ``inputs`` is a sequence of (a_hat, adjacency, x_init) arrays, one per
     training graph. One optimizer step per ``batch_size`` graphs (mean loss
-    within a batch). The returned trace holds the mean per-graph loss of
-    each epoch. The encoder comes back frozen; the decoder is returned too
-    because reconstruction-only scoring needs it.
+    within a batch). Returns the mean per-graph loss of each epoch.
     """
-    encoder = GcnEncoder(d_in, hidden, d_out, layers, rng)
-    decoder = FeatureDecoder(d_out, d_in, rng)
-    trace = fit(encoder.params() + decoder.params(), inputs,
-                lambda item: graph_source_loss(encoder, decoder, *item, alpha),
-                epochs=epochs, lr=lr, batch_size=batch_size,
-                what="reconstruction")
-    freeze(encoder)
-    return encoder, decoder, trace
+    return fit(encoder.params() + decoder.params(), inputs,
+               lambda item: graph_source_loss(encoder, decoder, *item, alpha),
+               epochs=epochs, lr=lr, batch_size=batch_size,
+               what="reconstruction")

@@ -114,19 +114,20 @@ def pair_distances(u: Tensor, v: Tensor, kind: str = "cosine") -> Tensor:
 
 
 def graph_target_loss(student_nodes: Tensor, z_nodes: np.ndarray,
-                      z_graph: np.ndarray, beta: float, kind: str = "cosine",
+                      beta: float, kind: str = "cosine",
                       readout: str = "max") -> Tensor:
     """(1-beta) * graph-level distance + beta * mean node-level distance
     for one graph; the trainer averages this across graphs, and at
-    beta = 1/2 it is the graph's anomaly score."""
+    beta = 1/2 it is the graph's anomaly score. Both graph vectors are
+    pooled here by the one ``readout``."""
     if not (0.0 <= beta <= 1.0):
         raise ConfigError(f"beta must lie in [0, 1], got {beta}")
     if student_nodes.shape[0] != z_nodes.shape[0]:
         raise ContractViolation(
             f"node count mismatch: {student_nodes.shape[0]} vs {z_nodes.shape[0]}")
-    student_graph = READOUTS[readout](student_nodes)
-    graph_term = pair_distances(student_graph,
-                                ad.constant(np.reshape(z_graph, (1, -1))), kind)
+    pool = READOUTS[readout]
+    graph_term = pair_distances(pool(student_nodes), pool(ad.constant(z_nodes)),
+                                kind)
     node_term = ad.mean(pair_distances(student_nodes, ad.constant(z_nodes), kind))
     return ad.add(ad.scale(ad.reduce_sum(graph_term), 1.0 - beta),
                   ad.scale(node_term, beta))
@@ -137,14 +138,14 @@ def train_target(student, inputs, *, beta: float, epochs: int, lr: float,
                  readout: str = "max") -> list[float]:
     """Distill the student toward frozen latent targets.
 
-    ``inputs`` pairs (prop, x_init, z_nodes, z_graph) per graph, where
-    ``prop`` is whichever propagation matrix the student consumes (raw
-    adjacency for GIN, normalized for a GCN student). Returns the per-epoch
-    mean loss trace."""
-    def graph_loss(quad):
-        prop, x_init, z_nodes, z_graph = quad
+    ``inputs`` holds (prop, x_init, z_nodes) per graph, where ``prop`` is
+    whichever propagation matrix the student consumes (raw adjacency for
+    GIN, normalized for a GCN student). Returns the per-epoch mean loss
+    trace."""
+    def graph_loss(triple):
+        prop, x_init, z_nodes = triple
         out = student.forward(ad.constant(prop), ad.constant(x_init))
-        return graph_target_loss(out, z_nodes, z_graph, beta, kind, readout)
+        return graph_target_loss(out, z_nodes, beta, kind, readout)
 
     return fit(student.params(), inputs, graph_loss, epochs=epochs, lr=lr,
                batch_size=batch_size, what="distillation")

@@ -1,5 +1,6 @@
-"""Shared fixtures: benchmark-data discovery, a tiny on-disk dataset, and
-the scalar reference for the student/flow distance.
+"""Shared fixtures: benchmark-data discovery, a tiny on-disk dataset, the
+scalar reference for the student/flow distance, fully random flows, and
+checkpoint writes that fail halfway.
 
 Real benchmark directories are looked up under $FLOWGAD_DATA_DIR, falling
 back to <repo>/data. Tests that need them skip with a pointer when the
@@ -7,9 +8,14 @@ files are absent, so the suite stays runnable on a fresh checkout.
 """
 
 import os
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
+
+from flowgad import checkpoint
+from flowgad.flow import GraphFlow
+from flowgad.optim import glorot_init, make_rng
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -54,6 +60,41 @@ def reference_distance(u, v, kind: str = "cosine") -> float:
         return 0.5
     cos = float(np.dot(u, v) / (nu * nv))
     return (1.0 - min(1.0, max(-1.0, cos))) / 2.0
+
+
+def random_flow(d: int, steps: int, rng: np.random.Generator,
+                s_max: float = 2.0) -> GraphFlow:
+    """A flow whose every coupling map is random, so it is far from the
+    identity a fresh flow starts as. Each subnet's propagation and then its
+    linear weights are drawn from ``rng`` in step order (f1, f2, g1, g2),
+    the order a fully random flow has always been drawn in."""
+    flow = GraphFlow(d, steps, s_max, make_rng(0))
+    for step in flow.steps:
+        for subnet in (step.f1, step.f2, step.g1, step.g2):
+            subnet.w_prop.data = glorot_init(d // 2, d // 2, rng).data
+            subnet.w_lin.data = glorot_init(d // 2, d // 2, rng).data
+    return flow
+
+
+def fail_checkpoint_writes(patch, prefix: bytes):
+    """Makes each checkpoint write in ``patch``'s scope stop with
+    OSError("disk full") after writing ``prefix``, as a full disk would."""
+    real = checkpoint.atomic_write
+
+    class FullDisk:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def write(self, data):
+            self.fh.write(prefix)
+            raise OSError("disk full")
+
+    @contextmanager
+    def full_disk(path, mode="w", **open_args):
+        with real(path, mode, **open_args) as fh:
+            yield FullDisk(fh)
+
+    patch.setattr(checkpoint, "atomic_write", full_disk)
 
 
 @pytest.fixture

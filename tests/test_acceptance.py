@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import require_dataset
+from conftest import random_flow, require_dataset
 
 from flowgad import autodiff as ad
 from flowgad.data import graphset_to_dict, parse_tudataset, write_tudataset
@@ -163,8 +163,7 @@ def test_flow_correctness_suite():
         d = int(rng.choice([4, 8, 16]))
         n = int(rng.integers(2, 9))
         _, a_hat, h = _random_graph(rng, n, d)
-        flow = GraphFlow(d, steps=2, s_max=2.0,
-                         rng=make_rng(trial, 5), zero_last=False)
+        flow = random_flow(d, 2, make_rng(trial, 5))
         z, _ = flow.forward(ad.constant(h), ad.constant(a_hat))
         back = flow.inverse(z, ad.constant(a_hat))
         worst_untrained = max(worst_untrained, np.abs(back.data - h).max())
@@ -190,8 +189,7 @@ def test_flow_correctness_suite():
     for trial in range(50):
         n, d = shapes[trial % len(shapes)]
         _, a_hat, h = _random_graph(rng, n, d)
-        flow = GraphFlow(d, steps=2, s_max=2.0,
-                         rng=make_rng(trial, 6), zero_last=False)
+        flow = random_flow(d, 2, make_rng(trial, 6))
 
         def fwd(flat):
             z, _ = flow.forward(ad.constant(flat.reshape(n, d)),
@@ -248,24 +246,22 @@ def test_gradient_suite():
         worst["reconstruction"] = max(
             worst["reconstruction"], ad.gradcheck(recon_loss, params, 1e-5))
 
-        flow = GraphFlow(d, steps=2, s_max=2.0,
-                         rng=make_rng(rep, 43), zero_last=False)
+        flow = random_flow(d, 2, make_rng(rep, 43))
         h_in = ad.constant(rng.normal(size=(4, d)))
 
         def density_loss(*params):
             z, log_det = flow.forward(h_in, a_hat_c)
-            return nf_loss(z, log_det, n=4)
+            return nf_loss(z, log_det)
 
         worst["density"] = max(
             worst["density"], ad.gradcheck(density_loss, flow.params(), 1e-5))
 
         student = GinNetwork(width, hidden, d, 2, make_rng(rep, 44))
         z_nodes = rng.normal(size=(4, d))
-        z_graph = rng.normal(size=d)
 
         def distill_loss(*params):
             out = student.forward(adj_c, x_c)
-            return graph_target_loss(out, z_nodes, z_graph, beta=0.6)
+            return graph_target_loss(out, z_nodes, beta=0.6)
 
         worst["distillation"] = max(
             worst["distillation"],

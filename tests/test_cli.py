@@ -14,6 +14,8 @@ from flowgad.errors import ConfigError
 from flowgad.pipeline import (ExperimentConfig, prepare_experiment,
                               report_from_dict, run_experiment)
 
+from conftest import fail_checkpoint_writes
+
 BASE_CONFIG = """\
 # quick synthetic run
 dataset = planted
@@ -344,12 +346,8 @@ def test_interrupted_target_phase_reruns_or_is_rejected(tmp_path, capsys,
     for phase in ("source", "flow"):
         assert main(["train", cfg, "--out-dir", str(run), "--phase", phase]) == 0
 
-    def failing_dump(obj, fh, **kwargs):
-        fh.write('{"arrays": {"stu')
-        raise OSError("disk full")
-
     with monkeypatch.context() as patch:
-        patch.setattr(checkpoint.json, "dump", failing_dump)
+        fail_checkpoint_writes(patch, b'{"arrays":{"stu')
         with pytest.raises(OSError, match="disk full"):
             main(["train", cfg, "--out-dir", str(run), "--phase", "target"])
     assert not (run / "0" / "target.ckpt").exists()

@@ -200,6 +200,18 @@ def test_normalized_adjacency_two_node_path():
     assert np.allclose(normalized_adjacency(g), 0.5)
 
 
+def test_normalized_adjacency_is_its_formula_bit_for_bit(rng):
+    # (A + I) scaled by D^-1/2 on the left, then on the right, with the
+    # input adjacency left untouched
+    for g in _random_graphset(rng, m=5).graphs:
+        before = g.adjacency.copy()
+        a_tilde = g.adjacency + np.eye(g.n)
+        inv_sqrt_deg = 1.0 / np.sqrt(a_tilde.sum(axis=1))
+        expected = a_tilde * inv_sqrt_deg[:, None] * inv_sqrt_deg[None, :]
+        assert np.array_equal(normalized_adjacency(g), expected)
+        assert np.array_equal(g.adjacency, before)
+
+
 def test_normalized_adjacency_permutation_equivariance(rng):
     gs = _random_graphset(rng, m=5)
     for g in gs.graphs:

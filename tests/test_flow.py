@@ -8,16 +8,14 @@ from flowgad.errors import ContractViolation, TrainingFault
 from flowgad.flow import CouplingStep, GraphFlow, nf_loss, train_flow
 from flowgad.optim import make_rng
 
+from conftest import random_flow
+
 
 def _random_a_hat(n, rng):
     upper = np.triu((rng.random((n, n)) < 0.5).astype(np.float64), k=1)
     g = Graph(n=n, adjacency=upper + upper.T, features=np.zeros((n, 0)),
               label=0)
     return normalized_adjacency(g)
-
-
-def _random_flow(d, steps, seed, s_max=2.0):
-    return GraphFlow(d, steps, s_max, make_rng(seed), zero_last=False)
 
 
 def numeric_jacobian(fn, x0, step=1e-6):
@@ -81,7 +79,7 @@ def test_roundtrip_on_random_instances(rng):
     for trial in range(100):
         d = int(rng.choice([2, 4, 6]))
         n = int(rng.integers(1, 6))
-        flow = _random_flow(d, int(rng.integers(1, 4)), seed=trial)
+        flow = random_flow(d, int(rng.integers(1, 4)), make_rng(trial))
         h = rng.normal(size=(n, d))
         a_hat = _random_a_hat(n, rng)
         z, _ = flow.forward(Tensor(h), ad.constant(a_hat))
@@ -90,7 +88,7 @@ def test_roundtrip_on_random_instances(rng):
 
 
 def test_single_step_matches_full_flow(rng):
-    flow = _random_flow(4, 1, seed=9)
+    flow = random_flow(4, 1, make_rng(9))
     h = rng.normal(size=(3, 4))
     a_hat = _random_a_hat(3, rng)
     z, log_det = flow.forward(Tensor(h), ad.constant(a_hat))
@@ -105,7 +103,7 @@ def test_log_det_matches_numeric_jacobian(rng):
     cases = [(1, 2), (2, 2), (1, 4), (3, 4), (4, 4), (2, 8), (1, 16)]
     for trial in range(20):
         n, d = cases[trial % len(cases)]
-        flow = _random_flow(d, int(rng.integers(1, 3)), seed=100 + trial)
+        flow = random_flow(d, int(rng.integers(1, 3)), make_rng(100 + trial))
         a_hat = _random_a_hat(n, rng)
         h = rng.normal(size=(n, d))
 
@@ -123,7 +121,7 @@ def test_log_det_matches_numeric_jacobian(rng):
 
 def test_composed_log_det_is_sum_of_steps(rng):
     n, d = 2, 4
-    flow = _random_flow(d, 2, seed=31)
+    flow = random_flow(d, 2, make_rng(31))
     a_hat = _random_a_hat(n, rng)
     h = rng.normal(size=(n, d))
     _, total = flow.forward(Tensor(h), ad.constant(a_hat))
@@ -150,7 +148,7 @@ def test_half_update_jacobian_is_block_triangular(rng):
     # mixed block entirely
     n, d = 2, 4
     k = n * d // 2
-    step = CouplingStep(d // 2, 2.0, make_rng(55), zero_last=False)
+    step = random_flow(d, 1, make_rng(55)).steps[0]
     a_hat = _random_a_hat(n, rng)
     h = rng.normal(size=(n, d))
 
@@ -174,19 +172,20 @@ def test_half_update_jacobian_is_block_triangular(rng):
 
 
 def test_nf_loss_values():
-    assert nf_loss(Tensor(np.zeros((1, 2))), ad.constant(0.0), 1).item() == 0.0
+    assert nf_loss(Tensor(np.zeros((1, 2))), ad.constant(0.0)).item() == 0.0
     z = Tensor(np.array([[1.0, 1.0]]))
-    assert nf_loss(z, ad.constant(0.0), 1).item() == pytest.approx(1.0)
-    # normalization divides by node count; the raw variant does not
+    assert nf_loss(z, ad.constant(0.0)).item() == pytest.approx(1.0)
+    # normalization divides by the node count (rows of z); the raw variant
+    # does not
     z4 = Tensor(np.ones((4, 2)))
-    assert nf_loss(z4, ad.constant(0.0), 4).item() == pytest.approx(1.0)
-    assert nf_loss(z4, ad.constant(0.0), 4, normalize=False).item() == pytest.approx(4.0)
+    assert nf_loss(z4, ad.constant(0.0)).item() == pytest.approx(1.0)
+    assert nf_loss(z4, ad.constant(0.0), normalize=False).item() == pytest.approx(4.0)
 
 
 def test_identity_flow_loss_on_standard_normal_entries(rng):
     # E[z^2]/2 = 0.5 per entry under the latent prior
     z = Tensor(rng.standard_normal(size=(1000, 10)))
-    loss = nf_loss(z, ad.constant(0.0), 1000, normalize=False).item()
+    loss = nf_loss(z, ad.constant(0.0), normalize=False).item()
     assert loss / z.data.size == pytest.approx(0.5, abs=0.02)
 
 
@@ -240,13 +239,13 @@ def test_trained_flow_still_invertible(rng):
 
 def test_nf_loss_gradcheck_through_two_steps(rng):
     n, d = 3, 4
-    flow = _random_flow(d, 2, seed=77)
+    flow = random_flow(d, 2, make_rng(77))
     a_hat = _random_a_hat(n, rng)
     h = rng.normal(size=(n, d))
 
     def fn(*params):
         z, log_det = flow.forward(ad.constant(h), ad.constant(a_hat))
-        return nf_loss(z, log_det, n)
+        return nf_loss(z, log_det)
 
     assert gradcheck(fn, flow.params()) < 1e-4
 

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from flowgad import autodiff as ad
-from flowgad import checkpoint
 from flowgad.checkpoint import PhaseStore, load_checkpoint, save_checkpoint
 from flowgad.data import make_anomaly_split
 from flowgad.errors import (ConfigError, ContractViolation, PhaseOrderError,
@@ -21,7 +20,7 @@ from flowgad.source import FeatureDecoder, GcnEncoder
 from flowgad.synthetic import planted_anomaly_set
 from flowgad.target import GinNetwork
 
-from conftest import reference_distance
+from conftest import fail_checkpoint_writes, reference_distance
 
 TINY = dict(s_epochs=6, n_epochs=6, t_epochs=6, d=8, hidden=8, k_se=8,
             seeds=(0,))
@@ -140,16 +139,31 @@ def test_histogram_conserves_counts(rng):
     records = [{"score": float(s), "flag": bool(f)}
                for s, f in zip(rng.random(60), rng.random(60) < 0.3)]
     edges, normal, anomalous = score_histogram(records)
-    assert len(edges) == 51
+    # scores in [0, 1] get 50 bins of 0.02
+    assert np.array_equal(edges, np.linspace(0.0, 1.0, 51))
     assert normal.sum() + anomalous.sum() == 60
     assert anomalous.sum() == sum(r["flag"] for r in records)
 
 
 def test_histogram_clamps_out_of_range():
+    # the range stretches to the extreme scores, which land in the edge bins
     records = [{"score": -0.5, "flag": False}, {"score": 3.0, "flag": True}]
-    _, normal, anomalous = score_histogram(records)
+    edges, normal, anomalous = score_histogram(records)
+    assert (edges[0], edges[-1]) == (-0.5, 3.0)
     assert normal[0] == 1
     assert anomalous[-1] == 1
+
+
+def test_histogram_spreads_reconstruction_scores():
+    # non_st scores are reconstruction losses, far above 1; they must not
+    # all pile into one edge bin
+    scores = [21.7, 25.0, 33.1, 40.2, 55.9, 68.0]
+    records = [{"score": s, "flag": i % 2 == 1} for i, s in enumerate(scores)]
+    edges, normal, anomalous = score_histogram(records)
+    assert (edges[0], edges[-1]) == (0.0, 68.0)
+    counts = normal + anomalous
+    assert counts.sum() == len(scores)
+    assert np.count_nonzero(counts) > 1
 
 
 # ---------------------------------------------------------------- split guard
@@ -262,7 +276,7 @@ def test_score_graph_agreement_is_zero(rng):
             z, _ = self.flow.forward(h, prop)
             return z
 
-    _, results = run_experiment(gs, cfg, keep_models=True)
+    _, results = run_experiment(gs, cfg)
     models = results[0].models
     echo = Echo(models["encoder"], models["flow"])
     score = score_graph(inputs[0], {**models, "student": echo}, cfg)
@@ -276,13 +290,12 @@ def test_score_matches_per_node_reference(variant):
     gs = planted_anomaly_set()
     cfg = ExperimentConfig(variant=variant, seeds=(0,), s_epochs=5,
                            n_epochs=5, t_epochs=5)
-    _, results = run_experiment(gs, cfg, keep_models=True)
+    _, results = run_experiment(gs, cfg)
     models = results[0].models
-    stack = (models["encoder"], models["flow"], models["student"])
     graphs_with_zero_pairs = 0
     for gi in precompute_inputs(gs, cfg):
         with ad.Tape() as tape:
-            stages = forward_stack(gi, *stack)
+            stages = forward_stack(gi, models)
             score = score_graph(gi, models, cfg)
         assert tape.nodes == []
         z_nodes, out = stages["flow"], stages["target"]
@@ -313,7 +326,7 @@ def _trained_models(tmp_path):
     gs = small_set()
     cfg = ExperimentConfig(**{**TINY, "s_epochs": 2, "n_epochs": 2,
                               "t_epochs": 2})
-    _, results = run_experiment(gs, cfg, keep_models=True)
+    _, results = run_experiment(gs, cfg)
     return gs, cfg, precompute_inputs(gs, cfg), results[0]
 
 
@@ -363,7 +376,7 @@ def test_checkpoint_detects_tampering(tmp_path):
     with open(path, "w") as fh:
         fh.write(text.replace('"encoder.0"', '"encoder.X"', 1))
     with pytest.raises(PhaseOrderError, match="verification"):
-        load_checkpoint(path)
+        load_checkpoint(path, "encoder")
 
 
 def test_old_adapter_format_is_phase_order_error(tmp_path):
@@ -400,12 +413,7 @@ def test_interrupted_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
     path = tmp_path / "0" / "encoder.ckpt"
     _save_encoder(PhaseStore(str(tmp_path), cfg.fingerprint()), res)
     before = path.read_bytes()
-
-    def failing_dump(obj, fh, **kwargs):
-        fh.write('{"arrays": {"enc')
-        raise OSError("disk full")
-
-    monkeypatch.setattr(checkpoint.json, "dump", failing_dump)
+    fail_checkpoint_writes(monkeypatch, b'{"arrays":{"enc')
     with pytest.raises(OSError, match="disk full"):
         _save_encoder(PhaseStore(str(tmp_path), "another config"), res)
     assert path.read_bytes() == before
@@ -414,7 +422,16 @@ def test_interrupted_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
 
 def test_missing_checkpoint_is_phase_order_error(tmp_path):
     with pytest.raises(PhaseOrderError, match="missing"):
-        load_checkpoint(str(tmp_path / "nope.ckpt"))
+        load_checkpoint(str(tmp_path / "nope.ckpt"), "encoder")
+
+
+def test_checkpoint_of_another_kind_is_phase_order_error(tmp_path):
+    store = PhaseStore(str(tmp_path), "fp")
+    store.save(0, "source", {"encoder": GcnEncoder(3, 4, 4, 1, make_rng(0)),
+                             "decoder": FeatureDecoder(4, 3, make_rng(0))}, None)
+    with pytest.raises(PhaseOrderError,
+                       match="is a 'encoder' checkpoint, expected 'flow'"):
+        load_checkpoint(store.path(0, "source"), "flow")
 
 
 # ------------------------------------------------------------- embeddings

@@ -7,9 +7,11 @@ from flowgad.data import Graph, normalized_adjacency
 from flowgad.encoding import build_init_features
 from flowgad.errors import ConfigError, ContractViolation, TrainingFault
 from flowgad.optim import is_frozen, make_rng
+from flowgad.pipeline import ExperimentConfig, precompute_inputs, run_seed
 from flowgad.source import (CLAMP_HI, CLAMP_LO, FeatureDecoder, GcnEncoder,
                             adjacency_recon_loss, feature_recon_loss,
                             graph_source_loss, pretrain_source, source_loss)
+from flowgad.synthetic import planted_anomaly_set
 
 
 def _identity_encoder(d):
@@ -171,23 +173,27 @@ def _toy_inputs(rng, n=4, k_se=4, count=3):
     return out
 
 
+def _teacher(hidden, seed):
+    """Encoder, then decoder, from one stream, as the source phase builds them."""
+    rng = make_rng(seed, 1)
+    return GcnEncoder(4, hidden, 4, 2, rng), FeatureDecoder(4, 4, rng)
+
+
 def test_pretrain_zero_epochs_returns_initialization(rng):
     inputs = _toy_inputs(rng)
-    enc, dec, trace = pretrain_source(
-        inputs, 4, hidden=4, d_out=4, layers=2, alpha=0.7, epochs=0,
-        lr=1e-3, rng=make_rng(11, 1))
-    fresh = GcnEncoder(4, 4, 4, 2, make_rng(11, 1))
-    for w, fw in zip(enc.weights, fresh.weights):
-        assert np.array_equal(w.data, fw.data)
+    enc, dec = _teacher(4, 11)
+    trace = pretrain_source(enc, dec, inputs, alpha=0.7, epochs=0, lr=1e-3)
+    fresh, fresh_dec = _teacher(4, 11)
+    for p, fp in zip(enc.params() + dec.params(),
+                     fresh.params() + fresh_dec.params()):
+        assert np.array_equal(p.data, fp.data)
     assert trace == []
-    assert is_frozen(enc)
 
 
 def test_pretrain_descends_on_single_graph(rng):
     inputs = _toy_inputs(rng, count=1)
-    enc, dec, trace = pretrain_source(
-        inputs, 4, hidden=6, d_out=4, layers=2, alpha=0.7, epochs=50,
-        lr=1e-3, rng=make_rng(5, 1))
+    enc, dec = _teacher(6, 5)
+    trace = pretrain_source(enc, dec, inputs, alpha=0.7, epochs=50, lr=1e-3)
     assert trace[-1] < trace[0]
 
 
@@ -195,9 +201,9 @@ def test_pretrain_determinism(rng):
     inputs = _toy_inputs(rng)
 
     def run():
-        enc, _, trace = pretrain_source(
-            inputs, 4, hidden=4, d_out=4, layers=2, alpha=0.7, epochs=5,
-            lr=1e-3, rng=make_rng(2, 1))
+        enc, dec = _teacher(4, 2)
+        trace = pretrain_source(enc, dec, inputs, alpha=0.7, epochs=5,
+                                lr=1e-3)
         return [w.data.copy() for w in enc.weights], trace
 
     w1, t1 = run()
@@ -207,20 +213,26 @@ def test_pretrain_determinism(rng):
         assert np.array_equal(a, b)
 
 
-def test_pretrain_freezes_encoder(rng):
-    inputs = _toy_inputs(rng)
-    enc, dec, _ = pretrain_source(
-        inputs, 4, hidden=4, d_out=4, layers=2, alpha=0.7, epochs=2,
-        lr=1e-3, rng=make_rng(2, 1))
-    assert is_frozen(enc)
-    assert all(not w.requires_grad for w in enc.weights)
+def test_pretrain_freezes_encoder():
+    # pretraining leaves freezing to run_seed, which freezes every model a
+    # phase trains, the encoder included, before anything consumes it
+    gs = planted_anomaly_set(num_normal=14, num_anomalous=5, seed=1)
+    for variant in ("full", "non_st", "asy_st"):
+        cfg = ExperimentConfig(variant=variant, seeds=(0,), s_epochs=2,
+                               n_epochs=2, t_epochs=2, d=8, hidden=8, k_se=8)
+        res = run_seed(gs, precompute_inputs(gs, cfg), cfg, 0, 0)
+        assert set(res.models) == ({"encoder", "decoder"} if variant == "non_st"
+                                   else {"encoder", "decoder", "flow", "student"})
+        for model in res.models.values():
+            assert is_frozen(model)
+            assert all(p.grad is None for p in model.params())
 
 
 def test_pretrain_batch_mode_runs(rng):
     inputs = _toy_inputs(rng, count=4)
-    _, _, trace = pretrain_source(
-        inputs, 4, hidden=4, d_out=4, layers=2, alpha=0.7, epochs=3,
-        lr=1e-3, rng=make_rng(2, 1), batch_size=2)
+    enc, dec = _teacher(4, 2)
+    trace = pretrain_source(enc, dec, inputs, alpha=0.7, epochs=3, lr=1e-3,
+                            batch_size=2)
     assert len(trace) == 3
 
 
@@ -228,10 +240,10 @@ def test_pretrain_divergence_reports_epoch(rng):
     # the adaptive optimizer bounds each update by roughly lr, so the rate
     # has to be absurd before float64 overflows into a non-finite loss
     inputs = _toy_inputs(rng, count=1)
+    enc, dec = _teacher(4, 0)
     with np.errstate(all="ignore"):
         with pytest.raises(TrainingFault, match="epoch"):
-            pretrain_source(inputs, 4, hidden=4, d_out=4, layers=2, alpha=0.7,
-                            epochs=5, lr=1e80, rng=make_rng(0, 1))
+            pretrain_source(enc, dec, inputs, alpha=0.7, epochs=5, lr=1e80)
 
 
 def test_source_loss_gradcheck(rng):

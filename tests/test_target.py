@@ -133,7 +133,7 @@ def test_zero_row_pair_costs_nothing_and_passes_no_gradient(rng):
     # a whole loss made of zero/zero pairs is 0 with a zero gradient
     out = Tensor(np.zeros((3, 4)), requires_grad=True)
     with ad.Tape() as tape:
-        loss = graph_target_loss(out, np.zeros((3, 4)), np.zeros(4), beta=0.5)
+        loss = graph_target_loss(out, np.zeros((3, 4)), beta=0.5)
     tape.backward(loss)
     assert loss.item() == 0.0
     assert np.array_equal(out.grad, np.zeros((3, 4)))
@@ -155,27 +155,30 @@ def test_one_zero_row_pair_has_a_bounded_gradient():
 
 def test_target_loss_zero_when_outputs_match(rng):
     out = rng.normal(size=(4, 3))
-    z_graph = out.max(axis=0)
-    loss = graph_target_loss(Tensor(out), out.copy(), z_graph, beta=0.6)
+    loss = graph_target_loss(Tensor(out), out.copy(), beta=0.6)
     assert loss.item() < 1e-12
 
 
 def test_target_loss_beta_extremes(rng):
     out = rng.normal(size=(3, 2))
     z_nodes = rng.normal(size=(3, 2))
-    z_graph = rng.normal(size=2)
-    node_only = graph_target_loss(Tensor(out), z_nodes, z_graph, beta=1.0)
+    node_only = graph_target_loss(Tensor(out), z_nodes, beta=1.0)
     expected = np.mean([reference_distance(out[i], z_nodes[i])
                         for i in range(3)])
     assert node_only.item() == pytest.approx(expected, abs=1e-9)
-    graph_only = graph_target_loss(Tensor(out), z_nodes, z_graph, beta=0.0)
+    graph_only = graph_target_loss(Tensor(out), z_nodes, beta=0.0)
     assert graph_only.item() == pytest.approx(
-        reference_distance(out.max(axis=0), z_graph), abs=1e-9)
+        reference_distance(out.max(axis=0), z_nodes.max(axis=0)), abs=1e-9)
+    # the flow side is pooled by the same readout as the student side
+    graph_mean = graph_target_loss(Tensor(out), z_nodes, beta=0.0,
+                                   readout="mean")
+    assert graph_mean.item() == pytest.approx(
+        reference_distance(out.mean(axis=0), z_nodes.mean(axis=0)), abs=1e-9)
 
 
 def test_target_loss_anticolinear_saturates():
     out = np.array([[1.0, 2.0]])
-    loss = graph_target_loss(Tensor(out), -out, -out.ravel(), beta=0.3)
+    loss = graph_target_loss(Tensor(out), -out, beta=0.3)
     assert loss.item() == pytest.approx(1.0, abs=1e-9)
 
 
@@ -183,16 +186,16 @@ def test_target_loss_validation(rng):
     out = Tensor(rng.normal(size=(3, 2)))
     z = rng.normal(size=(3, 2))
     with pytest.raises(ConfigError):
-        graph_target_loss(out, z, z[0], beta=-0.1)
+        graph_target_loss(out, z, beta=-0.1)
     with pytest.raises(ContractViolation):
-        graph_target_loss(out, rng.normal(size=(4, 2)), z[0], beta=0.5)
+        graph_target_loss(out, rng.normal(size=(4, 2)), beta=0.5)
 
 
 def test_train_target_zero_epochs_noop(rng):
     net = GinNetwork(3, 4, 4, 2, make_rng(1))
     before = [p.data.copy() for p in net.params()]
     inputs = [(np.zeros((2, 2)), rng.normal(size=(2, 3)),
-               rng.normal(size=(2, 4)), rng.normal(size=4))]
+               rng.normal(size=(2, 4)))]
     trace = train_target(net, inputs, beta=0.6, epochs=0, lr=1e-3)
     assert trace == []
     for b, p in zip(before, net.params()):
@@ -201,8 +204,7 @@ def test_train_target_zero_epochs_noop(rng):
 
 def test_train_target_descends(rng):
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
-    inputs = [(a, rng.normal(size=(2, 3)), rng.normal(size=(2, 4)),
-               rng.normal(size=4))]
+    inputs = [(a, rng.normal(size=(2, 3)), rng.normal(size=(2, 4)))]
     net = GinNetwork(3, 4, 4, 2, make_rng(2))
     trace = train_target(net, inputs, beta=0.6, epochs=100, lr=1e-2)
     assert trace[-1] < trace[0]
@@ -210,8 +212,7 @@ def test_train_target_descends(rng):
 
 def test_train_target_determinism(rng):
     a = np.array([[0.0]])
-    inputs = [(a, rng.normal(size=(1, 3)), rng.normal(size=(1, 4)),
-               rng.normal(size=4))]
+    inputs = [(a, rng.normal(size=(1, 3)), rng.normal(size=(1, 4)))]
 
     def run():
         net = GinNetwork(3, 4, 4, 2, make_rng(3))
@@ -229,11 +230,10 @@ def test_target_loss_gradcheck_away_from_ties(rng):
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
     x = rng.normal(size=(2, 3))
     z_nodes = rng.normal(size=(2, 4))
-    z_graph = rng.normal(size=4)
     net = GinNetwork(3, 4, 4, 2, make_rng(9))
 
     def fn(*params):
         out = net.forward(ad.constant(a), ad.constant(x))
-        return graph_target_loss(out, z_nodes, z_graph, beta=0.6)
+        return graph_target_loss(out, z_nodes, beta=0.6)
 
     assert gradcheck(fn, net.params()) < 1e-4
