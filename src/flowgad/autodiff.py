@@ -6,7 +6,14 @@ walks the record once in reverse and accumulates ``.grad`` buffers on every
 tensor that had ``requires_grad`` set.  Outside a tape the same primitives
 run as plain numpy calls, which keeps frozen-model inference cheap.
 
-All data is float64.  Matrices are 2-D throughout; losses are 0-d scalars.
+A batch of graphs runs as one pack: the graphs' node rows stacked in order,
+a ``BlockDiag`` of their propagation matrices as the left operand of
+``matmul``, and row offsets that the ``segment_*`` reductions and
+``gram_bce`` split per graph. A pack of one graph computes exactly what the
+graph alone does.
+
+All data is float64.  Matrices are 2-D throughout; per-graph losses are
+B x 1 columns, and the training loss is their 0-d mean.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ class Tensor:
         return self.data.shape
 
     def item(self) -> float:
-        return float(self.data)
+        return self.data.item()
 
     def zero_grad(self):
         self.grad = None
@@ -133,6 +140,44 @@ def _record(op: str, inputs: tuple, out_data: np.ndarray, backprop) -> Tensor:
     return Tensor(out_data)
 
 
+class BlockDiag:
+    """A constant block-diagonal matrix kept as its diagonal blocks: the
+    propagation operand of a pack. Rows ``offsets[b]:offsets[b + 1]`` belong
+    to block ``b``. The zeros off the diagonal are never stored, so no
+    product mixes two graphs."""
+
+    __slots__ = ("blocks", "offsets", "spans")
+
+    def __init__(self, blocks):
+        self.blocks = tuple(blocks)
+        bounds = [0]
+        for block in self.blocks:
+            if block.ndim != 2 or block.shape[0] != block.shape[1]:
+                raise ContractViolation(
+                    f"a diagonal block must be square, got {block.shape}")
+            bounds.append(bounds[-1] + block.shape[0])
+        self.offsets = tuple(bounds)
+        # (block, first row, end row) per block
+        self.spans = tuple(zip(self.blocks, bounds[:-1], bounds[1:]))
+
+    @property
+    def shape(self):
+        return (self.offsets[-1], self.offsets[-1])
+
+
+def row_offsets(a) -> tuple:
+    """The per-graph row offsets of a propagation operand: a BlockDiag's,
+    or a single segment over the rows of one graph's matrix."""
+    if isinstance(a, BlockDiag):
+        return a.offsets
+    return (0, a.shape[0])
+
+
+def _stacked(parts: list) -> np.ndarray:
+    """Per-block row results as one array (the one block itself)."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
@@ -198,7 +243,11 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     return _record("div", (a, b), out_data, backprop)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a, b: Tensor) -> Tensor:
+    """a @ b. ``a`` may be a pack's BlockDiag: then each block multiplies
+    its own rows of ``b`` into one output buffer, one GEMM per block."""
+    if isinstance(a, BlockDiag):
+        return _block_matmul(a, as_tensor(b))
     a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ContractViolation(
@@ -217,6 +266,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             _accum(b, a.data.T @ g)
 
     return _record("matmul", (a, b), out_data, backprop)
+
+
+def _block_matmul(a: BlockDiag, b: Tensor) -> Tensor:
+    if b.data.ndim != 2 or a.shape[1] != b.data.shape[0]:
+        raise ContractViolation(
+            f"matmul inner dimensions disagree: {a.shape} @ {b.data.shape}")
+    out_data = _stacked([block @ b.data[lo:hi] for block, lo, hi in a.spans])
+
+    def backprop(g):
+        if b.requires_grad:
+            _accum(b, _stacked([block.T @ g[lo:hi]
+                                for block, lo, hi in a.spans]))
+
+    return _record("matmul", (b,), out_data, backprop)
 
 
 # ---------------------------------------------------------------------------
@@ -341,43 +404,72 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     return _record("clip", (a,), out_data, backprop)
 
 
-def gram_bce(h: Tensor, adjacency: np.ndarray, lo: float, hi: float) -> Tensor:
-    """Summed binary cross entropy of p = clip(sigmoid(h h^T), lo, hi)
-    against a 0/1 matrix A: -sum(A log p + (1 - A) log(1 - p)).
+def gram_bce(h: Tensor, adjacency, lo: float, hi: float) -> Tensor:
+    """Per-graph summed binary cross entropy of p = clip(sigmoid(h h^T), lo,
+    hi) against a 0/1 matrix A: -sum(A log p + (1 - A) log(1 - p)), as a
+    B x 1 column. ``adjacency`` is one graph's matrix or a pack's BlockDiag;
+    each block pairs only its own rows of ``h``, so no cross-graph pair
+    enters.
 
     One node with a hand-written backward; value and gradient are
     bit-identical to the composed transpose/matmul/sigmoid/clip/log chain.
-    With A in {0, 1} and 0 < lo <= hi < 1, one log of where(A, p, 1 - p)
-    equals the two-term sum. Only p and the masks are kept for the backward
-    pass.
+    With A in {0, 1} and 0 < lo <= hi < 1, one log of q = where(A, p, 1 - p)
+    equals the two-term sum. The forward works in two n x n buffers per
+    block, the Gram matrix (which becomes p) and 1 + e^-|x| (which becomes
+    q); both and two masks are kept for the backward pass, which reuses
+    them in place.
     """
     h = as_tensor(h)
     n = h.data.shape[0]
     if adjacency.shape != (n, n):
         raise ContractViolation(
             f"gram_bce needs a {n}x{n} target, got {adjacency.shape}")
-    edge = adjacency != 0
-    s = _sigmoid(h.data @ h.data.T)
-    p = np.clip(s, lo, hi)
-    inside = (s >= lo) & (s <= hi)
-    del s
-    out_data = -np.log(np.where(edge, p, 1.0 - p)).sum()
+    if not isinstance(adjacency, BlockDiag):
+        adjacency = BlockDiag([adjacency])
+    out_data = np.empty((len(adjacency.blocks), 1))
+    saved = []
+    for b, (block, first, end) in enumerate(adjacency.spans):
+        hb = h.data[first:end]
+        p = hb @ hb.T
+        # the sigmoid of _sigmoid, step by step in place
+        nonneg = p >= 0
+        np.abs(p, out=p)
+        np.negative(p, out=p)
+        np.exp(p, out=p)
+        q = 1.0 + p
+        np.copyto(p, 1.0, where=nonneg)
+        del nonneg
+        np.divide(p, q, out=p)
+        inside = p >= lo
+        inside &= p <= hi
+        np.clip(p, lo, hi, out=p)
+        off = block == 0
+        np.copyto(q, p)
+        np.subtract(1.0, p, out=q, where=off)
+        out_data[b, 0] = -np.log(q).sum()
+        saved.append((first, end, p, q, off, inside))
 
     def backprop(g):
         if not h.requires_grad:
             return
-        # d/dp of the summed terms: g*-1/p on edges, -(g*-1/(1-p))
-        # elsewhere; "+ 0.0" and "0.0 -" make a zero g give +0 everywhere,
-        # as the chain's sum of a term and a zero term did
-        dz = (g * -1.0 + 0.0) / np.where(edge, p, 1.0 - p)
-        np.subtract(0.0, dz, out=dz, where=~edge)
-        # then clip and sigmoid; p equals sigmoid(h h^T) wherever the mask
-        # passes the gradient, and both are >= 0 where it zeroes it
-        dz *= inside
-        dz *= p
-        dz *= 1.0 - p
-        _accum(h, dz @ h.data)
-        _accum(h, (h.data.T @ dz).T)
+        g_left = np.empty(h.data.shape)
+        g_right = np.empty(h.data.shape)
+        for b, (first, end, p, q, off, inside) in enumerate(saved):
+            hb = h.data[first:end]
+            # d/dp of the summed terms: g*-1/p on edges, -(g*-1/(1-p))
+            # elsewhere; "+ 0.0" and "0.0 -" make a zero g give +0
+            # everywhere, as the chain's sum of a term and a zero term did
+            dz = np.divide(g[b, 0] * -1.0 + 0.0, q, out=q)
+            np.subtract(0.0, dz, out=dz, where=off)
+            # then clip and sigmoid; p equals sigmoid(h h^T) wherever the
+            # mask passes the gradient, and both are >= 0 where it zeroes it
+            dz *= inside
+            dz *= p
+            dz *= np.subtract(1.0, p, out=p)
+            np.matmul(dz, hb, out=g_left[first:end])
+            g_right[first:end] = (hb.T @ dz).T
+        _accum(h, g_left)
+        _accum(h, g_right)
 
     return _record("gram_bce", (h,), out_data, backprop)
 
@@ -421,6 +513,68 @@ def reduce_max(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         _accum(a, buf)
 
     return _record("reduce_max", (a,), out_data, backprop)
+
+
+def _segment_spans(a: Tensor, offsets) -> list:
+    """(first row, end row) per segment; None is one segment over all
+    rows."""
+    n = a.data.shape[0]
+    bounds = (0, n) if offsets is None else offsets
+    if bounds[0] != 0 or bounds[-1] != n:
+        raise ContractViolation(
+            f"segments {bounds[0]}..{bounds[-1]} do not cover {n} rows")
+    spans = list(zip(bounds[:-1], bounds[1:]))
+    if any(lo >= hi for lo, hi in spans):
+        raise ContractViolation("every segment needs at least one row")
+    return spans
+
+
+def segment_sum(a: Tensor, offsets=None, axis=None) -> Tensor:
+    """Per-segment sums of a's row blocks ``offsets[b]:offsets[b + 1]``
+    (one segment over all rows when ``offsets`` is None): B x 1 totals
+    with ``axis=None``, B x d column sums with ``axis=0``. Each segment is
+    summed as its own slice, so a single segment bit-equals ``reduce_sum``."""
+    a = as_tensor(a)
+    spans = _segment_spans(a, offsets)
+    out_data = np.array([a.data[lo:hi].sum(axis=axis) for lo, hi in spans])
+    out_data = out_data.reshape(len(spans), -1)
+
+    def backprop(g):
+        if a.requires_grad:
+            rows = np.repeat(g, [hi - lo for lo, hi in spans], axis=0)
+            _accum(a, np.broadcast_to(rows, a.data.shape))
+
+    return _record("segment_sum", (a,), out_data, backprop)
+
+
+def segment_max(a: Tensor, offsets=None) -> Tensor:
+    """Per-segment column maxima, B x d; the gradient routes to each
+    segment's argmax row, ties to the lowest index, as ``reduce_max``."""
+    a = as_tensor(a)
+    spans = _segment_spans(a, offsets)
+    out_data = np.maximum.reduceat(a.data, [lo for lo, _ in spans], axis=0)
+
+    def backprop(g):
+        if not a.requires_grad:
+            return
+        rows = np.array([lo + np.argmax(a.data[lo:hi], axis=0)
+                         for lo, hi in spans])
+        buf = np.zeros_like(a.data)
+        buf[rows, np.arange(a.data.shape[1])] = g
+        _accum(a, buf)
+
+    return _record("segment_max", (a,), out_data, backprop)
+
+
+def segment_mean(a: Tensor, offsets=None, axis=None) -> Tensor:
+    """``segment_sum`` times 1/count, the count being each segment's
+    entries (``axis=None``) or rows (``axis=0``), as ``mean`` scales."""
+    a = as_tensor(a)
+    counts = np.array([hi - lo for lo, hi in _segment_spans(a, offsets)])
+    if axis is None:
+        counts = counts * a.data.shape[1]
+    return mul(segment_sum(a, offsets, axis),
+               constant(1.0 / counts[:, None]))
 
 
 def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -511,9 +665,9 @@ def gradcheck(fn, inputs: Sequence[Tensor], step: float = 1e-5) -> float:
         for i in range(flat.size):
             keep = flat[i]
             flat[i] = keep + step
-            f_plus = float(fn(*inputs).data)
+            f_plus = fn(*inputs).item()
             flat[i] = keep - step
-            f_minus = float(fn(*inputs).data)
+            f_minus = fn(*inputs).item()
             flat[i] = keep
             numeric = (f_plus - f_minus) / (2.0 * step)
             denom = max(1.0, abs(gflat[i]), abs(numeric))

@@ -70,11 +70,18 @@ def parse_config_file(path: str) -> ExperimentConfig:
     return config_from_dict(raw)
 
 
+def _parse_seeds(value: str) -> tuple:
+    """A comma-separated seed list, as the ``seeds`` key and
+    ``--seed-override`` take it. Raises ValueError on an empty or
+    non-integer entry."""
+    return tuple(int(v) for v in value.split(","))
+
+
 def _parse_value(key: str, value: str, path: str, line_no: int):
     kind = type(_DEFAULTS.get(key))
     try:
         if key == "seeds":
-            return tuple(int(v) for v in value.split(",") if v.strip())
+            return _parse_seeds(value)
         if key == "normal_class":
             return value if value == "majority" else int(value)
         if kind is bool:
@@ -125,7 +132,11 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
     if getattr(args, "variant", None):
         config.variant = args.variant
     if getattr(args, "seed_override", None):
-        config.seeds = tuple(int(v) for v in args.seed_override.split(","))
+        try:
+            config.seeds = _parse_seeds(args.seed_override)
+        except ValueError:
+            raise ConfigError(f"--seed-override: bad seed list "
+                              f"{args.seed_override!r}") from None
     return config.validate()
 
 

@@ -6,7 +6,8 @@ one half conditioned on the other through small message-passing sub-networks
 same to the second half conditioned on the updated first. Scale exponents
 are soft-clamped through tanh so exp() cannot overflow, and the clamped
 values feed both the transform and the log-determinant, keeping the density
-arithmetic exact. The inverse runs the same algebra backwards.
+arithmetic exact. The inverse runs the same algebra backwards. On a pack of
+graphs the log-determinant is a column with one entry per graph.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ class CouplingSubnet:
         self.w_lin = Tensor(np.zeros((width, width)), requires_grad=True)
         self.bias = Tensor(np.zeros((1, width)), requires_grad=True)
 
-    def forward(self, a_hat: Tensor, h: Tensor) -> Tensor:
+    def forward(self, a_hat, h: Tensor) -> Tensor:
         prop = ad.matmul(ad.matmul(a_hat, h), self.w_prop)
         return ad.add(ad.matmul(prop, self.w_lin), self.bias)
 
@@ -52,16 +53,17 @@ class CouplingStep:
     def _clamped(self, raw: Tensor) -> Tensor:
         return ad.scale(ad.tanh(ad.scale(raw, 1.0 / self.s_max)), self.s_max)
 
-    def forward(self, half0: Tensor, half1: Tensor, a_hat: Tensor):
-        """Returns (half0', half1', log-det increment)."""
+    def forward(self, half0: Tensor, half1: Tensor, a_hat):
+        """Returns (half0', half1', per-graph log-det increment column)."""
         s_f = self._clamped(self.f1.forward(a_hat, half1))
         half0 = ad.add(ad.mul(half0, ad.exp(s_f)), self.f2.forward(a_hat, half1))
         s_g = self._clamped(self.g1.forward(a_hat, half0))
         half1 = ad.add(ad.mul(half1, ad.exp(s_g)), self.g2.forward(a_hat, half0))
-        inc = ad.add(ad.reduce_sum(s_f), ad.reduce_sum(s_g))
+        offsets = ad.row_offsets(a_hat)
+        inc = ad.add(ad.segment_sum(s_f, offsets), ad.segment_sum(s_g, offsets))
         return half0, half1, inc
 
-    def inverse(self, half0: Tensor, half1: Tensor, a_hat: Tensor):
+    def inverse(self, half0: Tensor, half1: Tensor, a_hat):
         s_g = self._clamped(self.g1.forward(a_hat, half0))
         half1 = ad.mul(ad.sub(half1, self.g2.forward(a_hat, half0)),
                        ad.exp(ad.scale(s_g, -1.0)))
@@ -89,13 +91,14 @@ class GraphFlow:
         self.d, self.s_max = d, s_max
         self.steps = [CouplingStep(d // 2, s_max, rng) for _ in range(steps)]
 
-    def forward(self, h: Tensor, a_hat: Tensor):
-        """Maps embeddings to the latent; returns (z, log_det) Tensors."""
+    def forward(self, h: Tensor, a_hat):
+        """Maps embeddings to the latent; returns (z, log_det) Tensors,
+        log_det a column with one entry per graph of ``a_hat``."""
         if h.shape[1] != self.d:
             raise ContractViolation(
                 f"flow built for width {self.d}, got {h.shape[1]}")
         half0, half1 = ad.split_half(h)
-        log_det = ad.constant(0.0)
+        log_det = ad.constant(np.zeros((len(ad.row_offsets(a_hat)) - 1, 1)))
         for step in self.steps:
             half0, half1, inc = step.forward(half0, half1, a_hat)
             log_det = ad.add(log_det, inc)
@@ -104,7 +107,7 @@ class GraphFlow:
             raise NumericFault("flow forward produced non-finite values")
         return z, log_det
 
-    def inverse(self, z: Tensor, a_hat: Tensor) -> Tensor:
+    def inverse(self, z: Tensor, a_hat) -> Tensor:
         if z.shape[1] != self.d:
             raise ContractViolation(
                 f"flow built for width {self.d}, got {z.shape[1]}")
@@ -123,14 +126,19 @@ class GraphFlow:
         return {"d": self.d, "steps": len(self.steps), "s_max": self.s_max}
 
 
-def nf_loss(z: Tensor, log_det: Tensor, normalize: bool = True) -> Tensor:
-    """Negative log likelihood under a standard-normal latent, up to the
-    constant (d/2)log(2 pi) per node. ``normalize`` divides by the node
-    count (the rows of ``z``) so graphs of different sizes contribute
-    comparably."""
-    energy = ad.scale(ad.reduce_sum(ad.mul(z, z)), 0.5)
+def nf_loss(z: Tensor, log_det: Tensor, normalize: bool = True,
+            offsets=None) -> Tensor:
+    """Per-graph negative log likelihood under a standard-normal latent, up
+    to the constant (d/2)log(2 pi) per node, as a B x 1 column. The graphs
+    are the row segments ``offsets`` of ``z`` (None: all rows are one
+    graph). ``normalize`` divides each graph's loss by its own node count
+    so graphs of different sizes contribute comparably."""
+    offsets = ad.row_offsets(z) if offsets is None else offsets
+    energy = ad.scale(ad.segment_sum(ad.mul(z, z), offsets), 0.5)
     loss = ad.sub(energy, log_det)
-    return ad.scale(loss, 1.0 / z.shape[0]) if normalize else loss
+    if not normalize:
+        return loss
+    return ad.mul(loss, ad.constant(1.0 / np.diff(offsets)[:, None]))
 
 
 def train_flow(flow: GraphFlow, inputs, *, epochs: int, lr: float,
@@ -138,12 +146,14 @@ def train_flow(flow: GraphFlow, inputs, *, epochs: int, lr: float,
     """Fit the flow to frozen embeddings; ``inputs`` pairs (a_hat, h) arrays.
 
     Embeddings arrive precomputed because the encoder is frozen by the time
-    this phase runs. Returns the per-epoch mean loss trace.
+    this phase runs. Each step's batch is packed. Returns the per-epoch
+    mean loss trace.
     """
-    def graph_loss(pair):
-        a_hat, h = pair
-        z, log_det = flow.forward(ad.constant(h), ad.constant(a_hat))
-        return nf_loss(z, log_det, normalize)
+    def pack_loss(batch):
+        a_hat, h = zip(*batch)
+        a_hat = ad.BlockDiag(a_hat)
+        z, log_det = flow.forward(ad.constant(np.concatenate(h)), a_hat)
+        return nf_loss(z, log_det, normalize, a_hat.offsets)
 
-    return fit(flow.params(), inputs, graph_loss, epochs=epochs, lr=lr,
+    return fit(flow.params(), inputs, pack_loss, epochs=epochs, lr=lr,
                batch_size=batch_size, what="flow")

@@ -71,13 +71,14 @@ class Adam:
             p.grad = None
 
 
-def fit(params, inputs, graph_loss, *, epochs: int, lr: float,
+def fit(params, inputs, pack_loss, *, epochs: int, lr: float,
         batch_size: int, what: str) -> list[float]:
     """Adam on the mean per-graph loss, one step per ``batch_size`` inputs.
 
-    ``graph_loss(item)`` records one input's loss on the active tape.
-    Returns the per-epoch mean per-graph loss. A NumericFault while a batch
-    loss is built, or a non-finite batch loss, stops training with a
+    ``pack_loss(batch)`` packs a list of inputs and records their per-graph
+    losses on the active tape as a B x 1 column; a step descends on its
+    mean. Returns the per-epoch mean per-graph loss. A NumericFault while a
+    batch loss is built, or a non-finite batch loss, stops training with a
     TrainingFault naming ``what``, the epoch and the fault's source."""
     if not inputs:
         raise ContractViolation("training set is empty")
@@ -91,11 +92,12 @@ def fit(params, inputs, graph_loss, *, epochs: int, lr: float,
             batch = inputs[start:start + batch_size]
             with Tape() as tape:
                 try:
-                    loss = graph_loss(batch[0])
-                    for item in batch[1:]:
-                        loss = ad.add(loss, graph_loss(item))
-                    if len(batch) > 1:
-                        loss = ad.scale(loss, 1.0 / len(batch))
+                    losses = pack_loss(batch)
+                    if losses.shape != (len(batch), 1):
+                        raise ContractViolation(
+                            f"{what} loss of {len(batch)} graphs has shape "
+                            f"{losses.shape}, not one row per graph")
+                    loss = ad.mean(losses)
                     # a non-finite loss raises here, naming the first
                     # recorded op that produced a non-finite value
                     tape.backward(loss)

@@ -11,6 +11,10 @@ reconstruction loss; ``asy_st`` drops the flow and distills a student with
 the same architecture as the encoder (symmetric pair); ``non_nf`` drops the
 flow but keeps the heterogeneous student.
 
+Training, the per-graph set-up of each phase and scoring run on packs of
+``batch_size`` graphs: one tape, or one frozen forward pass, per pack. A
+pack of one graph computes exactly what that graph alone does.
+
 Every piece of randomness draws from a stream derived from (seed, phase),
 so phases are individually reproducible, and a split guard vets each graph
 index handed to a trainer so test data can never leak into training.
@@ -133,8 +137,11 @@ def config_from_dict(d: dict) -> ExperimentConfig:
 
 @dataclass
 class GraphInputs:
-    adjacency: np.ndarray
-    a_hat: np.ndarray
+    """One graph's matrices, or a pack's: then ``adjacency`` and ``a_hat``
+    are BlockDiags of the graphs' own matrices and ``x_init`` stacks their
+    rows."""
+    adjacency: np.ndarray | ad.BlockDiag
+    a_hat: np.ndarray | ad.BlockDiag
     x_init: np.ndarray
 
 
@@ -154,6 +161,16 @@ def precompute_inputs(gs: GraphSet, config: ExperimentConfig) -> list[GraphInput
     if len(widths) != 1:
         raise ContractViolation(f"inconsistent feature widths across graphs: {widths}")
     return out
+
+
+def packs(inputs, indices, size: int):
+    """The graphs ``indices`` in order, ``size`` to a pack."""
+    for start in range(0, len(indices), size):
+        chunk = indices[start:start + size]
+        yield GraphInputs(
+            adjacency=ad.BlockDiag([inputs[i].adjacency for i in chunk]),
+            a_hat=ad.BlockDiag([inputs[i].a_hat for i in chunk]),
+            x_init=np.concatenate([inputs[i].x_init for i in chunk]))
 
 
 class SplitGuard:
@@ -203,46 +220,62 @@ def subsample_graphset(gs: GraphSet, max_graphs: int) -> GraphSet:
 # the model stack, scoring and AUC
 # ---------------------------------------------------------------------------
 
-def student_propagation(gi: GraphInputs, student) -> np.ndarray:
+def student_propagation(gi: GraphInputs, student):
     """A GCN student (``asy_st``) reads A_hat, a GIN student raw A."""
     return gi.a_hat if isinstance(student, GcnEncoder) else gi.adjacency
 
 
 def forward_stack(gi: GraphInputs, models: dict) -> dict:
-    """Node matrices of one graph at each stage the named models reach:
-    "source" (teacher embeddings), "flow" (their latent) and "target" (the
-    student's output). Frozen models record nothing, so no tape is built."""
-    a_hat, x = ad.constant(gi.a_hat), ad.constant(gi.x_init)
-    h = models["encoder"].forward(a_hat, x)
+    """Node matrices of one graph or pack at each stage the named models
+    reach: "source" (teacher embeddings), "flow" (their latent) and
+    "target" (the student's output). Frozen models record nothing, so no
+    tape is built."""
+    x = ad.constant(gi.x_init)
+    h = models["encoder"].forward(gi.a_hat, x)
     stages = {"source": h.data}
     if "flow" in models:
-        stages["flow"] = models["flow"].forward(h, a_hat)[0].data
+        stages["flow"] = models["flow"].forward(h, gi.a_hat)[0].data
     if "student" in models:
         student = models["student"]
-        prop = ad.constant(student_propagation(gi, student))
-        stages["target"] = student.forward(prop, x).data
+        stages["target"] = student.forward(student_propagation(gi, student),
+                                           x).data
     return stages
 
 
-def pooled(nodes: np.ndarray, readout: str) -> np.ndarray:
-    """The graph vector that ``readout`` pools from a node matrix."""
-    return np.ravel(READOUTS[readout](ad.constant(nodes)).data)
+def stage_rows(inputs, indices, models: dict, stage: str,
+               size: int) -> list[np.ndarray]:
+    """Each listed graph's node matrix at ``stage``, computed in packs of
+    ``size`` graphs."""
+    rows = []
+    for pack in packs(inputs, indices, size):
+        nodes = forward_stack(pack, models)[stage]
+        rows.extend(np.split(nodes, pack.a_hat.offsets[1:-1]))
+    return rows
+
+
+def pooled(nodes: np.ndarray, readout: str, offsets=None) -> np.ndarray:
+    """The graph vectors that ``readout`` pools from a node matrix, one
+    row per graph of the row segments ``offsets`` (None: one graph)."""
+    return READOUTS[readout](ad.constant(nodes), offsets).data
 
 
 def score_graph(gi: GraphInputs, models: dict,
-                config: ExperimentConfig) -> float:
-    """The graph's anomaly score from the models of the variant's phase
-    chain. The flow-less baseline (``non_st``) scores by its reconstruction
-    loss; every other variant by the distillation loss at beta = 1/2: the
-    mean of the graph-level and mean node-level disagreement, in [0, 1]
-    under the cosine distance."""
+                config: ExperimentConfig) -> np.ndarray:
+    """The anomaly score of each graph of a pack (or of one graph), from
+    the models of the variant's phase chain. The flow-less baseline
+    (``non_st``) scores by its reconstruction loss; every other variant by
+    the distillation loss at beta = 1/2: the mean of the graph-level and
+    mean node-level disagreement, in [0, 1] under the cosine distance."""
     if config.variant == "non_st":
-        return graph_source_loss(models["encoder"], models["decoder"],
-                                 gi.a_hat, gi.adjacency, gi.x_init,
-                                 config.alpha).item()
-    stages = forward_stack(gi, models)
-    return graph_target_loss(ad.constant(stages["target"]), stages["flow"],
-                             0.5, config.distance, config.readout).item()
+        losses = graph_source_loss(models["encoder"], models["decoder"],
+                                   gi.a_hat, gi.adjacency, gi.x_init,
+                                   config.alpha)
+    else:
+        stages = forward_stack(gi, models)
+        losses = graph_target_loss(ad.constant(stages["target"]),
+                                   stages["flow"], 0.5, config.distance,
+                                   config.readout, ad.row_offsets(gi.a_hat))
+    return np.ravel(losses.data)
 
 
 def compute_auc(scores, flags) -> float:
@@ -324,8 +357,9 @@ def run_phase_flow(upstream: dict, inputs, train_idx,
     flow = GraphFlow(config.d, steps, config.s_max, make_rng(seed, 2))
     if not flow.steps:
         return {"flow": flow}, None
-    pairs = [(inputs[i].a_hat, forward_stack(inputs[i], upstream)["source"])
-             for i in train_idx]
+    pairs = list(zip([inputs[i].a_hat for i in train_idx],
+                     stage_rows(inputs, train_idx, upstream, "source",
+                                config.batch_size)))
     trace = train_flow(flow, pairs, epochs=config.n_epochs, lr=config.lr,
                        batch_size=config.batch_size,
                        normalize=config.normalize_nf)
@@ -346,8 +380,9 @@ def run_phase_target(upstream: dict, inputs, train_idx,
                              config.gcn_layers, rng)
     else:
         student = GinNetwork(d_in, config.d, config.d, config.gin_layers, rng)
-    triples = [(student_propagation(inputs[i], student), inputs[i].x_init,
-                forward_stack(inputs[i], upstream)["flow"]) for i in train_idx]
+    z_rows = stage_rows(inputs, train_idx, upstream, "flow", config.batch_size)
+    triples = [(student_propagation(inputs[i], student), inputs[i].x_init, z)
+               for i, z in zip(train_idx, z_rows)]
     trace = train_target(student, triples, beta=config.beta,
                          epochs=config.t_epochs, lr=config.lr,
                          batch_size=config.batch_size, kind=config.distance,
@@ -422,10 +457,11 @@ def run_seed(gs: GraphSet, inputs, config: ExperimentConfig, seed: int,
         if score:
             models, _ = upstream(chain)
             t0 = time.perf_counter()
-            for idx, flag in split.test:
-                records.append({"graph": idx, "flag": bool(flag),
-                                "score": score_graph(inputs[idx], models,
-                                                     config)})
+            scores = [float(score) for pack in
+                      packs(inputs, split.test_indices(), config.batch_size)
+                      for score in score_graph(pack, models, config)]
+            records = [{"graph": idx, "flag": bool(flag), "score": score}
+                       for (idx, flag), score in zip(split.test, scores)]
             seconds["scoring"] = time.perf_counter() - t0
             auc = compute_auc([r["score"] for r in records],
                               [r["flag"] for r in records])
@@ -512,13 +548,17 @@ def run_experiment(gs: GraphSet, config: ExperimentConfig):
 def export_embeddings(inputs, index_flags, models: dict,
                       config: ExperimentConfig) -> dict:
     """Rows of (graph index, flag, pooled d-vector) for every stage of the
-    variant's phase chain, keyed by stage; one forward pass per graph."""
+    variant's phase chain, keyed by stage; one forward pass per pack of
+    ``batch_size`` graphs."""
     chain = phase_chain(config.variant)
-    rows: dict = {stage: [] for stage in chain}
-    for idx, flag in index_flags:
-        stages = forward_stack(inputs[idx], models)
+    index_flags = list(index_flags)
+    vectors: dict = {stage: [] for stage in chain}
+    for pack in packs(inputs, [idx for idx, _ in index_flags],
+                      config.batch_size):
+        stages = forward_stack(pack, models)
         for stage in chain:
-            vec = pooled(stages[stage], config.readout)
-            rows[stage].append([int(idx), int(bool(flag))]
-                               + [float(v) for v in vec])
-    return rows
+            vectors[stage].extend(pooled(stages[stage], config.readout,
+                                         pack.a_hat.offsets))
+    return {stage: [[int(idx), int(bool(flag))] + [float(v) for v in vec]
+                    for (idx, flag), vec in zip(index_flags, vectors[stage])]
+            for stage in chain}

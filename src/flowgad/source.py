@@ -6,9 +6,10 @@ adjacency reconstruction term (summed binary cross entropy over the full
 n x n matrix) and a squared Frobenius feature reconstruction term produced
 by a small perceptron decoder. The adjacency term is one fused tape
 primitive (``autodiff.gram_bce``) with an exact hand-written backward, so a
-step keeps the clamped probabilities and a mask alive for the backward pass
-instead of one n x n buffer per composed op.
-Afterwards the encoder is frozen; later phases only read it.
+step keeps two n x n buffers and two masks per graph alive for the backward
+pass instead of one n x n buffer per composed op. A training step runs on a
+pack of graphs (see ``autodiff``), and every loss is a column of per-graph
+values. Afterwards the encoder is frozen; later phases only read it.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ class GcnEncoder:
                         for i in range(layers)]
         self.d_in, self.hidden, self.d_out = d_in, hidden, d_out
 
-    def forward(self, a_hat: Tensor, x: Tensor) -> Tensor:
+    def forward(self, a_hat, x: Tensor) -> Tensor:
         if x.shape[1] != self.d_in:
             raise ContractViolation(
                 f"encoder expects {self.d_in} input columns, got {x.shape[1]}")
@@ -76,31 +77,37 @@ class FeatureDecoder:
         return {"d_in": self.w1.shape[0], "d_out": self.w2.shape[1]}
 
 
-def adjacency_recon_loss(h: Tensor, adjacency: np.ndarray) -> Tensor:
-    """Summed BCE between sigmoid(h_i . h_j), clamped to [CLAMP_LO, CLAMP_HI],
-    and the 0/1 adjacency over all n^2 entries."""
+def adjacency_recon_loss(h: Tensor, adjacency) -> Tensor:
+    """Per graph, the summed BCE between sigmoid(h_i . h_j), clamped to
+    [CLAMP_LO, CLAMP_HI], and the 0/1 adjacency over all n^2 entries; a
+    B x 1 column for one graph's matrix (B = 1) or a pack's BlockDiag."""
     return ad.gram_bce(h, adjacency, CLAMP_LO, CLAMP_HI)
 
 
-def feature_recon_loss(x_init: np.ndarray, x_star: Tensor) -> Tensor:
-    """Squared Frobenius distance between decoded and initial features."""
+def feature_recon_loss(x_init: np.ndarray, x_star: Tensor,
+                       offsets=None) -> Tensor:
+    """Per graph (row segments ``offsets``; None is one graph), the squared
+    Frobenius distance between decoded and initial features."""
     diff = ad.sub(ad.constant(x_init), x_star)
-    return ad.reduce_sum(ad.mul(diff, diff))
+    return ad.segment_sum(ad.mul(diff, diff), offsets)
 
 
-def source_loss(h: Tensor, adjacency: np.ndarray, x_init: np.ndarray,
+def source_loss(h: Tensor, adjacency, x_init: np.ndarray,
                 x_star: Tensor, alpha: float) -> Tensor:
+    """The per-graph reconstruction loss column; the graphs are the blocks
+    of ``adjacency``."""
     if not (0.0 <= alpha <= 1.0):
         raise ConfigError(f"alpha must lie in [0, 1], got {alpha}")
     recon_a = adjacency_recon_loss(h, adjacency)
-    recon_x = feature_recon_loss(x_init, x_star)
+    recon_x = feature_recon_loss(x_init, x_star, ad.row_offsets(adjacency))
     return ad.add(ad.scale(recon_a, 1.0 - alpha), ad.scale(recon_x, alpha))
 
 
 def graph_source_loss(encoder: GcnEncoder, decoder: FeatureDecoder,
-                      a_hat: np.ndarray, adjacency: np.ndarray,
-                      x_init: np.ndarray, alpha: float) -> Tensor:
-    h = encoder.forward(ad.constant(a_hat), ad.constant(x_init))
+                      a_hat, adjacency, x_init: np.ndarray,
+                      alpha: float) -> Tensor:
+    """``source_loss`` of one graph's or one pack's matrices."""
+    h = encoder.forward(a_hat, ad.constant(x_init))
     x_star = decoder.forward(h)
     return source_loss(h, adjacency, x_init, x_star, alpha)
 
@@ -111,10 +118,16 @@ def pretrain_source(encoder: GcnEncoder, decoder: FeatureDecoder, inputs, *,
     """Pre-train encoder+decoder on normal graphs.
 
     ``inputs`` is a sequence of (a_hat, adjacency, x_init) arrays, one per
-    training graph. One optimizer step per ``batch_size`` graphs (mean loss
-    within a batch). Returns the mean per-graph loss of each epoch.
+    training graph. One optimizer step per ``batch_size`` graphs, packed
+    (mean loss within a batch). Returns the mean per-graph loss of each
+    epoch.
     """
-    return fit(encoder.params() + decoder.params(), inputs,
-               lambda item: graph_source_loss(encoder, decoder, *item, alpha),
+    def pack_loss(batch):
+        a_hat, adjacency, x_init = zip(*batch)
+        return graph_source_loss(encoder, decoder, ad.BlockDiag(a_hat),
+                                 ad.BlockDiag(adjacency),
+                                 np.concatenate(x_init), alpha)
+
+    return fit(encoder.params() + decoder.params(), inputs, pack_loss,
                epochs=epochs, lr=lr, batch_size=batch_size,
                what="reconstruction")

@@ -2,9 +2,9 @@
 
 Each layer aggregates H + A*H over the raw adjacency (GIN-0, no epsilon)
 and pushes the result through a two-layer perceptron. A columnwise max
-readout produces the graph vector (mean readout available). Disagreement is
-measured by halved cosine distance, bounded in [0, 1]; at beta = 1/2 the
-distillation loss is also the anomaly score.
+readout produces the graph vector (mean readout available), one row per
+graph of a pack. Disagreement is measured by halved cosine distance, bounded
+in [0, 1]; at beta = 1/2 the distillation loss is also the anomaly score.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ class GinLayer:
         self.w2 = glorot_init(hidden, d_out, rng)
         self.b2 = Tensor(np.zeros((1, d_out)), requires_grad=True)
 
-    def forward(self, a: Tensor, h: Tensor) -> Tensor:
+    def forward(self, a, h: Tensor) -> Tensor:
         agg = ad.add(h, ad.matmul(a, h))
         hidden = ad.relu(ad.add(ad.matmul(agg, self.w1), self.b1))
         return ad.add(ad.matmul(hidden, self.w2), self.b2)
@@ -46,7 +46,7 @@ class GinNetwork:
                        for i in range(layers)]
         self.d_in, self.d_out = d_in, d_out
 
-    def forward(self, a: Tensor, x: Tensor) -> Tensor:
+    def forward(self, a, x: Tensor) -> Tensor:
         if x.shape[1] != self.d_in:
             raise ContractViolation(
                 f"network expects {self.d_in} input columns, got {x.shape[1]}")
@@ -63,17 +63,18 @@ class GinNetwork:
                 "d_out": self.d_out, "layers": len(self.layers)}
 
 
-def readout_max(h: Tensor) -> Tensor:
-    """Columnwise maximum as a 1 x d row."""
+def readout_max(h: Tensor, offsets=None) -> Tensor:
+    """Columnwise maximum of each graph's rows (the segments ``offsets``;
+    None: all rows are one graph), one 1 x d row per graph."""
     if h.shape[0] < 1:
         raise ContractViolation("readout needs at least one node")
-    return ad.reduce_max(h, axis=0, keepdims=True)
+    return ad.segment_max(h, offsets)
 
 
-def readout_mean(h: Tensor) -> Tensor:
+def readout_mean(h: Tensor, offsets=None) -> Tensor:
     if h.shape[0] < 1:
         raise ContractViolation("readout needs at least one node")
-    return ad.mean(h, axis=0, keepdims=True)
+    return ad.segment_mean(h, offsets, axis=0)
 
 
 READOUTS = {"max": readout_max, "mean": readout_mean}
@@ -115,22 +116,24 @@ def pair_distances(u: Tensor, v: Tensor, kind: str = "cosine") -> Tensor:
 
 def graph_target_loss(student_nodes: Tensor, z_nodes: np.ndarray,
                       beta: float, kind: str = "cosine",
-                      readout: str = "max") -> Tensor:
+                      readout: str = "max", offsets=None) -> Tensor:
     """(1-beta) * graph-level distance + beta * mean node-level distance
-    for one graph; the trainer averages this across graphs, and at
-    beta = 1/2 it is the graph's anomaly score. Both graph vectors are
-    pooled here by the one ``readout``."""
+    per graph, as a B x 1 column over the row segments ``offsets`` (None:
+    all rows are one graph). The trainer averages the column, and at
+    beta = 1/2 each entry is its graph's anomaly score. Both graph vectors
+    are pooled here by the one ``readout``."""
     if not (0.0 <= beta <= 1.0):
         raise ConfigError(f"beta must lie in [0, 1], got {beta}")
     if student_nodes.shape[0] != z_nodes.shape[0]:
         raise ContractViolation(
             f"node count mismatch: {student_nodes.shape[0]} vs {z_nodes.shape[0]}")
     pool = READOUTS[readout]
-    graph_term = pair_distances(pool(student_nodes), pool(ad.constant(z_nodes)),
-                                kind)
-    node_term = ad.mean(pair_distances(student_nodes, ad.constant(z_nodes), kind))
-    return ad.add(ad.scale(ad.reduce_sum(graph_term), 1.0 - beta),
-                  ad.scale(node_term, beta))
+    z_nodes = ad.constant(z_nodes)
+    graph_term = pair_distances(pool(student_nodes, offsets),
+                                pool(z_nodes, offsets), kind)
+    node_term = ad.segment_mean(pair_distances(student_nodes, z_nodes, kind),
+                                offsets)
+    return ad.add(ad.scale(graph_term, 1.0 - beta), ad.scale(node_term, beta))
 
 
 def train_target(student, inputs, *, beta: float, epochs: int, lr: float,
@@ -140,12 +143,14 @@ def train_target(student, inputs, *, beta: float, epochs: int, lr: float,
 
     ``inputs`` holds (prop, x_init, z_nodes) per graph, where ``prop`` is
     whichever propagation matrix the student consumes (raw adjacency for
-    GIN, normalized for a GCN student). Returns the per-epoch mean loss
-    trace."""
-    def graph_loss(triple):
-        prop, x_init, z_nodes = triple
-        out = student.forward(ad.constant(prop), ad.constant(x_init))
-        return graph_target_loss(out, z_nodes, beta, kind, readout)
+    GIN, normalized for a GCN student). Each step's batch is packed.
+    Returns the per-epoch mean loss trace."""
+    def pack_loss(batch):
+        prop, x_init, z_nodes = zip(*batch)
+        prop = ad.BlockDiag(prop)
+        out = student.forward(prop, ad.constant(np.concatenate(x_init)))
+        return graph_target_loss(out, np.concatenate(z_nodes), beta, kind,
+                                 readout, prop.offsets)
 
-    return fit(student.params(), inputs, graph_loss, epochs=epochs, lr=lr,
+    return fit(student.params(), inputs, pack_loss, epochs=epochs, lr=lr,
                batch_size=batch_size, what="distillation")

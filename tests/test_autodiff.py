@@ -268,3 +268,130 @@ def test_matmul_shape_mismatch():
 def test_split_half_odd_width_rejected():
     with pytest.raises(ContractViolation):
         ad.split_half(Tensor(np.ones((2, 3))))
+
+
+# ------------------------------------------------------------------- packs
+
+def _random_pack(rng, max_blocks=4, max_rows=5):
+    sizes = [int(v) for v in rng.integers(1, max_rows + 1,
+                                          size=int(rng.integers(1, max_blocks + 1)))]
+    return ad.BlockDiag([rng.normal(size=(n, n)) for n in sizes])
+
+
+def _dense(pack):
+    # test-side reference only: the pack's full block-diagonal matrix
+    out = np.zeros(pack.shape)
+    for block, lo, hi in pack.spans:
+        out[lo:hi, lo:hi] = block
+    return out
+
+
+def test_block_matmul_gradcheck_and_dense_product(rng):
+    for _ in range(10):
+        pack = _random_pack(rng)
+        b = Tensor(rng.normal(size=(pack.shape[0], 3)), requires_grad=True)
+        w = ad.constant(rng.normal(size=(pack.shape[0], 3)))
+        err = gradcheck(lambda b: ad.reduce_sum(ad.mul(ad.matmul(pack, b), w)),
+                        [b])
+        assert err < 1e-6
+        assert np.allclose(ad.matmul(pack, b).data, _dense(pack) @ b.data,
+                           rtol=1e-14, atol=1e-14)
+    with pytest.raises(ContractViolation, match="inner dimensions"):
+        ad.matmul(pack, Tensor(np.zeros((pack.shape[0] + 1, 2))))
+
+
+def test_one_block_matmul_bit_equals_plain_matmul(rng):
+    for n in (1, 7, 40):
+        a, b_data, w = (rng.normal(size=(n, n)), rng.normal(size=(n, 5)),
+                        ad.constant(rng.normal(size=(n, 5))))
+        results = []
+        for left in (ad.constant(a), ad.BlockDiag([a])):
+            b = Tensor(b_data.copy(), requires_grad=True)
+            with Tape() as tape:
+                out = ad.matmul(left, b)
+                tape.backward(ad.reduce_sum(ad.mul(out, w)))
+            results.append((out.data.tobytes(), b.grad.tobytes()))
+        assert results[0] == results[1]
+
+
+def test_block_diag_rejects_non_square_blocks():
+    with pytest.raises(ContractViolation, match="square"):
+        ad.BlockDiag([np.eye(2), np.zeros((2, 3))])
+
+
+def _segment_ops(offsets):
+    return [
+        ("segment_sum", lambda x: ad.segment_sum(x, offsets)),
+        ("segment_sum axis 0", lambda x: ad.segment_sum(x, offsets, axis=0)),
+        ("segment_mean", lambda x: ad.segment_mean(x, offsets)),
+        ("segment_mean axis 0", lambda x: ad.segment_mean(x, offsets, axis=0)),
+        ("segment_max", lambda x: ad.segment_max(x, offsets)),
+    ]
+
+
+def test_segment_reductions_gradchecks_and_values(rng):
+    for _ in range(8):
+        sizes = [int(v) for v in rng.integers(1, 6, size=int(rng.integers(1, 5)))]
+        offsets = np.cumsum([0] + sizes)
+        # distinct values keep segment_max away from ties
+        vals = rng.permutation(offsets[-1] * 3).astype(np.float64)
+        x = Tensor(vals.reshape(-1, 3) / 7.0, requires_grad=True)
+        for name, op in _segment_ops(offsets):
+            w = ad.constant(rng.normal(size=op(x).shape))
+            err = gradcheck(lambda x: ad.reduce_sum(ad.mul(op(x), w)), [x])
+            assert err < 1e-6, f"{name} failed on {sizes}: {err}"
+        segments = [x.data[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])]
+        assert np.array_equal(ad.segment_sum(x, offsets).data,
+                              [[s.sum()] for s in segments])
+        assert np.array_equal(ad.segment_sum(x, offsets, axis=0).data,
+                              [s.sum(axis=0) for s in segments])
+        assert np.array_equal(ad.segment_max(x, offsets).data,
+                              [s.max(axis=0) for s in segments])
+        assert np.allclose(ad.segment_mean(x, offsets, axis=0).data,
+                           [s.mean(axis=0) for s in segments])
+        assert np.allclose(ad.segment_mean(x, offsets).data,
+                           [[s.mean()] for s in segments])
+
+
+def test_segment_max_ties_route_to_lowest_index():
+    x = Tensor(np.array([[1.0, 3.0], [1.0, 3.0], [2.0, 0.0], [2.0, 5.0]]),
+               requires_grad=True)
+    with Tape() as tape:
+        tape.backward(ad.reduce_sum(ad.segment_max(x, [0, 2, 4])))
+    assert np.array_equal(x.grad, [[1.0, 1.0], [0.0, 0.0], [1.0, 0.0],
+                                   [0.0, 1.0]])
+
+
+def test_one_segment_bit_equals_whole_reductions(rng):
+    # numpy sums 8 or more values pairwise, so the larger shapes check
+    # that a segment is summed exactly as the whole array is
+    pairs = [
+        (lambda x: ad.segment_sum(x), lambda x: ad.reduce_sum(x)),
+        (lambda x: ad.segment_sum(x, axis=0),
+         lambda x: ad.reduce_sum(x, axis=0, keepdims=True)),
+        (lambda x: ad.segment_max(x),
+         lambda x: ad.reduce_max(x, axis=0, keepdims=True)),
+        (lambda x: ad.segment_mean(x), lambda x: ad.mean(x)),
+        (lambda x: ad.segment_mean(x, axis=0),
+         lambda x: ad.mean(x, axis=0, keepdims=True)),
+    ]
+    for shape in [(1, 1), (7, 3), (9, 1), (40, 5), (300, 16)]:
+        data = rng.normal(size=shape)
+        for segment_op, whole_op in pairs:
+            w = ad.constant(rng.normal(size=segment_op(Tensor(data)).shape))
+            results = []
+            for op in (segment_op, whole_op):
+                x = Tensor(data.copy(), requires_grad=True)
+                with Tape() as tape:
+                    out = op(x)
+                    tape.backward(ad.reduce_sum(ad.mul(out, w)))
+                results.append((out.data.tobytes(), x.grad.tobytes()))
+            assert results[0] == results[1], shape
+
+
+def test_segments_must_cover_the_rows_without_empties():
+    x = Tensor(np.ones((4, 2)))
+    with pytest.raises(ContractViolation, match="cover"):
+        ad.segment_sum(x, [0, 3])
+    with pytest.raises(ContractViolation, match="at least one row"):
+        ad.segment_max(x, [0, 2, 2, 4])

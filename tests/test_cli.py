@@ -106,6 +106,23 @@ def test_bad_config_exits_3(tmp_path, capsys):
     assert main(["train", str(tmp_path / "missing.cfg")]) == 3
 
 
+@pytest.mark.parametrize("seeds", ["abc", "0,,1"])
+def test_bad_seed_list_exits_3(tmp_path, capsys, seeds):
+    # the option and the config key share one parser, and neither takes
+    # an empty or non-integer entry
+    cfg = write_config(tmp_path)
+    run = tmp_path / "run"
+    assert main(["train", cfg, "--out-dir", str(run),
+                 "--seed-override", seeds]) == 3
+    assert "--seed-override" in capsys.readouterr().err
+    assert not run.exists()
+    bad = write_config(tmp_path, BASE_CONFIG.replace("seeds = 0,1",
+                                                     f"seeds = {seeds}"),
+                       "bad_seeds.cfg")
+    assert main(["train", bad, "--out-dir", str(run)]) == 3
+    assert "bad_seeds.cfg:3" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------------ end to end
 
 def test_train_eval_plotdata_roundtrip(tmp_path, capsys):

@@ -1,0 +1,158 @@
+"""A pack of graphs trains and scores as its graphs do one at a time.
+
+A pack stacks its graphs' node rows and keeps their propagation matrices as
+BlockDiags, so every loss is a column with one row per graph. Each row must
+equal the loss of its graph alone (up to the rounding of larger matrix
+products), a training step must descend on the rows' mean, and no graph's
+row may depend on another graph of the pack.
+"""
+
+import copy
+import dataclasses
+
+import numpy as np
+import pytest
+
+from flowgad import autodiff as ad
+from flowgad.autodiff import Tape
+from flowgad.flow import nf_loss, train_flow
+from flowgad.optim import make_rng
+from flowgad.pipeline import (PHASES, ExperimentConfig, forward_stack, packs,
+                              precompute_inputs, score_graph)
+from flowgad.source import (FeatureDecoder, GcnEncoder, graph_source_loss,
+                            pretrain_source)
+from flowgad.synthetic import planted_anomaly_set
+from flowgad.target import GinNetwork, graph_target_loss, train_target
+
+from conftest import random_flow
+
+D = 8
+ALPHA, BETA = 0.7, 0.6
+CHUNK = [0, 3, 5, 8]
+OWNERS = {"source": ("encoder", "decoder"), "flow": ("flow",),
+          "target": ("student",)}
+CASES = ([("source", "cosine", "max"), ("flow", "cosine", "max")]
+         + [("target", kind, readout) for kind in ("cosine", "sqeuclidean")
+            for readout in ("max", "mean")])
+
+
+@pytest.fixture(scope="module")
+def inputs():
+    gs = planted_anomaly_set(num_normal=6, num_anomalous=3, seed=3)
+    return precompute_inputs(gs, ExperimentConfig(d=D, hidden=D, k_se=8))
+
+
+def _models(inputs):
+    rng = make_rng(7)
+    d_in = inputs[0].x_init.shape[1]
+    return {"encoder": GcnEncoder(d_in, D, D, 2, rng),
+            "decoder": FeatureDecoder(D, d_in, rng),
+            "flow": random_flow(D, 2, rng),
+            "student": GinNetwork(d_in, D, D, 2, rng)}
+
+
+def _pack(inputs, chunk):
+    pack, = packs(inputs, chunk, len(chunk))
+    return pack
+
+
+def _losses(phase, models, gi, kind, readout):
+    """The phase's loss column on one graph's or one pack's inputs, with the
+    upstream stages as constants, as each phase's trainer sees them."""
+    stages = forward_stack(gi, models)     # outside the tape: constants
+    offsets = ad.row_offsets(gi.a_hat)
+    if phase == "source":
+        return graph_source_loss(models["encoder"], models["decoder"],
+                                 gi.a_hat, gi.adjacency, gi.x_init, ALPHA)
+    if phase == "flow":
+        z, log_det = models["flow"].forward(ad.constant(stages["source"]),
+                                            gi.a_hat)
+        return nf_loss(z, log_det, True, offsets)
+    out = models["student"].forward(gi.adjacency, ad.constant(gi.x_init))
+    return graph_target_loss(out, stages["flow"], BETA, kind, readout, offsets)
+
+
+def _rows_and_grads(phase, models, gi, kind="cosine", readout="max"):
+    params = [p for name in OWNERS[phase] for p in models[name].params()]
+    for p in params:
+        p.grad = None
+    with Tape() as tape:
+        losses = _losses(phase, models, gi, kind, readout)
+        tape.backward(ad.mean(losses))
+    grads = [np.zeros_like(p.data) if p.grad is None else p.grad.copy()
+             for p in params]
+    return losses.data[:, 0].copy(), grads
+
+
+def _trace(phase, models, inputs, chunk, kind, readout):
+    """The trainer's first-epoch loss over ``chunk`` as one batch: the mean
+    of the pack's rows, taken before the step."""
+    models = copy.deepcopy(models)
+    stages = [forward_stack(inputs[i], models) for i in chunk]
+    common = dict(epochs=1, lr=1e-3, batch_size=len(chunk))
+    if phase == "source":
+        items = [(inputs[i].a_hat, inputs[i].adjacency, inputs[i].x_init)
+                 for i in chunk]
+        return pretrain_source(models["encoder"], models["decoder"], items,
+                               alpha=ALPHA, **common)[0]
+    if phase == "flow":
+        items = [(inputs[i].a_hat, s["source"]) for i, s in zip(chunk, stages)]
+        return train_flow(models["flow"], items, **common)[0]
+    items = [(inputs[i].adjacency, inputs[i].x_init, s["flow"])
+             for i, s in zip(chunk, stages)]
+    return train_target(models["student"], items, beta=BETA, kind=kind,
+                        readout=readout, **common)[0]
+
+
+@pytest.mark.parametrize("phase,kind,readout", CASES)
+def test_pack_loss_is_the_mean_of_per_graph_losses(inputs, phase, kind,
+                                                   readout):
+    models = _models(inputs)
+    rows, grads = _rows_and_grads(phase, models, _pack(inputs, CHUNK),
+                                  kind, readout)
+    alone = [_rows_and_grads(phase, models, inputs[i], kind, readout)
+             for i in CHUNK]
+    expected = np.array([graph_rows[0] for graph_rows, _ in alone])
+    assert rows == pytest.approx(expected, rel=1e-12, abs=1e-15)
+    for i, grad in enumerate(grads):
+        mean_grad = np.mean([graph_grads[i] for _, graph_grads in alone],
+                            axis=0)
+        np.testing.assert_allclose(grad, mean_grad, rtol=1e-9, atol=1e-12)
+    trace = _trace(phase, models, inputs, CHUNK, kind, readout)
+    assert trace == pytest.approx(expected.mean(), rel=1e-12)
+
+
+def _perturbed(inputs, idx, rng):
+    """``inputs`` with graph ``idx``'s features and matrices changed in
+    value and kept in shape."""
+    gi = inputs[idx]
+    flipped = gi.adjacency.copy()
+    flipped[0, -1] = flipped[-1, 0] = 1.0 - flipped[0, -1]
+    changed = dataclasses.replace(
+        gi, adjacency=flipped, a_hat=gi.a_hat * 1.1,
+        x_init=gi.x_init + rng.normal(size=gi.x_init.shape))
+    return inputs[:idx] + [changed] + inputs[idx + 1:]
+
+
+@pytest.mark.parametrize("phase", PHASES)
+def test_one_graph_never_moves_another_graphs_row(inputs, phase, rng):
+    models = _models(inputs)
+    before, _ = _rows_and_grads(phase, models, _pack(inputs, CHUNK))
+    after, _ = _rows_and_grads(phase, models,
+                               _pack(_perturbed(inputs, CHUNK[2], rng), CHUNK))
+    assert after[2] != before[2]
+    for b in (0, 1, 3):
+        assert after[b].tobytes() == before[b].tobytes()
+
+
+@pytest.mark.parametrize("variant", ["full", "non_st"])
+def test_one_graph_never_moves_another_graphs_score(inputs, variant, rng):
+    models = _models(inputs)
+    config = ExperimentConfig(variant=variant, d=D, hidden=D, k_se=8)
+    before = score_graph(_pack(inputs, CHUNK), models, config)
+    after = score_graph(_pack(_perturbed(inputs, CHUNK[2], rng), CHUNK),
+                        models, config)
+    assert after[2] != before[2]
+    assert np.delete(after, 2).tobytes() == np.delete(before, 2).tobytes()
+    alone = [score_graph(inputs[i], models, config)[0] for i in CHUNK]
+    assert before == pytest.approx(alone, rel=1e-12, abs=1e-15)

@@ -121,6 +121,32 @@ def test_fused_recon_loss_bit_equals_composed_chain(rng, weight):
             assert fused == chain, (kind, h_data.shape, feature_term)
 
 
+def test_packed_recon_loss_bit_equals_the_chain_per_graph(rng):
+    # each graph of a pack gets the value and the gradient rows that the
+    # composed chain gives it alone, with its own incoming gradient
+    for _ in range(6):
+        d = int(rng.integers(1, 6))
+        hs, adjacencies = [], []
+        for n in [1] + [int(v) for v in rng.integers(2, 40, size=3)]:
+            upper = np.triu((rng.random((n, n)) < rng.random()).astype(np.float64), k=1)
+            hs.append(rng.normal(size=(n, d))
+                      * np.where(rng.random((n, 1)) < 0.5, 30.0, 1.0))
+            adjacencies.append(upper + upper.T)
+        weights = rng.normal(size=(len(hs), 1))
+        pack = ad.BlockDiag(adjacencies)
+        h = Tensor(np.concatenate(hs), requires_grad=True)
+        with Tape() as tape:
+            losses = ad.mul(adjacency_recon_loss(h, pack), ad.constant(weights))
+            tape.backward(ad.reduce_sum(losses))
+        assert [node.op for node in tape.nodes][0] == "gram_bce"
+        for b, (lo, hi) in enumerate(zip(pack.offsets[:-1], pack.offsets[1:])):
+            value, grad = _recon_value_and_grad(_composed_recon_loss, hs[b],
+                                                adjacencies[b], weights[b, 0],
+                                                False)
+            assert losses.data[b].tobytes() == value
+            assert h.grad[lo:hi].tobytes() == grad
+
+
 def test_fused_recon_loss_records_one_tape_node(rng):
     h = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
     with Tape() as tape:
