@@ -141,19 +141,19 @@ def nf_loss(z: Tensor, log_det: Tensor, normalize: bool = True,
     return ad.mul(loss, ad.constant(1.0 / np.diff(offsets)[:, None]))
 
 
-def train_flow(flow: GraphFlow, inputs, *, epochs: int, lr: float,
-               batch_size: int = 1, normalize: bool = True) -> list[float]:
-    """Fit the flow to frozen embeddings; ``inputs`` pairs (a_hat, h) arrays.
+def train_flow(flow: GraphFlow, packs, *, epochs: int, lr: float,
+               normalize: bool = True) -> list[float]:
+    """Fit the flow to frozen embeddings; ``packs`` holds (a_hat, h) packs,
+    ``h`` the stacked embedding rows of the graphs of ``a_hat``.
 
     Embeddings arrive precomputed because the encoder is frozen by the time
-    this phase runs. Each step's batch is packed. Returns the per-epoch
+    this phase runs. One optimizer step per pack. Returns the per-epoch
     mean loss trace.
     """
-    def pack_loss(batch):
-        a_hat, h = zip(*batch)
-        a_hat = ad.BlockDiag(a_hat)
-        z, log_det = flow.forward(ad.constant(np.concatenate(h)), a_hat)
-        return nf_loss(z, log_det, normalize, a_hat.offsets)
+    def pack_loss(pack):
+        a_hat, h = pack
+        z, log_det = flow.forward(ad.constant(h), a_hat)
+        return nf_loss(z, log_det, normalize, ad.row_offsets(a_hat))
 
-    return fit(flow.params(), inputs, pack_loss, epochs=epochs, lr=lr,
-               batch_size=batch_size, what="flow")
+    return fit(flow.params(), packs, pack_loss, epochs=epochs, lr=lr,
+               what="flow")

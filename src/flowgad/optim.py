@@ -7,7 +7,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .errors import ConfigError, ContractViolation, NumericFault, TrainingFault
+from .errors import ContractViolation, NumericFault, TrainingFault
 
 
 def make_rng(seed: int, *stream: int) -> np.random.Generator:
@@ -71,31 +71,32 @@ class Adam:
             p.grad = None
 
 
-def fit(params, inputs, pack_loss, *, epochs: int, lr: float,
-        batch_size: int, what: str) -> list[float]:
-    """Adam on the mean per-graph loss, one step per ``batch_size`` inputs.
+def fit(params, packs, pack_loss, *, epochs: int, lr: float,
+        what: str) -> list[float]:
+    """Adam on the mean per-graph loss, one step per pack.
 
-    ``pack_loss(batch)`` packs a list of inputs and records their per-graph
-    losses on the active tape as a B x 1 column; a step descends on its
-    mean. Returns the per-epoch mean per-graph loss. A NumericFault while a
-    batch loss is built, or a non-finite batch loss, stops training with a
-    TrainingFault naming ``what``, the epoch and the fault's source."""
-    if not inputs:
+    ``packs`` is the phase's list of training packs, built once and
+    visited in order every epoch; a pack's first entry is its propagation
+    operand, whose row offsets say how many graphs it holds.
+    ``pack_loss(pack)`` records the pack's per-graph losses on the active
+    tape as a B x 1 column; a step descends on its mean. Returns the
+    per-epoch mean per-graph loss. A NumericFault while a pack loss is
+    built, or a non-finite pack loss, stops training with a TrainingFault
+    naming ``what``, the epoch and the fault's source."""
+    if not packs:
         raise ContractViolation("training set is empty")
-    if batch_size < 1:
-        raise ConfigError(f"batch_size must be positive, got {batch_size}")
+    counts = [len(ad.row_offsets(pack[0])) - 1 for pack in packs]
     opt = Adam(params, lr=lr)
     trace = []
     for epoch in range(epochs):
         total = 0.0
-        for start in range(0, len(inputs), batch_size):
-            batch = inputs[start:start + batch_size]
+        for pack, count in zip(packs, counts):
             with Tape() as tape:
                 try:
-                    losses = pack_loss(batch)
-                    if losses.shape != (len(batch), 1):
+                    losses = pack_loss(pack)
+                    if losses.shape != (count, 1):
                         raise ContractViolation(
-                            f"{what} loss of {len(batch)} graphs has shape "
+                            f"{what} loss of {count} graphs has shape "
                             f"{losses.shape}, not one row per graph")
                     loss = ad.mean(losses)
                     # a non-finite loss raises here, naming the first
@@ -104,10 +105,10 @@ def fit(params, inputs, pack_loss, *, epochs: int, lr: float,
                 except NumericFault as exc:
                     raise TrainingFault(f"{what} loss went non-finite "
                                         f"(epoch {epoch}): {exc}") from None
-                total += loss.item() * len(batch)
+                total += loss.item() * count
             opt.step()
             opt.zero_grad()
-        trace.append(total / len(inputs))
+        trace.append(total / sum(counts))
     return trace
 
 

@@ -13,7 +13,9 @@ flow but keeps the heterogeneous student.
 
 Training, the per-graph set-up of each phase and scoring run on packs of
 ``batch_size`` graphs: one tape, or one frozen forward pass, per pack. A
-pack of one graph computes exactly what that graph alone does.
+pack of one graph computes exactly what that graph alone does. Each phase
+runner builds its training packs once, with ``packs``, the one place that
+groups graphs.
 
 Every piece of randomness draws from a stream derived from (seed, phase),
 so phases are individually reproducible, and a split guard vets each graph
@@ -164,7 +166,8 @@ def precompute_inputs(gs: GraphSet, config: ExperimentConfig) -> list[GraphInput
 
 
 def packs(inputs, indices, size: int):
-    """The graphs ``indices`` in order, ``size`` to a pack."""
+    """The graphs ``indices`` in order, ``size`` to a pack; the last pack
+    holds what is left."""
     for start in range(0, len(indices), size):
         chunk = indices[start:start + size]
         yield GraphInputs(
@@ -198,20 +201,29 @@ class SplitGuard:
 def subsample_graphset(gs: GraphSet, max_graphs: int) -> GraphSet:
     """Label-stratified random subset, fixed internal seed, used for large
     sets where a full run is impractical. Keeps at least one graph of every
-    label so splits stay constructible."""
+    label so splits stay constructible: shares that overshoot
+    ``max_graphs`` give way from the largest, and a cap below the number of
+    labels is a ConfigError."""
     if max_graphs <= 0 or len(gs) <= max_graphs:
         return gs
     rng = make_rng(0, 77, max_graphs)
     by_label: dict[int, list[int]] = {}
     for i, g in enumerate(gs.graphs):
         by_label.setdefault(g.label, []).append(i)
+    if len(by_label) > max_graphs:
+        raise ConfigError(f"max_graphs = {max_graphs} cannot keep a graph of "
+                          f"each of {len(by_label)} labels")
+    labels = sorted(by_label)
+    shares = [max(1, int(round(max_graphs * len(by_label[label]) / len(gs))))
+              for label in labels]
+    while sum(shares) > max_graphs:
+        shares[shares.index(max(shares))] -= 1
     keep: list[int] = []
-    for label in sorted(by_label):
+    for label, share in zip(labels, shares):
         members = by_label[label]
-        share = max(1, int(round(max_graphs * len(members) / len(gs))))
         picked = rng.permutation(len(members))[:share]
         keep.extend(members[j] for j in picked)
-    keep = sorted(keep[:max_graphs])
+    keep.sort()
     return GraphSet(name=gs.name, graphs=[gs.graphs[i] for i in keep],
                     label_vocabulary=set(gs.label_vocabulary))
 
@@ -240,17 +252,6 @@ def forward_stack(gi: GraphInputs, models: dict) -> dict:
         stages["target"] = student.forward(student_propagation(gi, student),
                                            x).data
     return stages
-
-
-def stage_rows(inputs, indices, models: dict, stage: str,
-               size: int) -> list[np.ndarray]:
-    """Each listed graph's node matrix at ``stage``, computed in packs of
-    ``size`` graphs."""
-    rows = []
-    for pack in packs(inputs, indices, size):
-        nodes = forward_stack(pack, models)[stage]
-        rows.extend(np.split(nodes, pack.a_hat.offsets[1:-1]))
-    return rows
 
 
 def pooled(nodes: np.ndarray, readout: str, offsets=None) -> np.ndarray:
@@ -339,11 +340,10 @@ def run_phase_source(upstream: dict, inputs, train_idx,
     rng = make_rng(seed, 1)
     encoder = GcnEncoder(d_in, config.hidden, config.d, config.gcn_layers, rng)
     decoder = FeatureDecoder(config.d, d_in, rng)
-    triples = [(inputs[i].a_hat, inputs[i].adjacency, inputs[i].x_init)
-               for i in train_idx]
-    trace = pretrain_source(encoder, decoder, triples, alpha=config.alpha,
-                            epochs=config.s_epochs, lr=config.lr,
-                            batch_size=config.batch_size)
+    train = [(pack.a_hat, pack.adjacency, pack.x_init)
+             for pack in packs(inputs, train_idx, config.batch_size)]
+    trace = pretrain_source(encoder, decoder, train, alpha=config.alpha,
+                            epochs=config.s_epochs, lr=config.lr)
     return {"encoder": encoder, "decoder": decoder}, trace
 
 
@@ -357,11 +357,9 @@ def run_phase_flow(upstream: dict, inputs, train_idx,
     flow = GraphFlow(config.d, steps, config.s_max, make_rng(seed, 2))
     if not flow.steps:
         return {"flow": flow}, None
-    pairs = list(zip([inputs[i].a_hat for i in train_idx],
-                     stage_rows(inputs, train_idx, upstream, "source",
-                                config.batch_size)))
-    trace = train_flow(flow, pairs, epochs=config.n_epochs, lr=config.lr,
-                       batch_size=config.batch_size,
+    train = [(pack.a_hat, forward_stack(pack, upstream)["source"])
+             for pack in packs(inputs, train_idx, config.batch_size)]
+    trace = train_flow(flow, train, epochs=config.n_epochs, lr=config.lr,
                        normalize=config.normalize_nf)
     return {"flow": flow}, trace
 
@@ -380,13 +378,12 @@ def run_phase_target(upstream: dict, inputs, train_idx,
                              config.gcn_layers, rng)
     else:
         student = GinNetwork(d_in, config.d, config.d, config.gin_layers, rng)
-    z_rows = stage_rows(inputs, train_idx, upstream, "flow", config.batch_size)
-    triples = [(student_propagation(inputs[i], student), inputs[i].x_init, z)
-               for i, z in zip(train_idx, z_rows)]
-    trace = train_target(student, triples, beta=config.beta,
+    train = [(student_propagation(pack, student), pack.x_init,
+              forward_stack(pack, upstream)["flow"])
+             for pack in packs(inputs, train_idx, config.batch_size)]
+    trace = train_target(student, train, beta=config.beta,
                          epochs=config.t_epochs, lr=config.lr,
-                         batch_size=config.batch_size, kind=config.distance,
-                         readout=config.readout)
+                         kind=config.distance, readout=config.readout)
     return {"student": student}, trace
 
 

@@ -112,22 +112,17 @@ def graph_source_loss(encoder: GcnEncoder, decoder: FeatureDecoder,
     return source_loss(h, adjacency, x_init, x_star, alpha)
 
 
-def pretrain_source(encoder: GcnEncoder, decoder: FeatureDecoder, inputs, *,
-                    alpha: float, epochs: int, lr: float,
-                    batch_size: int = 1) -> list[float]:
+def pretrain_source(encoder: GcnEncoder, decoder: FeatureDecoder, packs, *,
+                    alpha: float, epochs: int, lr: float) -> list[float]:
     """Pre-train encoder+decoder on normal graphs.
 
-    ``inputs`` is a sequence of (a_hat, adjacency, x_init) arrays, one per
-    training graph. One optimizer step per ``batch_size`` graphs, packed
-    (mean loss within a batch). Returns the mean per-graph loss of each
-    epoch.
+    ``packs`` is a list of (a_hat, adjacency, x_init) packs: one graph's
+    matrices, or a pack's BlockDiags and stacked rows. One optimizer step
+    per pack, on the mean of its per-graph losses. Returns the mean
+    per-graph loss of each epoch.
     """
-    def pack_loss(batch):
-        a_hat, adjacency, x_init = zip(*batch)
-        return graph_source_loss(encoder, decoder, ad.BlockDiag(a_hat),
-                                 ad.BlockDiag(adjacency),
-                                 np.concatenate(x_init), alpha)
+    def pack_loss(pack):
+        return graph_source_loss(encoder, decoder, *pack, alpha)
 
-    return fit(encoder.params() + decoder.params(), inputs, pack_loss,
-               epochs=epochs, lr=lr, batch_size=batch_size,
-               what="reconstruction")
+    return fit(encoder.params() + decoder.params(), packs, pack_loss,
+               epochs=epochs, lr=lr, what="reconstruction")

@@ -66,14 +66,10 @@ class GinNetwork:
 def readout_max(h: Tensor, offsets=None) -> Tensor:
     """Columnwise maximum of each graph's rows (the segments ``offsets``;
     None: all rows are one graph), one 1 x d row per graph."""
-    if h.shape[0] < 1:
-        raise ContractViolation("readout needs at least one node")
     return ad.segment_max(h, offsets)
 
 
 def readout_mean(h: Tensor, offsets=None) -> Tensor:
-    if h.shape[0] < 1:
-        raise ContractViolation("readout needs at least one node")
     return ad.segment_mean(h, offsets, axis=0)
 
 
@@ -136,21 +132,20 @@ def graph_target_loss(student_nodes: Tensor, z_nodes: np.ndarray,
     return ad.add(ad.scale(graph_term, 1.0 - beta), ad.scale(node_term, beta))
 
 
-def train_target(student, inputs, *, beta: float, epochs: int, lr: float,
-                 batch_size: int = 1, kind: str = "cosine",
-                 readout: str = "max") -> list[float]:
+def train_target(student, packs, *, beta: float, epochs: int, lr: float,
+                 kind: str = "cosine", readout: str = "max") -> list[float]:
     """Distill the student toward frozen latent targets.
 
-    ``inputs`` holds (prop, x_init, z_nodes) per graph, where ``prop`` is
-    whichever propagation matrix the student consumes (raw adjacency for
-    GIN, normalized for a GCN student). Each step's batch is packed.
-    Returns the per-epoch mean loss trace."""
-    def pack_loss(batch):
-        prop, x_init, z_nodes = zip(*batch)
-        prop = ad.BlockDiag(prop)
-        out = student.forward(prop, ad.constant(np.concatenate(x_init)))
-        return graph_target_loss(out, np.concatenate(z_nodes), beta, kind,
-                                 readout, prop.offsets)
+    ``packs`` holds (prop, x_init, z_nodes) packs, where ``prop`` is
+    whichever propagation operand the student consumes (raw adjacency for
+    GIN, normalized for a GCN student) and the rows of ``x_init`` and
+    ``z_nodes`` stack its graphs. One optimizer step per pack. Returns the
+    per-epoch mean loss trace."""
+    def pack_loss(pack):
+        prop, x_init, z_nodes = pack
+        out = student.forward(prop, ad.constant(x_init))
+        return graph_target_loss(out, z_nodes, beta, kind, readout,
+                                 ad.row_offsets(prop))
 
-    return fit(student.params(), inputs, pack_loss, epochs=epochs, lr=lr,
-               batch_size=batch_size, what="distillation")
+    return fit(student.params(), packs, pack_loss, epochs=epochs, lr=lr,
+               what="distillation")

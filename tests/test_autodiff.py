@@ -4,6 +4,7 @@ import pytest
 from flowgad import autodiff as ad
 from flowgad.autodiff import Tape, Tensor, gradcheck
 from flowgad.errors import ContractViolation, DeterminismError, NumericFault
+from flowgad.target import readout_max, readout_mean
 
 
 def test_square_gradient():
@@ -395,3 +396,9 @@ def test_segments_must_cover_the_rows_without_empties():
         ad.segment_sum(x, [0, 3])
     with pytest.raises(ContractViolation, match="at least one row"):
         ad.segment_max(x, [0, 2, 2, 4])
+    # the readouts pool through the segment ops, which reject a graph
+    # without nodes
+    empty = Tensor(np.ones((0, 2)))
+    for readout in (readout_max, readout_mean):
+        with pytest.raises(ContractViolation, match="at least one row"):
+            readout(empty)

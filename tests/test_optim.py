@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from flowgad import autodiff as ad
 from flowgad.autodiff import Tensor
 from flowgad.errors import ContractViolation
-from flowgad.optim import Adam, glorot_init, make_rng
+from flowgad.optim import Adam, fit, glorot_init, make_rng
 
 
 def test_zero_gradient_leaves_params_unchanged():
@@ -101,3 +102,18 @@ def test_make_rng_streams_are_independent():
     c = make_rng(5, 1).normal(size=4)
     assert np.array_equal(a, c)
     assert not np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("reduce", [lambda nodes: nodes, ad.mean],
+                         ids=["per-node column", "0-d mean"])
+def test_fit_rejects_a_loss_without_one_row_per_graph(reduce):
+    # a pack of two graphs with 2 and 3 nodes must yield a 2 x 1 column
+    p = Tensor(np.ones((1, 1)), requires_grad=True)
+    pack = (ad.BlockDiag([np.eye(2), np.eye(3)]), np.arange(5.0)[:, None])
+
+    def pack_loss(pack):
+        a_hat, x = pack
+        return reduce(ad.matmul(a_hat, ad.mul(ad.constant(x), p)))
+
+    with pytest.raises(ContractViolation, match="one row per graph"):
+        fit([p], [pack], pack_loss, epochs=1, lr=1e-3, what="test")

@@ -84,22 +84,25 @@ def _rows_and_grads(phase, models, gi, kind="cosine", readout="max"):
     return losses.data[:, 0].copy(), grads
 
 
-def _trace(phase, models, inputs, chunk, kind, readout):
-    """The trainer's first-epoch loss over ``chunk`` as one batch: the mean
-    of the pack's rows, taken before the step."""
+def _trace(phase, models, pack_list, kind="cosine", readout="max", lr=1e-3):
+    """The trainer's first-epoch loss over ``pack_list``, one step per pack,
+    with the upstream stages computed per pack as the phase runners do.
+    With one pack it is the mean of the pack's rows, taken before the
+    step."""
     models = copy.deepcopy(models)
-    stages = [forward_stack(inputs[i], models) for i in chunk]
-    common = dict(epochs=1, lr=1e-3, batch_size=len(chunk))
+    stages = [forward_stack(pack, models) for pack in pack_list]
+    common = dict(epochs=1, lr=lr)
     if phase == "source":
-        items = [(inputs[i].a_hat, inputs[i].adjacency, inputs[i].x_init)
-                 for i in chunk]
+        items = [(pack.a_hat, pack.adjacency, pack.x_init)
+                 for pack in pack_list]
         return pretrain_source(models["encoder"], models["decoder"], items,
                                alpha=ALPHA, **common)[0]
     if phase == "flow":
-        items = [(inputs[i].a_hat, s["source"]) for i, s in zip(chunk, stages)]
+        items = [(pack.a_hat, s["source"])
+                 for pack, s in zip(pack_list, stages)]
         return train_flow(models["flow"], items, **common)[0]
-    items = [(inputs[i].adjacency, inputs[i].x_init, s["flow"])
-             for i, s in zip(chunk, stages)]
+    items = [(pack.adjacency, pack.x_init, s["flow"])
+             for pack, s in zip(pack_list, stages)]
     return train_target(models["student"], items, beta=BETA, kind=kind,
                         readout=readout, **common)[0]
 
@@ -118,8 +121,26 @@ def test_pack_loss_is_the_mean_of_per_graph_losses(inputs, phase, kind,
         mean_grad = np.mean([graph_grads[i] for _, graph_grads in alone],
                             axis=0)
         np.testing.assert_allclose(grad, mean_grad, rtol=1e-9, atol=1e-12)
-    trace = _trace(phase, models, inputs, CHUNK, kind, readout)
+    trace = _trace(phase, models, [_pack(inputs, CHUNK)], kind, readout)
     assert trace == pytest.approx(expected.mean(), rel=1e-12)
+
+
+@pytest.mark.parametrize("phase", PHASES)
+def test_epoch_mean_weighs_each_graph_once_with_a_short_last_pack(inputs,
+                                                                  phase):
+    # five graphs in packs of 2, 2 and 1; at lr = 0 no step moves the
+    # weights, so the epoch mean is the plain mean of the graphs' losses,
+    # and not the mean of the three pack means
+    chunk = CHUNK + [1]
+    pack_list = list(packs(inputs, chunk, 2))
+    assert [len(pack.a_hat.blocks) for pack in pack_list] == [2, 2, 1]
+    models = _models(inputs)
+    alone = np.array([_rows_and_grads(phase, models, inputs[i])[0][0]
+                      for i in chunk])
+    pack_means = np.mean([alone[:2].mean(), alone[2:4].mean(), alone[4]])
+    assert alone.mean() != pytest.approx(pack_means, rel=1e-6)
+    trace = _trace(phase, models, pack_list, lr=0.0)
+    assert trace == pytest.approx(alone.mean(), rel=1e-12)
 
 
 def _perturbed(inputs, idx, rng):

@@ -6,7 +6,7 @@ import pytest
 
 from flowgad import autodiff as ad
 from flowgad.checkpoint import PhaseStore, load_checkpoint, save_checkpoint
-from flowgad.data import make_anomaly_split
+from flowgad.data import Graph, GraphSet, make_anomaly_split
 from flowgad.errors import (ConfigError, ContractViolation, PhaseOrderError,
                             UndefinedMetricError)
 from flowgad.flow import GraphFlow
@@ -188,6 +188,29 @@ def test_subsample_is_stratified_and_stable():
     # roughly preserves the 2:1 ratio
     assert labels1.count(0) > labels1.count(1)
     assert subsample_graphset(gs, 0) is gs
+
+
+def _labelled_set(counts):
+    """Single-node graphs, ``counts[label]`` of each label."""
+    return GraphSet(name="labels", graphs=[
+        Graph(n=1, adjacency=np.zeros((1, 1)), features=np.zeros((1, 0)),
+              label=label)
+        for label, count in enumerate(counts) for _ in range(count)])
+
+
+@pytest.mark.parametrize("counts,kept", [((95, 5), [9, 1]), ((99, 1), [9, 1]),
+                                         ((90, 9, 1), [8, 1, 1])])
+def test_subsample_keeps_every_label_when_shares_overshoot(counts, kept):
+    # the rounded shares (at least 1 each) add up to 11 here; the largest
+    # gives way, so the smallest label is never cut off
+    sub = subsample_graphset(_labelled_set(counts), 10)
+    labels = [g.label for g in sub.graphs]
+    assert [labels.count(label) for label in range(len(counts))] == kept
+
+
+def test_subsample_below_the_label_count_is_a_config_error():
+    with pytest.raises(ConfigError, match="max_graphs"):
+        subsample_graphset(_labelled_set((5, 4, 3)), 2)
 
 
 # ------------------------------------------------------------- end to end

@@ -256,9 +256,12 @@ def test_pretrain_freezes_encoder():
 
 def test_pretrain_batch_mode_runs(rng):
     inputs = _toy_inputs(rng, count=4)
+    packs = [(ad.BlockDiag([a_hat for a_hat, _, _ in pair]),
+              ad.BlockDiag([adjacency for _, adjacency, _ in pair]),
+              np.concatenate([x_init for _, _, x_init in pair]))
+             for pair in (inputs[:2], inputs[2:])]
     enc, dec = _teacher(4, 2)
-    trace = pretrain_source(enc, dec, inputs, alpha=0.7, epochs=3, lr=1e-3,
-                            batch_size=2)
+    trace = pretrain_source(enc, dec, packs, alpha=0.7, epochs=3, lr=1e-3)
     assert len(trace) == 3
 
 
