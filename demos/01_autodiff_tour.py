@@ -30,7 +30,8 @@ print("matches closed form:", np.allclose(w.grad, expected))
 
 # A tape is single use. Building the graph again is cheap and keeps the
 # lifetime rules simple; inference without a tape records nothing at all.
-w.zero_grad()
+# Gradients accumulate across backward passes, so clear w's first.
+w.grad = None
 with ad.Tape() as tape:
     loss = ad.reduce_sum(ad.relu(ad.matmul(w, x)))
 tape.backward(loss)

@@ -48,9 +48,6 @@ class Tensor:
     def item(self) -> float:
         return self.data.item()
 
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -112,6 +109,9 @@ class Tape:
 
 
 def _accum(t: Tensor, g: np.ndarray):
+    if g.shape != t.data.shape:
+        raise ContractViolation(
+            f"gradient shape {g.shape} does not match tensor {t.data.shape}")
     if t.grad is None:
         # owned copy: g may alias another tensor's grad buffer
         t.grad = np.array(g, dtype=np.float64)
@@ -640,7 +640,7 @@ def gradcheck(fn, inputs: Sequence[Tensor], step: float = 1e-5) -> float:
     inputs = list(inputs)
     for t in inputs:
         t.requires_grad = True
-        t.zero_grad()
+        t.grad = None
 
     y0 = fn(*inputs)
     y1 = fn(*inputs)
@@ -652,11 +652,10 @@ def gradcheck(fn, inputs: Sequence[Tensor], step: float = 1e-5) -> float:
     with Tape() as tape:
         loss = fn(*inputs)
     tape.backward(loss)
-    analytic = [
-        np.zeros_like(t.data) if t.grad is None else t.grad.copy() for t in inputs
-    ]
+    analytic = [np.zeros_like(t.data) if t.grad is None else t.grad
+                for t in inputs]
     for t in inputs:
-        t.zero_grad()
+        t.grad = None
 
     worst = 0.0
     for t, ga in zip(inputs, analytic):

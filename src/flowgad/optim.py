@@ -37,38 +37,39 @@ EPS = 1e-8       # keeps the update finite where the second moment is 0
 
 
 class Adam:
-    """Bias-corrected adaptive-moment updates over a fixed parameter list."""
+    """Bias-corrected adaptive-moment updates over flat buffers: each
+    parameter's ``.data`` and ``.grad`` become views into one data and one
+    gradient buffer. While the optimizer is live the tape adds into each
+    ``.grad`` view in place, so a parameter's ``.grad`` must never be rebound."""
 
     def __init__(self, params, lr: float = 1e-3):
-        self.params = list(params)
+        params = list(params)
+        if not params:
+            raise ContractViolation("Adam needs at least one parameter")
         self.lr = lr
         self.step_count = 0
-        self.first_moment = [np.zeros_like(p.data) for p in self.params]
-        self.second_moment = [np.zeros_like(p.data) for p in self.params]
+        self.data = np.concatenate([p.data.ravel() for p in params])
+        self.grad = np.zeros_like(self.data)
+        self.first_moment = np.zeros_like(self.data)
+        self.second_moment = np.zeros_like(self.data)
+        ends = np.cumsum([p.data.size for p in params])[:-1]
+        for p, data, grad in zip(params, np.split(self.data, ends),
+                                 np.split(self.grad, ends)):
+            p.data, p.grad = data.reshape(p.shape), grad.reshape(p.shape)
 
     def step(self):
-        """Apply one update from the gradients currently on the parameters."""
+        """One update of the whole buffer from the accumulated gradients."""
         self.step_count += 1
-        t = self.step_count
-        c1 = 1.0 - BETA1 ** t
-        c2 = 1.0 - BETA2 ** t
-        for p, m, v in zip(self.params, self.first_moment, self.second_moment):
-            g = p.grad
-            if g is None:
-                continue
-            if g.shape != p.data.shape:
-                raise ContractViolation(
-                    f"gradient shape {g.shape} does not match parameter {p.data.shape}"
-                )
-            m *= BETA1
-            m += (1.0 - BETA1) * g
-            v *= BETA2
-            v += (1.0 - BETA2) * (g * g)
-            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + EPS)
+        self.first_moment *= BETA1
+        self.first_moment += (1.0 - BETA1) * self.grad
+        self.second_moment *= BETA2
+        self.second_moment += (1.0 - BETA2) * (self.grad * self.grad)
+        m_hat = self.first_moment / (1.0 - BETA1 ** self.step_count)
+        v_hat = self.second_moment / (1.0 - BETA2 ** self.step_count)
+        self.data -= self.lr * m_hat / (np.sqrt(v_hat) + EPS)
 
     def zero_grad(self):
-        for p in self.params:
-            p.grad = None
+        self.grad.fill(0.0)
 
 
 def fit(params, packs, pack_loss, *, epochs: int, lr: float,

@@ -2,16 +2,145 @@ import numpy as np
 import pytest
 
 from flowgad import autodiff as ad
-from flowgad.autodiff import Tensor
+from flowgad import optim
+from flowgad.autodiff import Tape, Tensor
 from flowgad.errors import ContractViolation
-from flowgad.optim import Adam, fit, glorot_init, make_rng
+from flowgad.optim import BETA1, BETA2, EPS, Adam, fit, glorot_init, make_rng
+from flowgad.pipeline import (VARIANTS, ExperimentConfig, precompute_inputs,
+                              run_experiment, run_seed)
+from flowgad.synthetic import planted_anomaly_set
+
+
+class ReferenceAdam:
+    """Oracle for ``Adam``: the per-tensor loop it replaced, with moment
+    arrays per parameter and ``.grad`` reset to None between steps, so the
+    tape's first accumulation hands each parameter a fresh array."""
+
+    def __init__(self, params, lr: float = 1e-3):
+        self.params = list(params)
+        self.lr = lr
+        self.step_count = 0
+        self.first_moment = [np.zeros_like(p.data) for p in self.params]
+        self.second_moment = [np.zeros_like(p.data) for p in self.params]
+
+    def step(self):
+        self.step_count += 1
+        t = self.step_count
+        c1 = 1.0 - BETA1 ** t
+        c2 = 1.0 - BETA2 ** t
+        for p, m, v in zip(self.params, self.first_moment, self.second_moment):
+            g = p.grad
+            if g is None:
+                continue
+            if g.shape != p.data.shape:
+                raise ContractViolation(
+                    f"gradient shape {g.shape} does not match parameter {p.data.shape}"
+                )
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
+            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + EPS)
+
+    def zero_grad(self):
+        for p in self.params:
+            p.grad = None
+
+
+def _bits(arrays) -> bytes:
+    return b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)
+
+
+def test_flat_step_bit_equals_the_per_tensor_reference():
+    # weight matrices and 1 x d bias rows; gradients that are -0.0, random,
+    # all zero and random with signed zeros, fed as the tape feeds them:
+    # added in place into the flat buffer, a fresh array for the reference
+    shapes = [(3, 4), (1, 4), (4, 2), (1, 2), (5, 5)]
+    rng = make_rng(11)
+    init = [rng.normal(size=shape) for shape in shapes]
+    flat = [Tensor(a.copy(), requires_grad=True) for a in init]
+    ref = [Tensor(a.copy(), requires_grad=True) for a in init]
+    opt, oracle = Adam(flat, lr=1e-2), ReferenceAdam(ref, lr=1e-2)
+
+    def signed_zeros(shape):
+        g = rng.normal(size=shape)
+        g[rng.random(shape) < 0.3] = -0.0
+        return g
+
+    schedule = [lambda shape: np.full(shape, -0.0),
+                lambda shape: rng.normal(size=shape),
+                np.zeros,
+                signed_zeros,
+                lambda shape: rng.normal(size=shape),
+                lambda shape: rng.normal(size=shape)]
+    for make in schedule:
+        for p, q, shape in zip(flat, ref, shapes):
+            g = make(shape)
+            p.grad += g
+            q.grad = np.array(g)
+        opt.step()
+        oracle.step()
+        opt.zero_grad()
+        oracle.zero_grad()
+        assert _bits(p.data for p in flat) == _bits(q.data for q in ref)
+        assert _bits([opt.first_moment]) == _bits(oracle.first_moment)
+        assert _bits([opt.second_moment]) == _bits(oracle.second_moment)
+
+
+def test_reports_match_the_per_tensor_reference(monkeypatch):
+    gs = planted_anomaly_set()
+    for variant in VARIANTS:
+        for batch_size in (1, 4):
+            config = ExperimentConfig(variant=variant, seeds=(0,),
+                                      s_epochs=2, n_epochs=2, t_epochs=2,
+                                      batch_size=batch_size)
+            flat = run_experiment(gs, config)[0].canonical_bytes()
+            with monkeypatch.context() as patch:
+                patch.setattr(optim, "Adam", ReferenceAdam)
+                ref = run_experiment(gs, config)[0].canonical_bytes()
+            assert flat == ref, (variant, batch_size)
+
+
+def test_every_trained_parameter_receives_a_gradient(monkeypatch):
+    # Adam updates its whole buffer, so a parameter that no loss reaches
+    # would drift on decayed moments instead of standing still. A stand-in
+    # optimizer that never updates keeps the models fresh, with every
+    # .grad None before each pack's backward, and checks every step.
+    optimizers = []
+
+    class GradientProbe:
+        def __init__(self, params, lr):
+            self.params = list(params)
+            optimizers.append(self)
+
+        def step(self):
+            missing = [p.shape for p in self.params if p.grad is None]
+            assert not missing, f"parameters without a gradient: {missing}"
+
+        def zero_grad(self):
+            for p in self.params:
+                p.grad = None
+
+    monkeypatch.setattr(optim, "Adam", GradientProbe)
+    gs = planted_anomaly_set(num_normal=8, num_anomalous=3, seed=2)
+    for variant in VARIANTS:
+        for batch_size in (1, 4):
+            config = ExperimentConfig(variant=variant, seeds=(0,),
+                                      s_epochs=1, n_epochs=1, t_epochs=1,
+                                      batch_size=batch_size)
+            optimizers.clear()
+            res = run_seed(gs, precompute_inputs(gs, config), config, 0, 0)
+            trained = {id(p) for opt in optimizers for p in opt.params}
+            assert trained == {id(p) for model in res.models.values()
+                               for p in model.params()}, (variant, batch_size)
 
 
 def test_zero_gradient_leaves_params_unchanged():
     p = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
-    p.grad = np.zeros(3)
+    opt = Adam([p])
+    p.grad[...] = 0.0
     before = p.data.copy()
-    Adam([p]).step()
+    opt.step()
     assert np.array_equal(p.data, before)
 
 
@@ -19,8 +148,9 @@ def test_first_step_delta_matches_hand_derivation():
     # t=1, grad=1: m=0.1, v=0.001, bias correction makes m_hat=v_hat=1,
     # so the update is -lr * 1/(1+eps) which is -1e-3 up to eps.
     p = Tensor(np.array([0.5]), requires_grad=True)
-    p.grad = np.ones(1)
-    Adam([p], lr=1e-3).step()
+    opt = Adam([p], lr=1e-3)
+    p.grad[...] = 1.0
+    opt.step()
     assert p.data[0] == pytest.approx(0.5 - 1e-3, abs=1e-9)
 
 
@@ -29,7 +159,7 @@ def test_constant_gradient_moves_monotonically():
     opt = Adam([p], lr=1e-3)
     values = [p.data[0]]
     for _ in range(3):
-        p.grad = np.ones(1)
+        p.grad[...] = 1.0
         opt.step()
         values.append(p.data[0])
     assert values[0] > values[1] > values[2] > values[3]
@@ -40,35 +170,36 @@ def test_step_count_increments():
     opt = Adam([p])
     assert opt.step_count == 0
     for expected in (1, 2, 3):
-        p.grad = np.ones(2)
+        p.grad[...] = 1.0
         opt.step()
         assert opt.step_count == expected
 
 
 def test_shape_mismatch_rejected():
+    # a backprop that hands a (1, 2) gradient to a (2, 2) parameter fails at
+    # accumulation instead of broadcasting into the parameter's grad view
     p = Tensor(np.zeros((2, 2)), requires_grad=True)
-    opt = Adam([p])
-    p.grad = np.ones(3)
-    with pytest.raises(ContractViolation):
-        opt.step()
-
-
-def test_none_gradient_skipped():
-    p = Tensor(np.array([1.0]), requires_grad=True)
-    q = Tensor(np.array([1.0]), requires_grad=True)
-    opt = Adam([p, q])
-    p.grad = np.ones(1)
-    opt.step()
-    assert q.data[0] == 1.0
-    assert p.data[0] != 1.0
+    Adam([p])
+    with Tape() as tape:
+        loss = ad._record("bad", (p,), np.zeros((1, 1)),
+                          lambda g: ad._accum(p, np.ones((1, 2))))
+    with pytest.raises(ContractViolation, match="gradient shape"):
+        tape.backward(loss)
+    assert np.array_equal(p.grad, np.zeros((2, 2)))
 
 
 def test_zero_grad_clears():
     p = Tensor(np.zeros(2), requires_grad=True)
     opt = Adam([p])
-    p.grad = np.ones(2)
+    p.grad[...] = 1.0
     opt.zero_grad()
-    assert p.grad is None
+    assert np.array_equal(p.grad, np.zeros(2))
+    assert np.shares_memory(p.grad, opt.grad)
+
+
+def test_empty_parameter_list_rejected():
+    with pytest.raises(ContractViolation, match="at least one parameter"):
+        Adam([])
 
 
 def test_glorot_same_seed_identical():
