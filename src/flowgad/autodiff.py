@@ -12,8 +12,17 @@ a ``BlockDiag`` of their propagation matrices as the left operand of
 ``gram_bce`` split per graph. A pack of one graph computes exactly what the
 graph alone does.
 
+Three model computations are fused ops, one node each with a hand-written
+backward that replays the primitive chain they replaced in its order, so
+value and gradients are bit-identical to the chain's: ``gram_bce`` (the
+adjacency reconstruction loss), ``coupling_step`` (one flow step) and
+``cosine_distance``. A node may own several outputs (``coupling_step``
+has three); its backward runs once when any of them has a gradient, with
+zeros for an output no later op used.
+
 All data is float64.  Matrices are 2-D throughout; per-graph losses are
-B x 1 columns, and the training loss is their 0-d mean.
+B x 1 columns, and the training loss is their 0-d mean (one graph's 1 x 1
+loss itself).
 """
 
 from __future__ import annotations
@@ -53,13 +62,14 @@ class Tensor:
 
 
 class Node:
-    """One recorded primitive: op name, output ref, backward closure."""
+    """One recorded primitive: op name, its output tensors, and a backward
+    closure that takes one gradient per output."""
 
-    __slots__ = ("op", "out", "backprop")
+    __slots__ = ("op", "outs", "backprop")
 
-    def __init__(self, op: str, out: Tensor, backprop: Callable):
+    def __init__(self, op: str, outs: tuple, backprop: Callable):
         self.op = op
-        self.out = out
+        self.outs = outs
         self.backprop = backprop
 
 
@@ -97,13 +107,15 @@ class Tape:
         self._spent = True
         loss.grad = np.ones_like(loss.data)
         for node in reversed(self.nodes):
-            g = node.out.grad
-            if g is not None:
-                node.backprop(g)
+            grads = [out.grad for out in node.outs]
+            if any(g is not None for g in grads):
+                # a node runs once; an output no later op used passes zeros
+                node.backprop(*[np.zeros_like(out.data) if g is None else g
+                                for out, g in zip(node.outs, grads)])
 
     def _first_nonfinite(self) -> str:
         for i, node in enumerate(self.nodes):
-            if not np.all(np.isfinite(node.out.data)):
+            if not all(np.all(np.isfinite(out.data)) for out in node.outs):
                 return f"non-finite values first produced by node #{i} '{node.op}'"
         return "loss is non-finite but every recorded node output is finite"
 
@@ -131,13 +143,20 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     return g
 
 
-def _record(op: str, inputs: tuple, out_data: np.ndarray, backprop) -> Tensor:
+def _record(op: str, inputs: tuple, out_data, backprop):
+    """The output tensor of ``out_data``, or a tuple of them when
+    ``out_data`` is a tuple of arrays; recorded as one node when a tape is
+    active and an input is tracked."""
     tape = _active_tape()
-    if tape is not None and any(t.requires_grad for t in inputs):
-        out = Tensor(out_data, requires_grad=True)
-        tape.nodes.append(Node(op, out, backprop))
-        return out
-    return Tensor(out_data)
+    tracked = tape is not None and any(t.requires_grad for t in inputs)
+    if isinstance(out_data, tuple):
+        out = outs = tuple(Tensor(d, tracked) for d in out_data)
+    else:
+        out = Tensor(out_data, tracked)
+        outs = (out,)
+    if tracked:
+        tape.nodes.append(Node(op, outs, backprop))
+    return out
 
 
 class BlockDiag:
@@ -176,6 +195,15 @@ def row_offsets(a) -> tuple:
 def _stacked(parts: list) -> np.ndarray:
     """Per-block row results as one array (the one block itself)."""
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _propagate(a, x: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """a @ x, or a^T @ x, for a constant propagation operand: one graph's
+    matrix, or a BlockDiag as one GEMM per block into one buffer."""
+    if isinstance(a, BlockDiag):
+        return _stacked([(block.T if transpose else block) @ x[lo:hi]
+                         for block, lo, hi in a.spans])
+    return (a.T if transpose else a) @ x
 
 
 def as_tensor(x) -> Tensor:
@@ -272,12 +300,11 @@ def _block_matmul(a: BlockDiag, b: Tensor) -> Tensor:
     if b.data.ndim != 2 or a.shape[1] != b.data.shape[0]:
         raise ContractViolation(
             f"matmul inner dimensions disagree: {a.shape} @ {b.data.shape}")
-    out_data = _stacked([block @ b.data[lo:hi] for block, lo, hi in a.spans])
+    out_data = _propagate(a, b.data)
 
     def backprop(g):
         if b.requires_grad:
-            _accum(b, _stacked([block.T @ g[lo:hi]
-                                for block, lo, hi in a.spans]))
+            _accum(b, _propagate(a, g, transpose=True))
 
     return _record("matmul", (b,), out_data, backprop)
 
@@ -404,6 +431,12 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     return _record("clip", (a,), out_data, backprop)
 
 
+# ---------------------------------------------------------------------------
+# fused model ops: one node each, with a hand-written backward that replays
+# the composed chain's arithmetic in its order, so value and gradients are
+# bit-identical to it
+# ---------------------------------------------------------------------------
+
 def gram_bce(h: Tensor, adjacency, lo: float, hi: float) -> Tensor:
     """Per-graph summed binary cross entropy of p = clip(sigmoid(h h^T), lo,
     hi) against a 0/1 matrix A: -sum(A log p + (1 - A) log(1 - p)), as a
@@ -474,6 +507,148 @@ def gram_bce(h: Tensor, adjacency, lo: float, hi: float) -> Tensor:
     return _record("gram_bce", (h,), out_data, backprop)
 
 
+def coupling_step(half0: Tensor, half1: Tensor, a_hat, subnets,
+                  s_max: float) -> tuple:
+    """One affine coupling step as one node with three outputs: half0',
+    half1' and the per-graph log-det increment, a B x 1 column.
+
+    ``subnets`` holds the (w_prop, w_lin, bias) tensors of f1, f2, g1 and
+    g2, each the map h -> (A_hat h W_prop) W_lin + b. With the soft clamp
+    c(r) = s_max tanh(r / s_max):
+
+        s_f = c(f1(half1)),   half0' = half0 exp(s_f) + f2(half1)
+        s_g = c(g1(half0')),  half1' = half1 exp(s_g) + g2(half0')
+
+    and each graph's increment is its sum of s_f plus its sum of s_g.
+    ``a_hat`` is one graph's matrix, a pack's BlockDiag or a constant
+    Tensor. The forward propagates half1 once for f1 and f2, and half0'
+    once for g1 and g2. The backward takes one A_hat^T product per subnet
+    and adds half1's gradient in the chain's order: the g-side product,
+    then f2, then f1.
+    """
+    half0, half1 = as_tensor(half0), as_tensor(half1)
+    if isinstance(a_hat, Tensor):
+        if a_hat.requires_grad:
+            raise ContractViolation("coupling_step needs a constant A_hat")
+        a_hat = a_hat.data
+    if half0.shape != half1.shape or a_hat.shape[1] != half1.shape[0]:
+        raise ContractViolation(
+            f"coupling_step halves {half0.shape}, {half1.shape} do not fit "
+            f"A_hat {a_hat.shape}")
+    spans = _segment_spans(half0, row_offsets(a_hat))
+    f1, f2, g1, g2 = subnets
+    inv_s_max = 1.0 / s_max
+
+    def subnet(net, prop):
+        w_prop, w_lin, bias = net
+        hidden = prop @ w_prop.data
+        return hidden, hidden @ w_lin.data + bias.data
+
+    prop1 = _propagate(a_hat, half1.data)
+    hidden_f1, raw = subnet(f1, prop1)
+    tanh_f = np.tanh(raw * inv_s_max)
+    s_f = tanh_f * s_max
+    exp_f = np.exp(s_f)
+    hidden_f2, shift = subnet(f2, prop1)
+    new0 = half0.data * exp_f + shift
+    prop0 = _propagate(a_hat, new0)
+    hidden_g1, raw = subnet(g1, prop0)
+    tanh_g = np.tanh(raw * inv_s_max)
+    s_g = tanh_g * s_max
+    exp_g = np.exp(s_g)
+    hidden_g2, shift = subnet(g2, prop0)
+    new1 = half1.data * exp_g + shift
+    inc = _segment_totals(s_f, spans) + _segment_totals(s_g, spans)
+
+    def subnet_back(net, prop, hidden, g, to_input: bool):
+        """Adds the subnet's parameter gradients for output gradient g;
+        returns the gradient reaching its input half when asked."""
+        w_prop, w_lin, bias = net
+        if bias.requires_grad:
+            _accum(bias, _unbroadcast(g, bias.data.shape))
+        g_hidden = g @ w_lin.data.T
+        if w_lin.requires_grad:
+            _accum(w_lin, hidden.T @ g)
+        if w_prop.requires_grad:
+            _accum(w_prop, prop.T @ g_hidden)
+        if to_input:
+            return _propagate(a_hat, g_hidden @ w_prop.data.T, transpose=True)
+        return None
+
+    def backprop(grad0, grad1, grad_inc):
+        # each graph's increment gradient reaches every entry of s_f and s_g
+        rows = np.repeat(grad_inc, [hi - lo for lo, hi in spans], axis=0)
+        # g side: g2's shift, the product half1 exp(s_g), g1 through the clamp
+        grad_new0 = grad0 + subnet_back(g2, prop0, hidden_g2, grad1, True)
+        if half1.requires_grad:
+            _accum(half1, grad1 * exp_g)
+        grad_s = rows + grad1 * half1.data * exp_g
+        grad_raw = grad_s * s_max * (1.0 - tanh_g * tanh_g) * inv_s_max
+        grad_new0 += subnet_back(g1, prop0, hidden_g1, grad_raw, True)
+        # f side, in the same order
+        grad_half1 = subnet_back(f2, prop1, hidden_f2, grad_new0,
+                                 half1.requires_grad)
+        if grad_half1 is not None:
+            _accum(half1, grad_half1)
+        if half0.requires_grad:
+            _accum(half0, grad_new0 * exp_f)
+        grad_s = rows + grad_new0 * half0.data * exp_f
+        grad_raw = grad_s * s_max * (1.0 - tanh_f * tanh_f) * inv_s_max
+        grad_half1 = subnet_back(f1, prop1, hidden_f1, grad_raw,
+                                 half1.requires_grad)
+        if grad_half1 is not None:
+            _accum(half1, grad_half1)
+
+    params = tuple(p for net in subnets for p in net)
+    return _record("coupling_step", (half0, half1) + params,
+                   (new0, new1, inc), backprop)
+
+
+def cosine_distance(u: Tensor, v: Tensor) -> Tensor:
+    """Rowwise halved cosine distance (1 - cos)/2, an n x 1 column, as one
+    node. A row pair with a zero row has dot = 0 and gets a denominator of
+    exactly 1, so a pair with one zero row costs 0.5 with a gradient of the
+    size of the other row; a pair of zero rows is masked to 0 and passes no
+    gradient. The backward replays the mul/reduce_sum/sqrt/div chain: each
+    of u and v gets its squared-norm term twice, then its dot term."""
+    u, v = as_tensor(u), as_tensor(v)
+    dot = (u.data * v.data).sum(axis=1, keepdims=True)
+    sq_u = (u.data * u.data).sum(axis=1, keepdims=True)
+    sq_v = (v.data * v.data).sum(axis=1, keepdims=True)
+    norms_sq = sq_u * sq_v
+    # norms_sq >= +0, so adding the 0/1 zero flag changes only the zeros
+    norm = np.sqrt(norms_sq + (norms_sq == 0.0))
+    cos = dot / norm
+    out_data = cos * -0.5 + 0.5
+    # the unit denominator alone would give a zero/zero pair cos = 0, i.e. 0.5
+    either_nonzero = (u.data.any(axis=1, keepdims=True)
+                      | v.data.any(axis=1, keepdims=True))
+    mask = None
+    if not either_nonzero.all():
+        mask = either_nonzero.astype(np.float64)
+        out_data = out_data * mask
+
+    def backprop(g):
+        if mask is not None:
+            g = g * mask
+        g_cos = g * -0.5
+        g_dot = g_cos / norm
+        g_norms_sq = -g_cos * cos / norm * (0.5 / norm)
+        if v.requires_grad:
+            g_sq = g_norms_sq * sq_u * v.data
+            _accum(v, g_sq)
+            _accum(v, g_sq)
+        if u.requires_grad:
+            g_sq = g_norms_sq * sq_v * u.data
+            _accum(u, g_sq)
+            _accum(u, g_sq)
+            _accum(u, g_dot * v.data)
+        if v.requires_grad:
+            _accum(v, g_dot * u.data)
+
+    return _record("cosine_distance", (u, v), out_data, backprop)
+
+
 # ---------------------------------------------------------------------------
 # reductions and shape ops
 # ---------------------------------------------------------------------------
@@ -529,6 +704,13 @@ def _segment_spans(a: Tensor, offsets) -> list:
     return spans
 
 
+def _segment_totals(x: np.ndarray, spans, axis=None) -> np.ndarray:
+    """Each span's sum (``axis=None``) or column sums (``axis=0``), one row
+    per span, each span summed as its own slice."""
+    return np.array([x[lo:hi].sum(axis=axis)
+                     for lo, hi in spans]).reshape(len(spans), -1)
+
+
 def segment_sum(a: Tensor, offsets=None, axis=None) -> Tensor:
     """Per-segment sums of a's row blocks ``offsets[b]:offsets[b + 1]``
     (one segment over all rows when ``offsets`` is None): B x 1 totals
@@ -536,8 +718,7 @@ def segment_sum(a: Tensor, offsets=None, axis=None) -> Tensor:
     summed as its own slice, so a single segment bit-equals ``reduce_sum``."""
     a = as_tensor(a)
     spans = _segment_spans(a, offsets)
-    out_data = np.array([a.data[lo:hi].sum(axis=axis) for lo, hi in spans])
-    out_data = out_data.reshape(len(spans), -1)
+    out_data = _segment_totals(a.data, spans, axis)
 
     def backprop(g):
         if a.requires_grad:

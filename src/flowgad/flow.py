@@ -6,8 +6,11 @@ one half conditioned on the other through small message-passing sub-networks
 same to the second half conditioned on the updated first. Scale exponents
 are soft-clamped through tanh so exp() cannot overflow, and the clamped
 values feed both the transform and the log-determinant, keeping the density
-arithmetic exact. The inverse runs the same algebra backwards. On a pack of
-graphs the log-determinant is a column with one entry per graph.
+arithmetic exact. The forward step is one fused tape node
+(``autodiff.coupling_step``) with a hand-written backward; the inverse,
+which no training step records, runs the same algebra backwards as a chain
+of primitives. On a pack of graphs the log-determinant is a column with
+one entry per graph.
 """
 
 from __future__ import annotations
@@ -54,16 +57,16 @@ class CouplingStep:
         return ad.scale(ad.tanh(ad.scale(raw, 1.0 / self.s_max)), self.s_max)
 
     def forward(self, half0: Tensor, half1: Tensor, a_hat):
-        """Returns (half0', half1', per-graph log-det increment column)."""
-        s_f = self._clamped(self.f1.forward(a_hat, half1))
-        half0 = ad.add(ad.mul(half0, ad.exp(s_f)), self.f2.forward(a_hat, half1))
-        s_g = self._clamped(self.g1.forward(a_hat, half0))
-        half1 = ad.add(ad.mul(half1, ad.exp(s_g)), self.g2.forward(a_hat, half0))
-        offsets = ad.row_offsets(a_hat)
-        inc = ad.add(ad.segment_sum(s_f, offsets), ad.segment_sum(s_g, offsets))
-        return half0, half1, inc
+        """Returns (half0', half1', per-graph log-det increment column),
+        recorded as one ``coupling_step`` tape node."""
+        return ad.coupling_step(
+            half0, half1, a_hat,
+            [(net.w_prop, net.w_lin, net.bias)
+             for net in (self.f1, self.f2, self.g1, self.g2)],
+            self.s_max)
 
     def inverse(self, half0: Tensor, half1: Tensor, a_hat):
+        """The step's inverse, composed from tape primitives."""
         s_g = self._clamped(self.g1.forward(a_hat, half0))
         half1 = ad.mul(ad.sub(half1, self.g2.forward(a_hat, half0)),
                        ad.exp(ad.scale(s_g, -1.0)))

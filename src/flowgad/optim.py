@@ -80,7 +80,8 @@ def fit(params, packs, pack_loss, *, epochs: int, lr: float,
     visited in order every epoch; a pack's first entry is its propagation
     operand, whose row offsets say how many graphs it holds.
     ``pack_loss(pack)`` records the pack's per-graph losses on the active
-    tape as a B x 1 column; a step descends on its mean. Returns the
+    tape as a B x 1 column; a step descends on its mean (on the loss
+    itself for a one-graph pack, which records no mean). Returns the
     per-epoch mean per-graph loss. A NumericFault while a pack loss is
     built, or a non-finite pack loss, stops training with a TrainingFault
     naming ``what``, the epoch and the fault's source."""
@@ -99,7 +100,8 @@ def fit(params, packs, pack_loss, *, epochs: int, lr: float,
                         raise ContractViolation(
                             f"{what} loss of {count} graphs has shape "
                             f"{losses.shape}, not one row per graph")
-                    loss = ad.mean(losses)
+                    # the mean of one graph's loss is that loss
+                    loss = losses if count == 1 else ad.mean(losses)
                     # a non-finite loss raises here, naming the first
                     # recorded op that produced a non-finite value
                     tape.backward(loss)

@@ -5,6 +5,8 @@ and pushes the result through a two-layer perceptron. A columnwise max
 readout produces the graph vector (mean readout available), one row per
 graph of a pack. Disagreement is measured by halved cosine distance, bounded
 in [0, 1]; at beta = 1/2 the distillation loss is also the anomaly score.
+The cosine distance is one fused tape node (``autodiff.cosine_distance``)
+with a hand-written backward.
 """
 
 from __future__ import annotations
@@ -78,12 +80,12 @@ READOUTS = {"max": readout_max, "mean": readout_mean}
 
 def pair_distances(u: Tensor, v: Tensor, kind: str = "cosine") -> Tensor:
     """Differentiable rowwise distances, n x 1. The cosine form is
-    (1 - cos)/2 in [0, 1]. A row pair with exactly one all-zero row costs
-    0.5 (maximally uninformative) with a bounded gradient; a pair of
-    all-zero rows agrees, costs 0 and passes no gradient. Such pairs occur
-    under ``asy_st``: an isolated attribute-free node has a zero encoding
-    row, which the bias-free GCN teacher, the zero-step flow and the GCN
-    student keep at zero."""
+    (1 - cos)/2 in [0, 1], one ``cosine_distance`` tape node. A row pair
+    with exactly one all-zero row costs 0.5 (maximally uninformative) with
+    a bounded gradient; a pair of all-zero rows agrees, costs 0 and passes
+    no gradient. Such pairs occur under ``asy_st``: an isolated
+    attribute-free node has a zero encoding row, which the bias-free GCN
+    teacher, the zero-step flow and the GCN student keep at zero."""
     if u.shape != v.shape:
         raise ContractViolation(f"shape mismatch: {u.shape} vs {v.shape}")
     if kind == "sqeuclidean":
@@ -91,23 +93,7 @@ def pair_distances(u: Tensor, v: Tensor, kind: str = "cosine") -> Tensor:
         return ad.reduce_sum(ad.mul(diff, diff), axis=1, keepdims=True)
     if kind != "cosine":
         raise ConfigError(f"unknown distance kind {kind!r}")
-    dot = ad.reduce_sum(ad.mul(u, v), axis=1, keepdims=True)
-    sq_u = ad.reduce_sum(ad.mul(u, u), axis=1, keepdims=True)
-    sq_v = ad.reduce_sum(ad.mul(v, v), axis=1, keepdims=True)
-    norms_sq = ad.mul(sq_u, sq_v)
-    # a pair with a zero row has dot = 0; a denominator of exactly 1 keeps
-    # its cosine at 0 and its gradient of the size of the other row
-    zero = norms_sq.data == 0.0
-    if zero.any():
-        norms_sq = ad.add(norms_sq, ad.constant(zero.astype(np.float64)))
-    cos = ad.div(dot, ad.sqrt(norms_sq))
-    dist = ad.add_scalar(ad.scale(cos, -0.5), 0.5)
-    # the unit denominator alone would give a zero/zero pair cos = 0, i.e. 0.5
-    either_nonzero = (u.data.any(axis=1, keepdims=True)
-                      | v.data.any(axis=1, keepdims=True))
-    if not either_nonzero.all():
-        dist = ad.mul(dist, ad.constant(either_nonzero.astype(np.float64)))
-    return dist
+    return ad.cosine_distance(u, v)
 
 
 def graph_target_loss(student_nodes: Tensor, z_nodes: np.ndarray,

@@ -1,6 +1,7 @@
 """Shared fixtures: benchmark-data discovery, a tiny on-disk dataset, the
-scalar reference for the student/flow distance, fully random flows, and
-checkpoint writes that fail halfway.
+scalar reference for the student/flow distance, the composed chains that
+the fused coupling step and cosine distance must bit-equal, fully random
+flows, and checkpoint writes that fail halfway.
 
 Real benchmark directories are looked up under $FLOWGAD_DATA_DIR, falling
 back to <repo>/data. Tests that need them skip with a pointer when the
@@ -13,7 +14,9 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from flowgad import autodiff as ad
 from flowgad import checkpoint
+from flowgad.errors import ConfigError
 from flowgad.flow import GraphFlow
 from flowgad.optim import glorot_init, make_rng
 
@@ -60,6 +63,42 @@ def reference_distance(u, v, kind: str = "cosine") -> float:
         return 0.5
     cos = float(np.dot(u, v) / (nu * nv))
     return (1.0 - min(1.0, max(-1.0, cos))) / 2.0
+
+
+def composed_coupling_step(step, half0, half1, a_hat):
+    """``CouplingStep.forward`` as the chain of tape primitives it was built
+    from before it became one fused node: the reference it must bit-equal."""
+    s_f = step._clamped(step.f1.forward(a_hat, half1))
+    half0 = ad.add(ad.mul(half0, ad.exp(s_f)), step.f2.forward(a_hat, half1))
+    s_g = step._clamped(step.g1.forward(a_hat, half0))
+    half1 = ad.add(ad.mul(half1, ad.exp(s_g)), step.g2.forward(a_hat, half0))
+    offsets = ad.row_offsets(a_hat)
+    inc = ad.add(ad.segment_sum(s_f, offsets), ad.segment_sum(s_g, offsets))
+    return half0, half1, inc
+
+
+def composed_pair_distances(u, v, kind: str = "cosine"):
+    """``target.pair_distances`` with the cosine form as the chain of tape
+    primitives it was built from before it became one fused node."""
+    if kind == "sqeuclidean":
+        diff = ad.sub(u, v)
+        return ad.reduce_sum(ad.mul(diff, diff), axis=1, keepdims=True)
+    if kind != "cosine":
+        raise ConfigError(f"unknown distance kind {kind!r}")
+    dot = ad.reduce_sum(ad.mul(u, v), axis=1, keepdims=True)
+    sq_u = ad.reduce_sum(ad.mul(u, u), axis=1, keepdims=True)
+    sq_v = ad.reduce_sum(ad.mul(v, v), axis=1, keepdims=True)
+    norms_sq = ad.mul(sq_u, sq_v)
+    zero = norms_sq.data == 0.0
+    if zero.any():
+        norms_sq = ad.add(norms_sq, ad.constant(zero.astype(np.float64)))
+    cos = ad.div(dot, ad.sqrt(norms_sq))
+    dist = ad.add_scalar(ad.scale(cos, -0.5), 0.5)
+    either_nonzero = (u.data.any(axis=1, keepdims=True)
+                      | v.data.any(axis=1, keepdims=True))
+    if not either_nonzero.all():
+        dist = ad.mul(dist, ad.constant(either_nonzero.astype(np.float64)))
+    return dist
 
 
 def random_flow(d: int, steps: int, rng: np.random.Generator,

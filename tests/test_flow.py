@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from flowgad import autodiff as ad
-from flowgad.autodiff import Tensor, gradcheck
+from flowgad.autodiff import Tape, Tensor, gradcheck
 from flowgad.data import Graph, normalized_adjacency
-from flowgad.errors import ContractViolation, TrainingFault
+from flowgad.errors import ContractViolation, NumericFault, TrainingFault
 from flowgad.flow import CouplingStep, GraphFlow, nf_loss, train_flow
-from flowgad.optim import make_rng
+from flowgad.optim import freeze, make_rng
 
-from conftest import random_flow
+from conftest import composed_coupling_step, random_flow
 
 
 def _random_a_hat(n, rng):
@@ -278,3 +278,136 @@ def test_train_flow_divergence_faults(rng):
     with np.errstate(all="ignore"):
         with pytest.raises(TrainingFault):
             train_flow(flow, inputs, epochs=6, lr=1e200)
+
+
+def _step_bits(forward, step, h0, h1, a_hat, track, weights, reread):
+    """A weighted sum of one coupling step's three outputs, built through
+    ``forward``: the outputs, the loss, the gradient of each of the 12
+    subnet tensors and of each tracked half, as bytes. With ``reread`` a
+    term recorded after the step reads both input halves, so their
+    gradient buffers are already written when the step's backward runs."""
+    for p in step.params():
+        p.grad = None
+    half0 = Tensor(h0.copy(), requires_grad=track[0])
+    half1 = Tensor(h1.copy(), requires_grad=track[1])
+    w0, w1, w_inc = (ad.constant(w) for w in weights)
+    with Tape() as tape:
+        new0, new1, inc = forward(step, half0, half1, a_hat)
+        loss = ad.add(ad.add(ad.reduce_sum(ad.mul(new0, w0)),
+                             ad.reduce_sum(ad.mul(new1, w1))),
+                      ad.reduce_sum(ad.mul(inc, w_inc)))
+        if reread:
+            both = ad.mul(half0, half1)
+            loss = ad.add(loss, ad.reduce_sum(ad.mul(both, both)))
+    tape.backward(loss)
+    grads = [p.grad for p in step.params()]
+    grads += [h.grad for h, tracked in zip((half0, half1), track) if tracked]
+    assert all(g is not None for g in grads)
+    return [t.data.tobytes() for t in (new0, new1, inc, loss)] + [
+        g.tobytes() for g in grads]
+
+
+def _step_cases(rng):
+    """(kind, step, half0, half1, a_hat) over the operand types a step
+    receives: one graph's matrix, the same as a constant Tensor, and packs
+    that include 1-node graphs."""
+    for trial in range(6):
+        half = int(rng.integers(1, 4))
+
+        def halves(n):
+            return rng.normal(size=(n, half)), rng.normal(size=(n, half))
+
+        step = random_flow(2 * half, 1, make_rng(200 + trial)).steps[0]
+        for net in (step.f1, step.f2, step.g1, step.g2):
+            net.bias.data[...] = rng.normal(size=net.bias.shape)
+        n = 1 if trial == 0 else int(rng.integers(1, 9))
+        a_hat = _random_a_hat(n, rng)
+        yield "random", step, *halves(n), a_hat
+        yield "constant", step, *halves(n), ad.constant(a_hat)
+        sizes = [1] + [int(k) for k in rng.integers(1, 8, size=3)]
+        pack = ad.BlockDiag([_random_a_hat(k, rng) for k in sizes])
+        yield "pack", step, *halves(sum(sizes)), pack
+        # |raw| far above s_max: tanh rounds to +-1 and the clamp's
+        # derivative 1 - tanh^2 is exactly 0 on those entries
+        hot = random_flow(2 * half, 1, make_rng(300 + trial),
+                          s_max=0.25).steps[0]
+        for net in (hot.f1, hot.g1):
+            net.bias.data[...] = rng.choice([-60.0, 60.0], size=net.bias.shape)
+        yield "saturated", hot, *halves(sum(sizes)), pack
+
+
+@pytest.mark.parametrize("track", [(False, False), (True, False),
+                                   (False, True), (True, True)])
+@pytest.mark.parametrize("reread", [False, True])
+def test_fused_coupling_step_bit_equals_composed_chain(rng, track, reread):
+    for kind, step, h0, h1, a_hat in _step_cases(rng):
+        n = h0.shape[0]
+        weights = (rng.normal(size=h0.shape), rng.normal(size=h1.shape),
+                   rng.normal(size=(len(ad.row_offsets(a_hat)) - 1, 1)))
+        fused = _step_bits(CouplingStep.forward, step, h0, h1, a_hat, track,
+                           weights, reread)
+        chain = _step_bits(composed_coupling_step, step, h0, h1, a_hat,
+                           track, weights, reread)
+        assert len(fused) == 4 + 12 + sum(track)
+        assert fused == chain, (kind, n, track, reread)
+
+
+def test_coupling_step_without_a_gradient_on_some_outputs(rng):
+    # only half0' feeds the loss: half1' and the increment pass zeros,
+    # which give the chain's values (its missing paths add nothing)
+    step = random_flow(4, 1, make_rng(5)).steps[0]
+    a_hat = _random_a_hat(4, rng)
+    h0, h1 = rng.normal(size=(4, 2)), rng.normal(size=(4, 2))
+    grads = []
+    for forward in (CouplingStep.forward, composed_coupling_step):
+        for p in step.params():
+            p.grad = None
+        half1 = Tensor(h1.copy(), requires_grad=True)
+        with Tape() as tape:
+            new0, _, _ = forward(step, ad.constant(h0), half1, a_hat)
+            loss = ad.reduce_sum(ad.mul(new0, new0))
+        tape.backward(loss)
+        grads.append([np.zeros_like(t.data) if t.grad is None else t.grad
+                      for t in step.params() + [half1]])
+    for fused, chain in zip(*grads):
+        assert np.array_equal(fused, chain)
+
+
+def test_flow_records_one_node_per_coupling_step(rng):
+    flow = random_flow(4, 2, make_rng(3))
+    h = ad.constant(rng.normal(size=(5, 4)))
+    a_hat = _random_a_hat(5, rng)
+    with Tape() as tape:
+        flow.forward(h, a_hat)
+    ops = [node.op for node in tape.nodes]
+    assert ops.count("coupling_step") == 2
+    assert not {"tanh", "exp", "matmul"} & set(ops)
+    freeze(flow)
+    with Tape() as tape:
+        flow.forward(h, a_hat)
+    assert tape.nodes == []
+
+
+def test_fault_in_one_coupling_output_names_the_step():
+    # s_f near -0.76 s_max on every entry: exp(s_f) underflows to 0, so
+    # both halves stay finite, but the increment's sum overflows to -inf
+    step = CouplingStep(1, 1e308, make_rng(0))
+    step.f1.bias.data[...] = -1e308
+    a_hat = np.eye(3)
+    with Tape() as tape, np.errstate(over="ignore"):
+        new0, new1, inc = step.forward(ad.constant(np.ones((3, 1))),
+                                       ad.constant(np.ones((3, 1))), a_hat)
+        loss = ad.sub(ad.reduce_sum(ad.add(new0, new1)), ad.reduce_sum(inc))
+    assert np.all(np.isfinite(new0.data)) and np.all(np.isfinite(new1.data))
+    assert np.isneginf(inc.item())
+    with pytest.raises(NumericFault, match="node #0 'coupling_step'"):
+        tape.backward(loss)
+
+
+def test_coupling_step_rejects_a_tracked_propagation_operand(rng):
+    step = CouplingStep(1, 2.0, make_rng(0))
+    half = ad.constant(rng.normal(size=(2, 1)))
+    with pytest.raises(ContractViolation, match="constant A_hat"):
+        step.forward(half, half, Tensor(np.eye(2), requires_grad=True))
+    with pytest.raises(ContractViolation, match="do not fit"):
+        step.forward(half, half, np.eye(3))

@@ -5,10 +5,13 @@ from flowgad import autodiff as ad
 from flowgad import optim
 from flowgad.autodiff import Tape, Tensor
 from flowgad.errors import ContractViolation
+from flowgad.flow import nf_loss
 from flowgad.optim import BETA1, BETA2, EPS, Adam, fit, glorot_init, make_rng
 from flowgad.pipeline import (VARIANTS, ExperimentConfig, precompute_inputs,
                               run_experiment, run_seed)
 from flowgad.synthetic import planted_anomaly_set
+
+from conftest import random_flow
 
 
 class ReferenceAdam:
@@ -248,3 +251,43 @@ def test_fit_rejects_a_loss_without_one_row_per_graph(reduce):
 
     with pytest.raises(ContractViolation, match="one row per graph"):
         fit([p], [pack], pack_loss, epochs=1, lr=1e-3, what="test")
+
+
+def test_a_one_graph_pack_descends_on_its_loss_without_a_mean():
+    # the mean of one value is that value, so fit records no mean for a
+    # one-graph pack; a pack of two still ends in reduce_sum and scale
+    p = Tensor(np.ones((1, 1)), requires_grad=True)
+    tapes = []
+
+    def pack_loss(pack):
+        a_hat, x = pack
+        tapes.append(ad._active_tape())
+        return ad.segment_sum(ad.matmul(a_hat, ad.mul(ad.constant(x), p)),
+                              ad.row_offsets(a_hat))
+
+    one = (np.eye(3), np.arange(3.0)[:, None])
+    two = (ad.BlockDiag([np.eye(2), np.eye(3)]), np.arange(5.0)[:, None])
+    fit([p], [one, two], pack_loss, epochs=1, lr=1e-3, what="test")
+    assert [node.op for node in tapes[0].nodes] == ["mul", "matmul",
+                                                    "segment_sum"]
+    assert [node.op for node in tapes[1].nodes][-2:] == ["reduce_sum",
+                                                         "scale"]
+
+
+def test_one_graph_loss_bit_equals_its_mean():
+    # the step on a 1 x 1 loss column gives the value and gradients that
+    # the recorded mean of that column gave
+    rng = make_rng(21)
+    flow = random_flow(4, 2, rng)
+    h = rng.normal(size=(5, 4))
+    a_hat = rng.random((5, 5))
+    results = []
+    for reduce in (lambda losses: losses, ad.mean):
+        for q in flow.params():
+            q.grad = None
+        with Tape() as tape:
+            z, log_det = flow.forward(ad.constant(h), a_hat)
+            loss = reduce(nf_loss(z, log_det))
+        tape.backward(loss)
+        results.append(_bits([loss.data] + [q.grad for q in flow.params()]))
+    assert results[0] == results[1]

@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 
 from flowgad import autodiff as ad
+from flowgad import target
 from flowgad.checkpoint import PhaseStore, load_checkpoint, save_checkpoint
 from flowgad.data import Graph, GraphSet, make_anomaly_split
 from flowgad.errors import (ConfigError, ContractViolation, PhaseOrderError,
                             UndefinedMetricError)
-from flowgad.flow import GraphFlow
+from flowgad.flow import CouplingStep, GraphFlow
 from flowgad.optim import make_rng
-from flowgad.pipeline import (PHASES, ExperimentConfig, SplitGuard, compute_auc,
-                              config_from_dict, export_embeddings,
+from flowgad.pipeline import (PHASES, VARIANTS, ExperimentConfig, SplitGuard,
+                              compute_auc, config_from_dict, export_embeddings,
                               forward_stack, pooled, precompute_inputs,
                               resolve_normal_class, run_experiment, run_seed,
                               score_graph, score_histogram, subsample_graphset)
@@ -20,7 +21,8 @@ from flowgad.source import FeatureDecoder, GcnEncoder
 from flowgad.synthetic import planted_anomaly_set
 from flowgad.target import GinNetwork
 
-from conftest import fail_checkpoint_writes, reference_distance
+from conftest import (composed_coupling_step, composed_pair_distances,
+                      fail_checkpoint_writes, reference_distance)
 
 TINY = dict(s_epochs=6, n_epochs=6, t_epochs=6, d=8, hidden=8, k_se=8,
             seeds=(0,))
@@ -256,6 +258,23 @@ def test_all_variants_run_and_report():
             assert set(traces) == {"source"}
         else:
             assert "target" in traces and "flow" not in traces
+
+
+def test_reports_match_the_composed_chains(monkeypatch):
+    # the fused coupling step and cosine distance leave every report
+    # byte-identical to the primitive chains they replaced
+    gs = planted_anomaly_set()
+    for variant in VARIANTS:
+        for batch_size in (1, 4):
+            config = ExperimentConfig(variant=variant, seeds=(0,),
+                                      s_epochs=2, n_epochs=2, t_epochs=2,
+                                      batch_size=batch_size)
+            fused = run_experiment(gs, config)[0].canonical_bytes()
+            with monkeypatch.context() as patch:
+                patch.setattr(CouplingStep, "forward", composed_coupling_step)
+                patch.setattr(target, "pair_distances", composed_pair_distances)
+                chain = run_experiment(gs, config)[0].canonical_bytes()
+            assert fused == chain, (variant, batch_size)
 
 
 def test_protocol_purity_on_synthetic_run():

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from flowgad import autodiff as ad
-from flowgad.autodiff import Tensor, gradcheck
+from flowgad.autodiff import Tape, Tensor, gradcheck
 from flowgad.errors import ConfigError, ContractViolation
 from flowgad.optim import make_rng
 from flowgad.target import (GinNetwork, graph_target_loss, pair_distances,
                             readout_max, readout_mean, train_target)
 
-from conftest import reference_distance
+from conftest import composed_pair_distances, reference_distance
 
 
 def _rows(u, v, kind="cosine"):
@@ -151,6 +151,57 @@ def test_one_zero_row_pair_has_a_bounded_gradient():
     assert np.allclose(u.grad[0], [-0.15, 0.2], rtol=0.0, atol=1e-15)
     assert np.array_equal(v.grad[0], np.zeros(2))
     assert np.all(np.abs(u.grad) < 1.0) and np.all(np.abs(v.grad) < 1.0)
+
+
+def _distance_bits(distances, u_data, v_data, track, weights, reread):
+    """A weighted sum of the rowwise distances of u and v, built through
+    ``distances``: the distances, the loss and each tracked side's
+    gradient, as bytes. With ``reread`` a term recorded after the distance
+    reads u and v, so their gradient buffers are already written when the
+    distance's backward runs."""
+    u = Tensor(u_data.copy(), requires_grad=track[0])
+    v = Tensor(v_data.copy(), requires_grad=track[1])
+    with Tape() as tape:
+        dist = distances(u, v)
+        loss = ad.reduce_sum(ad.mul(dist, ad.constant(weights)))
+        if reread:
+            loss = ad.add(loss, ad.reduce_sum(ad.mul(u, v)))
+    tape.backward(loss)
+    return [dist.data.tobytes(), loss.data.tobytes()] + [
+        t.grad.tobytes() for t, tracked in zip((u, v), track) if tracked]
+
+
+def _distance_cases(rng):
+    for n in [1, 2, 5] + [int(k) for k in rng.integers(6, 40, size=4)]:
+        d = int(rng.integers(1, 9))
+        u, v = rng.normal(size=(n, d)), rng.normal(size=(n, d))
+        yield "random", u, v
+        # one zero row on either side, and zero/zero pairs
+        rows = rng.random(n)
+        u[rows < 0.3] = 0.0
+        v[(rows >= 0.2) & (rows < 0.5)] = 0.0
+        yield "zero rows", u, v
+        u[0] = v[0] = 0.0
+        yield "zero/zero", u, v
+        yield "parallel", u, u * np.abs(rng.normal(size=(n, 1)))
+
+
+@pytest.mark.parametrize("track", [(True, False), (False, True), (True, True)])
+@pytest.mark.parametrize("reread", [False, True])
+def test_fused_cosine_distance_bit_equals_composed_chain(rng, track, reread):
+    for kind, u, v in _distance_cases(rng):
+        weights = rng.normal(size=(u.shape[0], 1))
+        fused = _distance_bits(pair_distances, u, v, track, weights, reread)
+        chain = _distance_bits(composed_pair_distances, u, v, track, weights,
+                               reread)
+        assert fused == chain, (kind, u.shape, track, reread)
+
+
+def test_cosine_distance_records_one_tape_node(rng):
+    u = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    with Tape() as tape:
+        pair_distances(u, ad.constant(np.zeros((4, 3))))
+    assert [node.op for node in tape.nodes] == ["cosine_distance"]
 
 
 def test_target_loss_zero_when_outputs_match(rng):
