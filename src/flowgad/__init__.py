@@ -24,7 +24,6 @@ from .pipeline import (ExperimentConfig, ScoreReport, SplitGuard,
 from .source import (FeatureDecoder, GcnEncoder, adjacency_recon_loss,
                      pretrain_source, source_loss)
 from .synthetic import planted_anomaly_set
-from .target import (GinNetwork, graph_target_loss, readout_max,
-                     readout_mean, train_target)
+from .target import GinNetwork, graph_target_loss, train_target
 
 __version__ = "0.1.0"

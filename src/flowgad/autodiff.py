@@ -612,6 +612,8 @@ def cosine_distance(u: Tensor, v: Tensor) -> Tensor:
     gradient. The backward replays the mul/reduce_sum/sqrt/div chain: each
     of u and v gets its squared-norm term twice, then its dot term."""
     u, v = as_tensor(u), as_tensor(v)
+    if u.shape != v.shape:
+        raise ContractViolation(f"shape mismatch: {u.shape} vs {v.shape}")
     dot = (u.data * v.data).sum(axis=1, keepdims=True)
     sq_u = (u.data * u.data).sum(axis=1, keepdims=True)
     sq_v = (v.data * v.data).sum(axis=1, keepdims=True)
@@ -704,21 +706,20 @@ def _segment_spans(a: Tensor, offsets) -> list:
     return spans
 
 
-def _segment_totals(x: np.ndarray, spans, axis=None) -> np.ndarray:
-    """Each span's sum (``axis=None``) or column sums (``axis=0``), one row
-    per span, each span summed as its own slice."""
-    return np.array([x[lo:hi].sum(axis=axis)
-                     for lo, hi in spans]).reshape(len(spans), -1)
+def _segment_totals(x: np.ndarray, spans) -> np.ndarray:
+    """Each span's sum as a B x 1 column, each span summed as its own
+    slice."""
+    return np.array([x[lo:hi].sum() for lo, hi in spans]).reshape(-1, 1)
 
 
-def segment_sum(a: Tensor, offsets=None, axis=None) -> Tensor:
-    """Per-segment sums of a's row blocks ``offsets[b]:offsets[b + 1]``
-    (one segment over all rows when ``offsets`` is None): B x 1 totals
-    with ``axis=None``, B x d column sums with ``axis=0``. Each segment is
-    summed as its own slice, so a single segment bit-equals ``reduce_sum``."""
+def segment_sum(a: Tensor, offsets=None) -> Tensor:
+    """Per-segment totals of a's row blocks ``offsets[b]:offsets[b + 1]``
+    (one segment over all rows when ``offsets`` is None), a B x 1 column.
+    Each segment is summed as its own slice, so a single segment bit-equals
+    ``reduce_sum``."""
     a = as_tensor(a)
     spans = _segment_spans(a, offsets)
-    out_data = _segment_totals(a.data, spans, axis)
+    out_data = _segment_totals(a.data, spans)
 
     def backprop(g):
         if a.requires_grad:
@@ -747,15 +748,13 @@ def segment_max(a: Tensor, offsets=None) -> Tensor:
     return _record("segment_max", (a,), out_data, backprop)
 
 
-def segment_mean(a: Tensor, offsets=None, axis=None) -> Tensor:
+def segment_mean(a: Tensor, offsets=None) -> Tensor:
     """``segment_sum`` times 1/count, the count being each segment's
-    entries (``axis=None``) or rows (``axis=0``), as ``mean`` scales."""
+    entries, as ``mean`` scales."""
     a = as_tensor(a)
     counts = np.array([hi - lo for lo, hi in _segment_spans(a, offsets)])
-    if axis is None:
-        counts = counts * a.data.shape[1]
-    return mul(segment_sum(a, offsets, axis),
-               constant(1.0 / counts[:, None]))
+    return mul(segment_sum(a, offsets),
+               constant(1.0 / (counts * a.data.shape[1])[:, None]))
 
 
 def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:

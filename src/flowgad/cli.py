@@ -42,8 +42,6 @@ EXIT_CODES = (
     (UndefinedMetricError, 6),
 )
 
-_BOOL_WORDS = {"true": True, "false": False, "yes": True, "no": False,
-               "1": True, "0": False}
 # each key's value type is the type of its field's default
 _DEFAULTS = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
 
@@ -84,10 +82,6 @@ def _parse_value(key: str, value: str, path: str, line_no: int):
             return _parse_seeds(value)
         if key == "normal_class":
             return value if value == "majority" else int(value)
-        if kind is bool:
-            if value.lower() not in _BOOL_WORDS:
-                raise ValueError(value)
-            return _BOOL_WORDS[value.lower()]
         if kind in (int, float):
             return kind(value)
     except ValueError:
@@ -152,18 +146,21 @@ _PHASE_DONE = {"source": "encoder trained", "flow": "flow written",
 
 def cmd_train(args) -> int:
     config = _apply_overrides(parse_config_file(args.config), args)
+    chain = phase_chain(config.variant)
+    if args.phase != "all" and args.phase not in chain:
+        raise ConfigError(f"--phase {args.phase}: variant {config.variant} "
+                          f"runs only {', '.join(chain)}")
     store = _store(config, args)
     gs, normal, inputs = prepare_experiment(load_dataset(config), config)
-    phases = PHASES if args.phase == "all" else (args.phase,)
+    phases = chain if args.phase == "all" else (args.phase,)
     for seed in config.seeds:
         result = run_seed(gs, inputs, config, seed, normal, store=store,
                           train=phases, score=False)
-        for phase in phase_chain(config.variant):
-            if phase in phases:
-                trace = result.traces.get(phase)
-                note = ("identity" if trace is None else
-                        f"final loss {trace[-1]:.4f}" if trace else "no epochs")
-                print(f"seed {seed}: {_PHASE_DONE[phase]} ({note})")
+        for phase in phases:
+            trace = result.traces.get(phase)
+            note = ("identity" if trace is None else
+                    f"final loss {trace[-1]:.4f}" if trace else "no epochs")
+            print(f"seed {seed}: {_PHASE_DONE[phase]} ({note})")
     return 0
 
 
@@ -274,9 +271,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config", help="key = value config file")
     p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser("plotdata", parents=[common],
+    p = sub.add_parser("plotdata",
                        help="emit histogram and embedding CSVs from a report")
     p.add_argument("report", help="path to report.json")
+    p.add_argument("--out-dir", help="CSV directory (default: the report's)")
     p.set_defaults(fn=cmd_plotdata)
     return parser
 

@@ -44,18 +44,11 @@ def rw_structural_encoding(g: Graph, k_se: int) -> np.ndarray:
     return out
 
 
-def build_init_features(g: Graph, k_se: int = 16,
-                        include_degree: bool = False) -> np.ndarray:
+def build_init_features(g: Graph, k_se: int = 16) -> np.ndarray:
     """Concatenate dataset attributes with the structural encoding.
 
     Graphs without attribute columns use the structural block alone, so
-    their information is purely topological. ``include_degree`` adds a raw
-    degree column (off by default).
+    their information is purely topological.
     """
-    blocks = []
-    if g.features.shape[1] > 0:
-        blocks.append(g.features)
-    if include_degree:
-        blocks.append(g.adjacency.sum(axis=1, keepdims=True))
-    blocks.append(rw_structural_encoding(g, k_se))
-    return np.concatenate(blocks, axis=1)
+    return np.concatenate([g.features, rw_structural_encoding(g, k_se)],
+                          axis=1)

@@ -129,23 +129,20 @@ class GraphFlow:
         return {"d": self.d, "steps": len(self.steps), "s_max": self.s_max}
 
 
-def nf_loss(z: Tensor, log_det: Tensor, normalize: bool = True,
-            offsets=None) -> Tensor:
+def nf_loss(z: Tensor, log_det: Tensor, offsets=None) -> Tensor:
     """Per-graph negative log likelihood under a standard-normal latent, up
     to the constant (d/2)log(2 pi) per node, as a B x 1 column. The graphs
     are the row segments ``offsets`` of ``z`` (None: all rows are one
-    graph). ``normalize`` divides each graph's loss by its own node count
-    so graphs of different sizes contribute comparably."""
+    graph). Each graph's loss is divided by its own node count so graphs
+    of different sizes contribute comparably."""
     offsets = ad.row_offsets(z) if offsets is None else offsets
     energy = ad.scale(ad.segment_sum(ad.mul(z, z), offsets), 0.5)
-    loss = ad.sub(energy, log_det)
-    if not normalize:
-        return loss
-    return ad.mul(loss, ad.constant(1.0 / np.diff(offsets)[:, None]))
+    return ad.mul(ad.sub(energy, log_det),
+                  ad.constant(1.0 / np.diff(offsets)[:, None]))
 
 
-def train_flow(flow: GraphFlow, packs, *, epochs: int, lr: float,
-               normalize: bool = True) -> list[float]:
+def train_flow(flow: GraphFlow, packs, *, epochs: int,
+               lr: float) -> list[float]:
     """Fit the flow to frozen embeddings; ``packs`` holds (a_hat, h) packs,
     ``h`` the stacked embedding rows of the graphs of ``a_hat``.
 
@@ -156,7 +153,7 @@ def train_flow(flow: GraphFlow, packs, *, epochs: int, lr: float,
     def pack_loss(pack):
         a_hat, h = pack
         z, log_det = flow.forward(ad.constant(h), a_hat)
-        return nf_loss(z, log_det, normalize, ad.row_offsets(a_hat))
+        return nf_loss(z, log_det, ad.row_offsets(a_hat))
 
     return fit(flow.params(), packs, pack_loss, epochs=epochs, lr=lr,
                what="flow")

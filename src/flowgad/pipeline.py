@@ -44,7 +44,7 @@ from .flow import GraphFlow, train_flow
 from .optim import freeze, is_frozen, make_rng
 from .source import (FeatureDecoder, GcnEncoder, graph_source_loss,
                      pretrain_source)
-from .target import GinNetwork, READOUTS, graph_target_loss, train_target
+from .target import GinNetwork, graph_target_loss, train_target
 
 VARIANTS = ("full", "non_st", "asy_st", "non_nf")
 PHASES = ("source", "flow", "target")
@@ -67,15 +67,11 @@ class ExperimentConfig:
     s_max: float = 2.0
     gin_layers: int = 2
     k_se: int = 16
-    include_degree: bool = False
     s_epochs: int = 100
     n_epochs: int = 100
     t_epochs: int = 100
     lr: float = 1e-3
     batch_size: int = 1
-    distance: str = "cosine"
-    readout: str = "max"
-    normalize_nf: bool = True
     max_graphs: int = 0                 # 0 keeps the whole set
 
     def validate(self) -> "ExperimentConfig":
@@ -91,6 +87,9 @@ class ExperimentConfig:
             raise ConfigError(f"d must be even and at least 2, got {self.d}")
         if not self.seeds:
             raise ConfigError("seeds must be non-empty")
+        if min(self.seeds) < 0 or len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"seeds must be non-negative and distinct, "
+                              f"got {list(self.seeds)}")
         for name, v in (("gcn_layers", self.gcn_layers), ("hidden", self.hidden),
                         ("flow_steps", self.flow_steps), ("gin_layers", self.gin_layers),
                         ("k_se", self.k_se), ("batch_size", self.batch_size)):
@@ -104,10 +103,6 @@ class ExperimentConfig:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if self.s_max <= 0:
             raise ConfigError(f"s_max must be positive, got {self.s_max}")
-        if self.distance not in ("cosine", "sqeuclidean"):
-            raise ConfigError(f"unknown distance {self.distance!r}")
-        if self.readout not in READOUTS:
-            raise ConfigError(f"unknown readout {self.readout!r}")
         if not isinstance(self.normal_class, int) and self.normal_class != "majority":
             raise ConfigError(
                 f"normal_class must be an integer label or 'majority', got {self.normal_class!r}")
@@ -150,14 +145,14 @@ class GraphInputs:
 def precompute_inputs(gs: GraphSet, config: ExperimentConfig) -> list[GraphInputs]:
     """Adjacency, propagation operator, and initial features per graph.
 
-    Deterministic in (dataset, k_se, include_degree); shared across seeds
-    and phases, so it runs once per experiment."""
+    Deterministic in (dataset, k_se); shared across seeds and phases, so
+    it runs once per experiment."""
     out = []
     for g in gs.graphs:
         out.append(GraphInputs(
             adjacency=g.adjacency,
             a_hat=normalized_adjacency(g),
-            x_init=build_init_features(g, config.k_se, config.include_degree),
+            x_init=build_init_features(g, config.k_se),
         ))
     widths = {gi.x_init.shape[1] for gi in out}
     if len(widths) != 1:
@@ -254,12 +249,6 @@ def forward_stack(gi: GraphInputs, models: dict) -> dict:
     return stages
 
 
-def pooled(nodes: np.ndarray, readout: str, offsets=None) -> np.ndarray:
-    """The graph vectors that ``readout`` pools from a node matrix, one
-    row per graph of the row segments ``offsets`` (None: one graph)."""
-    return READOUTS[readout](ad.constant(nodes), offsets).data
-
-
 def score_graph(gi: GraphInputs, models: dict,
                 config: ExperimentConfig) -> np.ndarray:
     """The anomaly score of each graph of a pack (or of one graph), from
@@ -274,8 +263,8 @@ def score_graph(gi: GraphInputs, models: dict,
     else:
         stages = forward_stack(gi, models)
         losses = graph_target_loss(ad.constant(stages["target"]),
-                                   stages["flow"], 0.5, config.distance,
-                                   config.readout, ad.row_offsets(gi.a_hat))
+                                   stages["flow"], 0.5,
+                                   ad.row_offsets(gi.a_hat))
     return np.ravel(losses.data)
 
 
@@ -359,8 +348,7 @@ def run_phase_flow(upstream: dict, inputs, train_idx,
         return {"flow": flow}, None
     train = [(pack.a_hat, forward_stack(pack, upstream)["source"])
              for pack in packs(inputs, train_idx, config.batch_size)]
-    trace = train_flow(flow, train, epochs=config.n_epochs, lr=config.lr,
-                       normalize=config.normalize_nf)
+    trace = train_flow(flow, train, epochs=config.n_epochs, lr=config.lr)
     return {"flow": flow}, trace
 
 
@@ -382,8 +370,7 @@ def run_phase_target(upstream: dict, inputs, train_idx,
               forward_stack(pack, upstream)["flow"])
              for pack in packs(inputs, train_idx, config.batch_size)]
     trace = train_target(student, train, beta=config.beta,
-                         epochs=config.t_epochs, lr=config.lr,
-                         kind=config.distance, readout=config.readout)
+                         epochs=config.t_epochs, lr=config.lr)
     return {"student": student}, trace
 
 
@@ -544,7 +531,7 @@ def run_experiment(gs: GraphSet, config: ExperimentConfig):
 
 def export_embeddings(inputs, index_flags, models: dict,
                       config: ExperimentConfig) -> dict:
-    """Rows of (graph index, flag, pooled d-vector) for every stage of the
+    """Rows of (graph index, flag, max-pooled d-vector) for every stage of the
     variant's phase chain, keyed by stage; one forward pass per pack of
     ``batch_size`` graphs."""
     chain = phase_chain(config.variant)
@@ -554,8 +541,8 @@ def export_embeddings(inputs, index_flags, models: dict,
                       config.batch_size):
         stages = forward_stack(pack, models)
         for stage in chain:
-            vectors[stage].extend(pooled(stages[stage], config.readout,
-                                         pack.a_hat.offsets))
+            vectors[stage].extend(ad.segment_max(ad.constant(stages[stage]),
+                                                 pack.a_hat.offsets).data)
     return {stage: [[int(idx), int(bool(flag))] + [float(v) for v in vec]
                     for (idx, flag), vec in zip(index_flags, vectors[stage])]
             for stage in chain}

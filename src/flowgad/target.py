@@ -2,11 +2,11 @@
 
 Each layer aggregates H + A*H over the raw adjacency (GIN-0, no epsilon)
 and pushes the result through a two-layer perceptron. A columnwise max
-readout produces the graph vector (mean readout available), one row per
-graph of a pack. Disagreement is measured by halved cosine distance, bounded
-in [0, 1]; at beta = 1/2 the distillation loss is also the anomaly score.
-The cosine distance is one fused tape node (``autodiff.cosine_distance``)
-with a hand-written backward.
+readout produces the graph vector, one row per graph of a pack.
+Disagreement is measured by halved cosine distance, bounded in [0, 1]; at
+beta = 1/2 the distillation loss is also the anomaly score. The cosine
+distance is one fused tape node (``autodiff.cosine_distance``) with a
+hand-written backward.
 """
 
 from __future__ import annotations
@@ -65,61 +65,34 @@ class GinNetwork:
                 "d_out": self.d_out, "layers": len(self.layers)}
 
 
-def readout_max(h: Tensor, offsets=None) -> Tensor:
-    """Columnwise maximum of each graph's rows (the segments ``offsets``;
-    None: all rows are one graph), one 1 x d row per graph."""
-    return ad.segment_max(h, offsets)
-
-
-def readout_mean(h: Tensor, offsets=None) -> Tensor:
-    return ad.segment_mean(h, offsets, axis=0)
-
-
-READOUTS = {"max": readout_max, "mean": readout_mean}
-
-
-def pair_distances(u: Tensor, v: Tensor, kind: str = "cosine") -> Tensor:
-    """Differentiable rowwise distances, n x 1. The cosine form is
-    (1 - cos)/2 in [0, 1], one ``cosine_distance`` tape node. A row pair
-    with exactly one all-zero row costs 0.5 (maximally uninformative) with
-    a bounded gradient; a pair of all-zero rows agrees, costs 0 and passes
-    no gradient. Such pairs occur under ``asy_st``: an isolated
-    attribute-free node has a zero encoding row, which the bias-free GCN
-    teacher, the zero-step flow and the GCN student keep at zero."""
-    if u.shape != v.shape:
-        raise ContractViolation(f"shape mismatch: {u.shape} vs {v.shape}")
-    if kind == "sqeuclidean":
-        diff = ad.sub(u, v)
-        return ad.reduce_sum(ad.mul(diff, diff), axis=1, keepdims=True)
-    if kind != "cosine":
-        raise ConfigError(f"unknown distance kind {kind!r}")
-    return ad.cosine_distance(u, v)
-
-
 def graph_target_loss(student_nodes: Tensor, z_nodes: np.ndarray,
-                      beta: float, kind: str = "cosine",
-                      readout: str = "max", offsets=None) -> Tensor:
+                      beta: float, offsets=None) -> Tensor:
     """(1-beta) * graph-level distance + beta * mean node-level distance
     per graph, as a B x 1 column over the row segments ``offsets`` (None:
     all rows are one graph). The trainer averages the column, and at
     beta = 1/2 each entry is its graph's anomaly score. Both graph vectors
-    are pooled here by the one ``readout``."""
+    are the columnwise max of their graph's rows. Each distance is the
+    halved cosine distance (1 - cos)/2 in [0, 1]. A row pair with exactly
+    one all-zero row costs 0.5 (maximally uninformative) with a bounded
+    gradient; a pair of all-zero rows agrees, costs 0 and passes no
+    gradient. Such pairs occur under ``asy_st``: an isolated attribute-free
+    node has a zero encoding row, which the bias-free GCN teacher, the
+    zero-step flow and the GCN student keep at zero."""
     if not (0.0 <= beta <= 1.0):
         raise ConfigError(f"beta must lie in [0, 1], got {beta}")
     if student_nodes.shape[0] != z_nodes.shape[0]:
         raise ContractViolation(
             f"node count mismatch: {student_nodes.shape[0]} vs {z_nodes.shape[0]}")
-    pool = READOUTS[readout]
     z_nodes = ad.constant(z_nodes)
-    graph_term = pair_distances(pool(student_nodes, offsets),
-                                pool(z_nodes, offsets), kind)
-    node_term = ad.segment_mean(pair_distances(student_nodes, z_nodes, kind),
+    graph_term = ad.cosine_distance(ad.segment_max(student_nodes, offsets),
+                                    ad.segment_max(z_nodes, offsets))
+    node_term = ad.segment_mean(ad.cosine_distance(student_nodes, z_nodes),
                                 offsets)
     return ad.add(ad.scale(graph_term, 1.0 - beta), ad.scale(node_term, beta))
 
 
-def train_target(student, packs, *, beta: float, epochs: int, lr: float,
-                 kind: str = "cosine", readout: str = "max") -> list[float]:
+def train_target(student, packs, *, beta: float, epochs: int,
+                 lr: float) -> list[float]:
     """Distill the student toward frozen latent targets.
 
     ``packs`` holds (prop, x_init, z_nodes) packs, where ``prop`` is
@@ -130,8 +103,7 @@ def train_target(student, packs, *, beta: float, epochs: int, lr: float,
     def pack_loss(pack):
         prop, x_init, z_nodes = pack
         out = student.forward(prop, ad.constant(x_init))
-        return graph_target_loss(out, z_nodes, beta, kind, readout,
-                                 ad.row_offsets(prop))
+        return graph_target_loss(out, z_nodes, beta, ad.row_offsets(prop))
 
     return fit(student.params(), packs, pack_loss, epochs=epochs, lr=lr,
                what="distillation")

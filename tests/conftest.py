@@ -16,7 +16,6 @@ import pytest
 
 from flowgad import autodiff as ad
 from flowgad import checkpoint
-from flowgad.errors import ConfigError
 from flowgad.flow import GraphFlow
 from flowgad.optim import glorot_init, make_rng
 
@@ -45,17 +44,14 @@ def require_dataset(name: str) -> str:
     return path
 
 
-def reference_distance(u, v, kind: str = "cosine") -> float:
-    """Scalar oracle for ``target.pair_distances`` on one row pair, written
+def reference_distance(u, v) -> float:
+    """Scalar oracle for ``autodiff.cosine_distance`` on one row pair, written
     with vector norms and an explicit zero-vector policy: (1 - cos)/2 with
     cos clipped to [-1, 1]; two zero vectors agree (0), exactly one zero
     vector is maximally uninformative (0.5)."""
     u = np.ravel(np.asarray(u, dtype=np.float64))
     v = np.ravel(np.asarray(v, dtype=np.float64))
     assert u.shape == v.shape
-    if kind == "sqeuclidean":
-        return float(np.sum((u - v) ** 2))
-    assert kind == "cosine"
     nu, nv = np.linalg.norm(u), np.linalg.norm(v)
     if nu == 0.0 and nv == 0.0:
         return 0.0
@@ -77,14 +73,9 @@ def composed_coupling_step(step, half0, half1, a_hat):
     return half0, half1, inc
 
 
-def composed_pair_distances(u, v, kind: str = "cosine"):
-    """``target.pair_distances`` with the cosine form as the chain of tape
-    primitives it was built from before it became one fused node."""
-    if kind == "sqeuclidean":
-        diff = ad.sub(u, v)
-        return ad.reduce_sum(ad.mul(diff, diff), axis=1, keepdims=True)
-    if kind != "cosine":
-        raise ConfigError(f"unknown distance kind {kind!r}")
+def composed_cosine_distance(u, v):
+    """``autodiff.cosine_distance`` as the chain of tape primitives it was
+    built from before it became one fused node."""
     dot = ad.reduce_sum(ad.mul(u, v), axis=1, keepdims=True)
     sq_u = ad.reduce_sum(ad.mul(u, u), axis=1, keepdims=True)
     sq_v = ad.reduce_sum(ad.mul(v, v), axis=1, keepdims=True)

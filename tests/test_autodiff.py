@@ -4,7 +4,6 @@ import pytest
 from flowgad import autodiff as ad
 from flowgad.autodiff import Tape, Tensor, gradcheck
 from flowgad.errors import ContractViolation, DeterminismError, NumericFault
-from flowgad.target import readout_max, readout_mean
 
 
 def test_square_gradient():
@@ -323,9 +322,7 @@ def test_block_diag_rejects_non_square_blocks():
 def _segment_ops(offsets):
     return [
         ("segment_sum", lambda x: ad.segment_sum(x, offsets)),
-        ("segment_sum axis 0", lambda x: ad.segment_sum(x, offsets, axis=0)),
         ("segment_mean", lambda x: ad.segment_mean(x, offsets)),
-        ("segment_mean axis 0", lambda x: ad.segment_mean(x, offsets, axis=0)),
         ("segment_max", lambda x: ad.segment_max(x, offsets)),
     ]
 
@@ -344,12 +341,8 @@ def test_segment_reductions_gradchecks_and_values(rng):
         segments = [x.data[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])]
         assert np.array_equal(ad.segment_sum(x, offsets).data,
                               [[s.sum()] for s in segments])
-        assert np.array_equal(ad.segment_sum(x, offsets, axis=0).data,
-                              [s.sum(axis=0) for s in segments])
         assert np.array_equal(ad.segment_max(x, offsets).data,
                               [s.max(axis=0) for s in segments])
-        assert np.allclose(ad.segment_mean(x, offsets, axis=0).data,
-                           [s.mean(axis=0) for s in segments])
         assert np.allclose(ad.segment_mean(x, offsets).data,
                            [[s.mean()] for s in segments])
 
@@ -368,13 +361,9 @@ def test_one_segment_bit_equals_whole_reductions(rng):
     # that a segment is summed exactly as the whole array is
     pairs = [
         (lambda x: ad.segment_sum(x), lambda x: ad.reduce_sum(x)),
-        (lambda x: ad.segment_sum(x, axis=0),
-         lambda x: ad.reduce_sum(x, axis=0, keepdims=True)),
         (lambda x: ad.segment_max(x),
          lambda x: ad.reduce_max(x, axis=0, keepdims=True)),
         (lambda x: ad.segment_mean(x), lambda x: ad.mean(x)),
-        (lambda x: ad.segment_mean(x, axis=0),
-         lambda x: ad.mean(x, axis=0, keepdims=True)),
     ]
     for shape in [(1, 1), (7, 3), (9, 1), (40, 5), (300, 16)]:
         data = rng.normal(size=shape)
@@ -396,9 +385,6 @@ def test_segments_must_cover_the_rows_without_empties():
         ad.segment_sum(x, [0, 3])
     with pytest.raises(ContractViolation, match="at least one row"):
         ad.segment_max(x, [0, 2, 2, 4])
-    # the readouts pool through the segment ops, which reject a graph
-    # without nodes
-    empty = Tensor(np.ones((0, 2)))
-    for readout in (readout_max, readout_mean):
-        with pytest.raises(ContractViolation, match="at least one row"):
-            readout(empty)
+    # a graph without nodes has nothing to pool
+    with pytest.raises(ContractViolation, match="at least one row"):
+        ad.segment_max(Tensor(np.ones((0, 2))))

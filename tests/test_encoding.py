@@ -89,13 +89,6 @@ def test_init_features_concatenation_order():
     assert np.array_equal(x, [[1.0, 0.0, 1.0], [2.0, 0.0, 1.0]])
 
 
-def test_init_features_degree_column_optional():
-    g = _graph([[0, 1], [1, 0]], feats=[[5.0], [6.0]])
-    with_deg = build_init_features(g, k_se=2, include_degree=True)
-    assert with_deg.shape == (2, 4)
-    assert np.array_equal(with_deg[:, 1], [1.0, 1.0])   # degree column
-
-
 def _power_loop_encoding(a, k_se):
     """The k_se - 1 dense products of D^-1 A that the encoding replaced."""
     deg = a.sum(axis=1)

@@ -175,18 +175,18 @@ def test_nf_loss_values():
     assert nf_loss(Tensor(np.zeros((1, 2))), ad.constant(0.0)).item() == 0.0
     z = Tensor(np.array([[1.0, 1.0]]))
     assert nf_loss(z, ad.constant(0.0)).item() == pytest.approx(1.0)
-    # normalization divides by the node count (rows of z); the raw variant
-    # does not
+    # the energy and the log-det are both divided by the node count (rows
+    # of z)
     z4 = Tensor(np.ones((4, 2)))
     assert nf_loss(z4, ad.constant(0.0)).item() == pytest.approx(1.0)
-    assert nf_loss(z4, ad.constant(0.0), normalize=False).item() == pytest.approx(4.0)
+    assert nf_loss(z4, ad.constant(2.0)).item() == pytest.approx(0.5)
 
 
 def test_identity_flow_loss_on_standard_normal_entries(rng):
-    # E[z^2]/2 = 0.5 per entry under the latent prior
+    # E[z^2]/2 = 0.5 per entry under the latent prior; the loss is per node
     z = Tensor(rng.standard_normal(size=(1000, 10)))
-    loss = nf_loss(z, ad.constant(0.0), normalize=False).item()
-    assert loss / z.data.size == pytest.approx(0.5, abs=0.02)
+    loss = nf_loss(z, ad.constant(0.0)).item()
+    assert loss / z.data.shape[1] == pytest.approx(0.5, abs=0.02)
 
 
 def test_train_flow_zero_epochs_is_noop(rng):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from flowgad import autodiff as ad
-from flowgad import target
 from flowgad.checkpoint import PhaseStore, load_checkpoint, save_checkpoint
 from flowgad.data import Graph, GraphSet, make_anomaly_split
 from flowgad.errors import (ConfigError, ContractViolation, PhaseOrderError,
@@ -14,14 +13,14 @@ from flowgad.flow import CouplingStep, GraphFlow
 from flowgad.optim import make_rng
 from flowgad.pipeline import (PHASES, VARIANTS, ExperimentConfig, SplitGuard,
                               compute_auc, config_from_dict, export_embeddings,
-                              forward_stack, pooled, precompute_inputs,
+                              forward_stack, precompute_inputs,
                               resolve_normal_class, run_experiment, run_seed,
                               score_graph, score_histogram, subsample_graphset)
 from flowgad.source import FeatureDecoder, GcnEncoder
 from flowgad.synthetic import planted_anomaly_set
 from flowgad.target import GinNetwork
 
-from conftest import (composed_coupling_step, composed_pair_distances,
+from conftest import (composed_coupling_step, composed_cosine_distance,
                       fail_checkpoint_writes, reference_distance)
 
 TINY = dict(s_epochs=6, n_epochs=6, t_epochs=6, d=8, hidden=8, k_se=8,
@@ -52,7 +51,7 @@ def test_config_validation_catches_bad_values():
                          ("beta", -0.1), ("d", 7), ("d", 0),
                          ("test_fraction", 0.0), ("seeds", ()),
                          ("lr", 0.0), ("s_epochs", -1),
-                         ("distance", "l3"), ("readout", "sum"),
+                         ("seeds", (0, -1)), ("seeds", (2, 2)),
                          ("normal_class", "minority")]:
         cfg = dataclasses.replace(ExperimentConfig(), **{field: value})
         with pytest.raises(ConfigError):
@@ -68,8 +67,12 @@ def test_config_fingerprint_tracks_content():
 
 
 def test_config_from_dict_rejects_unknown_keys():
-    with pytest.raises(ConfigError, match="mystery"):
-        config_from_dict({"mystery": 3})
+    # the keys of the former loss and feature options are unknown too
+    for key, value in [("mystery", 3), ("distance", "cosine"),
+                       ("readout", "max"), ("normalize_nf", True),
+                       ("include_degree", False)]:
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict({key: value})
 
 
 # ------------------------------------------------------------------------ auc
@@ -272,7 +275,7 @@ def test_reports_match_the_composed_chains(monkeypatch):
             fused = run_experiment(gs, config)[0].canonical_bytes()
             with monkeypatch.context() as patch:
                 patch.setattr(CouplingStep, "forward", composed_coupling_step)
-                patch.setattr(target, "pair_distances", composed_pair_distances)
+                patch.setattr(ad, "cosine_distance", composed_cosine_distance)
                 chain = run_experiment(gs, config)[0].canonical_bytes()
             assert fused == chain, (variant, batch_size)
 
@@ -341,8 +344,7 @@ def test_score_matches_per_node_reference(variant):
             score = score_graph(gi, models, cfg)
         assert tape.nodes == []
         z_nodes, out = stages["flow"], stages["target"]
-        graph_term = reference_distance(pooled(out, cfg.readout),
-                                        pooled(z_nodes, cfg.readout))
+        graph_term = reference_distance(out.max(axis=0), z_nodes.max(axis=0))
         node_term = np.mean([reference_distance(out[i], z_nodes[i])
                              for i in range(len(out))])
         assert score == pytest.approx((graph_term + node_term) / 2, abs=1e-15)

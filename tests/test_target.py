@@ -5,17 +5,16 @@ from flowgad import autodiff as ad
 from flowgad.autodiff import Tape, Tensor, gradcheck
 from flowgad.errors import ConfigError, ContractViolation
 from flowgad.optim import make_rng
-from flowgad.target import (GinNetwork, graph_target_loss, pair_distances,
-                            readout_max, readout_mean, train_target)
+from flowgad.target import GinNetwork, graph_target_loss, train_target
 
-from conftest import composed_pair_distances, reference_distance
+from conftest import composed_cosine_distance, reference_distance
 
 
-def _rows(u, v, kind="cosine"):
-    """pair_distances on constant rows, as a flat array."""
+def _rows(u, v):
+    """The rowwise cosine distances of constant rows, as a flat array."""
     u = np.atleast_2d(np.asarray(u, dtype=np.float64))
     v = np.atleast_2d(np.asarray(v, dtype=np.float64))
-    return pair_distances(ad.constant(u), ad.constant(v), kind).data.ravel()
+    return ad.cosine_distance(ad.constant(u), ad.constant(v)).data.ravel()
 
 
 def _identity_gin(d, layers=1):
@@ -56,19 +55,18 @@ def test_gin_permutation_equivariance(rng):
 
 
 def test_readout_max_values():
+    # the student loss pools each graph by its columnwise max
     h = Tensor(np.array([[1.0, 4.0], [3.0, 2.0]]))
-    assert np.array_equal(readout_max(h).data, [[3.0, 4.0]])
+    assert np.array_equal(ad.segment_max(h).data, [[3.0, 4.0]])
     single = Tensor(np.array([[7.0, -2.0]]))
-    assert np.array_equal(readout_max(single).data, [[7.0, -2.0]])
+    assert np.array_equal(ad.segment_max(single).data, [[7.0, -2.0]])
 
 
 def test_readout_permutation_invariance(rng):
     h = rng.normal(size=(6, 3))
     perm = rng.permutation(6)
-    assert np.array_equal(readout_max(Tensor(h)).data,
-                          readout_max(Tensor(h[perm])).data)
-    assert np.allclose(readout_mean(Tensor(h)).data,
-                       readout_mean(Tensor(h[perm])).data)
+    assert np.array_equal(ad.segment_max(Tensor(h)).data,
+                          ad.segment_max(Tensor(h[perm])).data)
 
 
 def test_distance_basic_values(rng):
@@ -95,12 +93,11 @@ def test_distance_properties(rng):
     assert np.allclose(_rows(c * u, v), d1, rtol=0.0, atol=1e-12)
 
 
-def test_distance_sqeuclidean_variant():
-    assert np.array_equal(_rows([[1.0, 2.0], [0.0, 0.0]],
-                                [[1.0, 2.0], [3.0, 4.0]], kind="sqeuclidean"),
-                          [0.0, 25.0])
-    with pytest.raises(ConfigError):
-        _rows([1.0], [1.0], kind="manhattan")
+def test_cosine_distance_rejects_shape_mismatch():
+    with pytest.raises(ContractViolation, match="shape mismatch"):
+        _rows(np.ones((2, 3)), np.ones((2, 4)))
+    with pytest.raises(ContractViolation, match="shape mismatch"):
+        _rows(np.ones((2, 3)), np.ones((3, 3)))
 
 
 def test_pair_distances_match_scalar_route(rng):
@@ -108,11 +105,10 @@ def test_pair_distances_match_scalar_route(rng):
     v = rng.normal(size=(5, 3))
     u[3] = v[3] = 0.0
     v[4] = 0.0
-    for kind in ("cosine", "sqeuclidean"):
-        rows = _rows(u, v, kind)
-        for i in range(5):
-            assert rows[i] == pytest.approx(
-                reference_distance(u[i], v[i], kind), abs=1e-15)
+    rows = _rows(u, v)
+    for i in range(5):
+        assert rows[i] == pytest.approx(reference_distance(u[i], v[i]),
+                                        abs=1e-15)
 
 
 def test_zero_row_pair_costs_nothing_and_passes_no_gradient(rng):
@@ -122,7 +118,7 @@ def test_zero_row_pair_costs_nothing_and_passes_no_gradient(rng):
     u = Tensor(u_data, requires_grad=True)
     v = Tensor(v_data, requires_grad=True)
     with ad.Tape() as tape:
-        dist = pair_distances(u, v)
+        dist = ad.cosine_distance(u, v)
         loss = ad.reduce_sum(dist)
     tape.backward(loss)
     assert dist.data[2, 0] == 0.0
@@ -145,7 +141,7 @@ def test_one_zero_row_pair_has_a_bounded_gradient():
     u = Tensor(np.array([[0.0, 0.0], [1.0, 2.0]]), requires_grad=True)
     v = Tensor(np.array([[0.3, -0.4], [1.0, 0.0]]), requires_grad=True)
     with ad.Tape() as tape:
-        loss = ad.reduce_sum(pair_distances(u, v))
+        loss = ad.reduce_sum(ad.cosine_distance(u, v))
     tape.backward(loss)
     assert loss.item() == 0.7763932022500211
     assert np.allclose(u.grad[0], [-0.15, 0.2], rtol=0.0, atol=1e-15)
@@ -191,8 +187,9 @@ def _distance_cases(rng):
 def test_fused_cosine_distance_bit_equals_composed_chain(rng, track, reread):
     for kind, u, v in _distance_cases(rng):
         weights = rng.normal(size=(u.shape[0], 1))
-        fused = _distance_bits(pair_distances, u, v, track, weights, reread)
-        chain = _distance_bits(composed_pair_distances, u, v, track, weights,
+        fused = _distance_bits(ad.cosine_distance, u, v, track, weights,
+                               reread)
+        chain = _distance_bits(composed_cosine_distance, u, v, track, weights,
                                reread)
         assert fused == chain, (kind, u.shape, track, reread)
 
@@ -200,7 +197,7 @@ def test_fused_cosine_distance_bit_equals_composed_chain(rng, track, reread):
 def test_cosine_distance_records_one_tape_node(rng):
     u = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
     with Tape() as tape:
-        pair_distances(u, ad.constant(np.zeros((4, 3))))
+        ad.cosine_distance(u, ad.constant(np.zeros((4, 3))))
     assert [node.op for node in tape.nodes] == ["cosine_distance"]
 
 
@@ -220,11 +217,6 @@ def test_target_loss_beta_extremes(rng):
     graph_only = graph_target_loss(Tensor(out), z_nodes, beta=0.0)
     assert graph_only.item() == pytest.approx(
         reference_distance(out.max(axis=0), z_nodes.max(axis=0)), abs=1e-9)
-    # the flow side is pooled by the same readout as the student side
-    graph_mean = graph_target_loss(Tensor(out), z_nodes, beta=0.0,
-                                   readout="mean")
-    assert graph_mean.item() == pytest.approx(
-        reference_distance(out.mean(axis=0), z_nodes.mean(axis=0)), abs=1e-9)
 
 
 def test_target_loss_anticolinear_saturates():
