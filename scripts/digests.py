@@ -13,6 +13,12 @@ that moves the digests reports its AUCs from the same output. The digests
 depend on the numpy and BLAS build and on the BLAS thread count, so compare
 runs made on one machine with one setting.
 
+Those graphs have 10-16 nodes. Two more lines, ``full`` at batch 1 and 4
+marked ``large``, run a planted set of 30 graphs of 150-300 nodes (seed 0,
+2 epochs per phase), so that a byte-identity claim also covers the dense
+kernels at sizes where their n x n work dominates. The whole script runs
+in a few seconds on two cores.
+
 Usage: PYTHONPATH=src python3 scripts/digests.py
 """
 
@@ -27,24 +33,41 @@ from flowgad.synthetic import planted_anomaly_set
 BATCH_SIZES = (1, 4)
 
 
-def digests(variant: str, batch_size: int) -> tuple[str, str, list]:
+def large_set():
+    """30 planted graphs of 150-300 nodes at a mean degree of about 5."""
+    return planted_anomaly_set(num_normal=24, num_anomalous=6,
+                               n_range=(150, 300), p_in=0.04, p_out=0.004,
+                               p_sparse=0.02)
+
+
+def digests(gs, config) -> tuple[str, str, list]:
     """The report digest, the per-seed digest and the per-seed AUCs of
     one run."""
-    config = ExperimentConfig(variant=variant, seeds=(0, 1), s_epochs=5,
-                              n_epochs=5, t_epochs=5, batch_size=batch_size)
-    report, _ = run_experiment(planted_anomaly_set(), config)
+    report, _ = run_experiment(gs, config)
     aucs = [seed["auc"] for seed in report.per_seed]
     return (hashlib.sha256(report.canonical_bytes()).hexdigest(),
             payload_fingerprint(report.per_seed), aucs)
 
 
-def main():
+def runs():
+    """(label, graph set, config) of every printed line."""
     for variant in VARIANTS:
         for batch_size in BATCH_SIZES:
-            report, per_seed, aucs = digests(variant, batch_size)
-            print(f"{variant:<7} batch {batch_size}  report {report}  "
-                  f"per_seed {per_seed}  auc "
-                  + " ".join(f"{auc:.4f}" for auc in aucs))
+            yield (f"{variant:<7} batch {batch_size}", planted_anomaly_set(),
+                   ExperimentConfig(variant=variant, seeds=(0, 1), s_epochs=5,
+                                    n_epochs=5, t_epochs=5,
+                                    batch_size=batch_size))
+    for batch_size in BATCH_SIZES:
+        yield (f"full    batch {batch_size} large", large_set(),
+               ExperimentConfig(variant="full", seeds=(0,), s_epochs=2,
+                                n_epochs=2, t_epochs=2, batch_size=batch_size))
+
+
+def main():
+    for label, gs, config in runs():
+        report, per_seed, aucs = digests(gs, config)
+        print(f"{label}  report {report}  per_seed {per_seed}  auc "
+              + " ".join(f"{auc:.4f}" for auc in aucs))
 
 
 if __name__ == "__main__":

@@ -77,14 +77,21 @@ class Tape:
     """Ordered operation record; single forward pass, single backward pass.
 
     Policy: a tape may be backpropagated at most once and is then spent;
-    build a fresh tape per training step.
+    build a fresh tape per training step. A tape given a ``Workspace``
+    lends it to the fused ops it records; entering the tape takes back
+    every region an earlier tape of that workspace held, so that earlier
+    tape can no longer be backpropagated.
     """
 
-    def __init__(self):
+    def __init__(self, workspace: Optional["Workspace"] = None):
         self.nodes: list[Node] = []
+        self.workspace = workspace
         self._spent = False
+        self._generation = 0
 
     def __enter__(self):
+        if self.workspace is not None:
+            self._generation = self.workspace.begin()
         _TAPES.append(self)
         return self
 
@@ -104,6 +111,11 @@ class Tape:
             raise ContractViolation("tape is empty; no operations were recorded")
         if not np.isfinite(loss.data):
             raise NumericFault(self._first_nonfinite())
+        if (self.workspace is not None
+                and self.workspace.generation != self._generation):
+            raise ContractViolation(
+                "a later tape has reused this tape's workspace; "
+                "backpropagate a tape before the next one starts")
         self._spent = True
         loss.grad = np.ones_like(loss.data)
         for node in reversed(self.nodes):
@@ -159,13 +171,52 @@ def _record(op: str, inputs: tuple, out_data, backprop):
     return out
 
 
+class Workspace:
+    """Scratch memory that one training phase lends to the fused ops of its
+    tapes, one tape at a time. ``begin`` starts a tape and takes back every
+    region the previous tape held; ``take`` hands out a region disjoint
+    from every other region of the current tape. The regions come from one
+    buffer, which the first ``take`` of a tape grows to the largest total
+    any tape has asked for, so from the second pass over a phase's packs on
+    no step allocates. A request that does not fit mid-tape gets an array
+    of its own. The buffer lives as long as the workspace; ``optim.fit``
+    makes one per phase and drops it when it returns."""
+
+    __slots__ = ("generation", "_buffer", "_used", "_high")
+
+    ALIGN = 64      # bytes; every region starts on a cache line
+
+    def __init__(self):
+        self.generation = 0
+        self._buffer = np.empty(0, np.uint8)
+        self._used = self._high = 0
+
+    def begin(self) -> int:
+        """Starts a tape; returns its generation number."""
+        self.generation += 1
+        self._used = 0
+        return self.generation
+
+    def take(self, nbytes: int) -> np.ndarray:
+        """A uint8 region of ``nbytes``, uninitialized."""
+        start = self._used
+        self._used += -(-nbytes // self.ALIGN) * self.ALIGN
+        self._high = max(self._high, self._used)
+        if start == 0 and self._high > self._buffer.size:
+            self._buffer = None     # free the old buffer before the new one
+            self._buffer = np.empty(self._high, np.uint8)
+        if self._used > self._buffer.size:
+            return np.empty(nbytes, np.uint8)
+        return self._buffer[start:start + nbytes]
+
+
 class BlockDiag:
     """A constant block-diagonal matrix kept as its diagonal blocks: the
     propagation operand of a pack. Rows ``offsets[b]:offsets[b + 1]`` belong
     to block ``b``. The zeros off the diagonal are never stored, so no
     product mixes two graphs."""
 
-    __slots__ = ("blocks", "offsets", "spans")
+    __slots__ = ("blocks", "offsets", "spans", "_edges")
 
     def __init__(self, blocks):
         self.blocks = tuple(blocks)
@@ -178,10 +229,18 @@ class BlockDiag:
         self.offsets = tuple(bounds)
         # (block, first row, end row) per block
         self.spans = tuple(zip(self.blocks, bounds[:-1], bounds[1:]))
+        self._edges = None
 
     @property
     def shape(self):
         return (self.offsets[-1], self.offsets[-1])
+
+    def edges(self) -> tuple:
+        """Per block, the flat (C-order) indices of its nonzero entries;
+        found on the first call and kept as long as the pack."""
+        if self._edges is None:
+            self._edges = tuple(np.flatnonzero(block) for block in self.blocks)
+        return self._edges
 
 
 def row_offsets(a) -> tuple:
@@ -437,6 +496,16 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
 # bit-identical to it
 # ---------------------------------------------------------------------------
 
+def _gram_buffers(workspace: Optional[Workspace], n: int) -> tuple:
+    """Two n x n float64 buffers and two n x n masks in one region, from
+    ``workspace`` or, without one, freshly allocated."""
+    floats, masks = 2 * n * n * 8, 2 * n * n
+    raw = (np.empty(floats + masks, np.uint8) if workspace is None
+           else workspace.take(floats + masks))
+    return (*raw[:floats].view(np.float64).reshape(2, n, n),
+            *raw[floats:].view(np.bool_).reshape(2, n, n))
+
+
 def gram_bce(h: Tensor, adjacency, lo: float, hi: float) -> Tensor:
     """Per-graph summed binary cross entropy of p = clip(sigmoid(h h^T), lo,
     hi) against a 0/1 matrix A: -sum(A log p + (1 - A) log(1 - p)), as a
@@ -447,10 +516,17 @@ def gram_bce(h: Tensor, adjacency, lo: float, hi: float) -> Tensor:
     One node with a hand-written backward; value and gradient are
     bit-identical to the composed transpose/matmul/sigmoid/clip/log chain.
     With A in {0, 1} and 0 < lo <= hi < 1, one log of q = where(A, p, 1 - p)
-    equals the two-term sum. The forward works in two n x n buffers per
-    block, the Gram matrix (which becomes p) and 1 + e^-|x| (which becomes
-    q); both and two masks are kept for the backward pass, which reuses
-    them in place.
+    equals the two-term sum. No step writes through a mask: q is 1 - p
+    everywhere, then p gathered and scattered at the block's edges (the
+    BlockDiag's cached flat nonzero index), so the split costs one n x n
+    op and O(edges). Per block the op works in two n x n float buffers, p
+    and q (which takes the log in place), and two masks, the sign of the
+    Gram matrix and where the clip passes the gradient. p and the clip
+    mask are kept for the backward pass, which splits its 1/q terms from
+    p the same way, in q's buffer. Under a tape that has a ``Workspace`` the
+    buffers are regions of it, reused step after step for as long as the
+    training phase that owns it runs; elsewhere (scoring, gradcheck) they
+    are allocated per call.
     """
     h = as_tensor(h)
     n = h.data.shape[0]
@@ -459,41 +535,48 @@ def gram_bce(h: Tensor, adjacency, lo: float, hi: float) -> Tensor:
             f"gram_bce needs a {n}x{n} target, got {adjacency.shape}")
     if not isinstance(adjacency, BlockDiag):
         adjacency = BlockDiag([adjacency])
+    tape = _active_tape()
+    workspace = tape.workspace if tape is not None and h.requires_grad else None
     out_data = np.empty((len(adjacency.blocks), 1))
     saved = []
-    for b, (block, first, end) in enumerate(adjacency.spans):
+    for edges, (_, first, end) in zip(adjacency.edges(), adjacency.spans):
         hb = h.data[first:end]
-        p = hb @ hb.T
-        # the sigmoid of _sigmoid, step by step in place
-        nonneg = p >= 0
-        np.abs(p, out=p)
-        np.negative(p, out=p)
-        np.exp(p, out=p)
-        q = 1.0 + p
-        np.copyto(p, 1.0, where=nonneg)
-        del nonneg
-        np.divide(p, q, out=p)
-        inside = p >= lo
-        inside &= p <= hi
-        np.clip(p, lo, hi, out=p)
-        off = block == 0
-        np.copyto(q, p)
-        np.subtract(1.0, p, out=q, where=off)
-        out_data[b, 0] = -np.log(q).sum()
-        saved.append((first, end, p, q, off, inside))
+        sig, denom, nonneg, inside = _gram_buffers(workspace, end - first)
+        np.matmul(hb, hb.T, out=sig)
+        # the sigmoid of _sigmoid, step by step in place: e = exp(-|x|)
+        # lies in [+0, 1], so max(e, x >= 0) is 1 where x >= 0 and e
+        # elsewhere, and a NaN stays NaN
+        np.greater_equal(sig, 0.0, out=nonneg)
+        np.copysign(sig, -1.0, out=sig)
+        np.exp(sig, out=sig)
+        np.add(1.0, sig, out=denom)
+        np.maximum(sig, nonneg, out=sig)
+        np.divide(sig, denom, out=sig)
+        # clipping into the other buffer; an entry lies inside [lo, hi]
+        # exactly where the clip kept it (a NaN equals nothing and lies
+        # outside)
+        p = np.clip(sig, lo, hi, out=denom)
+        np.equal(p, sig, out=inside)
+        q = np.subtract(1.0, p, out=sig)
+        np.put(q, edges, np.take(p, edges))
+        out_data[len(saved), 0] = -np.log(q, out=q).sum()
+        saved.append((first, end, edges, p, q, inside))
 
     def backprop(g):
         if not h.requires_grad:
             return
         g_left = np.empty(h.data.shape)
         g_right = np.empty(h.data.shape)
-        for b, (first, end, p, q, off, inside) in enumerate(saved):
+        for b, (first, end, edges, p, q, inside) in enumerate(saved):
             hb = h.data[first:end]
             # d/dp of the summed terms: g*-1/p on edges, -(g*-1/(1-p))
-            # elsewhere; "+ 0.0" and "0.0 -" make a zero g give +0
-            # everywhere, as the chain's sum of a term and a zero term did
-            dz = np.divide(g[b, 0] * -1.0 + 0.0, q, out=q)
-            np.subtract(0.0, dz, out=dz, where=off)
+            # elsewhere; "+ 0.0" makes a zero g give +0 everywhere, as the
+            # chain's sum of a term and a zero term did. With 1 - p in
+            # (0, 1), (0 - c)/(1 - p) is 0 - c/(1 - p) bit for bit.
+            c = g[b, 0] * -1.0 + 0.0
+            dz = np.subtract(1.0, p, out=q)
+            np.divide(0.0 - c, dz, out=dz)
+            np.put(dz, edges, c / np.take(p, edges))
             # then clip and sigmoid; p equals sigmoid(h h^T) wherever the
             # mask passes the gradient, and both are >= 0 where it zeroes it
             dz *= inside

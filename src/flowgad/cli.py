@@ -203,15 +203,22 @@ def cmd_plotdata(args) -> int:
         raise DatasetError("report file not found", path=args.report)
     with open(args.report, "r", encoding="utf-8") as fh:
         try:
-            report = report_from_dict(json.load(fh))
-        except (json.JSONDecodeError, KeyError) as exc:
-            raise DatasetError(f"malformed report: {exc}", path=args.report) from None
-    if not report.per_seed:
-        raise DatasetError("report contains no seed results", path=args.report)
+            raw = json.load(fh)
+            if not isinstance(raw, dict):
+                raise TypeError(f"the top level is a {type(raw).__name__}, "
+                                f"not an object")
+            report = report_from_dict(raw)
+            if not report.per_seed:
+                raise DatasetError("report contains no seed results",
+                                   path=args.report)
+            records = [r for p in report.per_seed for r in p["records"]]
+            edges, normal, anomalous = score_histogram(records)
+        except (ValueError, KeyError, TypeError) as exc:
+            # a JSON syntax error is a ValueError; a missing entry a KeyError
+            raise DatasetError(f"malformed report: {type(exc).__name__} {exc}",
+                               path=args.report) from None
     out_dir = args.out_dir or os.path.dirname(os.path.abspath(args.report))
 
-    records = [r for p in report.per_seed for r in p["records"]]
-    edges, normal, anomalous = score_histogram(records)
     write_csv(os.path.join(out_dir, "histogram.csv"),
               ["bin_lo", "bin_hi", "normal", "anomalous"],
               [[repr(float(edges[i])), repr(float(edges[i + 1])),

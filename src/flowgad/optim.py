@@ -84,16 +84,18 @@ def fit(params, packs, pack_loss, *, epochs: int, lr: float,
     itself for a one-graph pack, which records no mean). Returns the
     per-epoch mean per-graph loss. A NumericFault while a pack loss is
     built, or a non-finite pack loss, stops training with a TrainingFault
-    naming ``what``, the epoch and the fault's source."""
+    naming ``what``, the epoch and the fault's source. The steps' tapes
+    share one ``autodiff.Workspace``, dropped when training returns."""
     if not packs:
         raise ContractViolation("training set is empty")
     counts = [len(ad.row_offsets(pack[0])) - 1 for pack in packs]
     opt = Adam(params, lr=lr)
+    workspace = ad.Workspace()
     trace = []
     for epoch in range(epochs):
         total = 0.0
         for pack, count in zip(packs, counts):
-            with Tape() as tape:
+            with Tape(workspace) as tape:
                 try:
                     losses = pack_loss(pack)
                     if losses.shape != (count, 1):

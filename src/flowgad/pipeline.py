@@ -28,6 +28,7 @@ so that each phase is checkpointed and read back.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, asdict, replace
 
@@ -99,10 +100,9 @@ class ExperimentConfig:
                         ("t_epochs", self.t_epochs), ("max_graphs", self.max_graphs)):
             if v < 0:
                 raise ConfigError(f"{name} must be non-negative, got {v}")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
-        if self.s_max <= 0:
-            raise ConfigError(f"s_max must be positive, got {self.s_max}")
+        for name, v in (("lr", self.lr), ("s_max", self.s_max)):
+            if not (math.isfinite(v) and v > 0):
+                raise ConfigError(f"{name} must be positive and finite, got {v}")
         if not isinstance(self.normal_class, int) and self.normal_class != "majority":
             raise ConfigError(
                 f"normal_class must be an integer label or 'majority', got {self.normal_class!r}")

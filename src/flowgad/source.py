@@ -5,11 +5,15 @@ propagation. Pre-training minimizes a convex combination of an inner-product
 adjacency reconstruction term (summed binary cross entropy over the full
 n x n matrix) and a squared Frobenius feature reconstruction term produced
 by a small perceptron decoder. The adjacency term is one fused tape
-primitive (``autodiff.gram_bce``) with an exact hand-written backward, so a
-step keeps two n x n buffers and two masks per graph alive for the backward
-pass instead of one n x n buffer per composed op. A training step runs on a
-pack of graphs (see ``autodiff``), and every loss is a column of per-graph
-values. Afterwards the encoder is frozen; later phases only read it.
+primitive (``autodiff.gram_bce``) with an exact hand-written backward. Per
+graph it works in two n x n float buffers and two n x n masks, instead of
+one n x n buffer per composed op, and the backward pass reuses them. It
+splits edges from non-edges by a gather and scatter over the pack's cached
+edge index, not by a mask. During pre-training these buffers are regions
+of the workspace that ``optim.fit`` owns for the phase: reused step after
+step, and freed when the phase returns. A training step runs on a pack of
+graphs (see ``autodiff``), and every loss is a column of per-graph values.
+Afterwards the encoder is frozen; later phases only read it.
 """
 
 from __future__ import annotations

@@ -139,6 +139,16 @@ def test_negative_or_repeated_seeds_exit_3(tmp_path, capsys, seeds):
     assert not run.exists()
 
 
+@pytest.mark.parametrize("key, value", [("lr", "nan"), ("s_max", "inf")])
+def test_non_finite_rate_or_clamp_exits_3(tmp_path, capsys, key, value):
+    # caught before set-up, not as a training fault (exit 5) after it
+    bad = write_config(tmp_path, BASE_CONFIG + f"{key} = {value}\n")
+    run = tmp_path / "run"
+    assert main(["train", bad, "--out-dir", str(run)]) == 3
+    assert f"{key} must be positive and finite" in capsys.readouterr().err
+    assert not run.exists()
+
+
 # ------------------------------------------------------------------ end to end
 
 def test_train_eval_plotdata_roundtrip(tmp_path, capsys):
@@ -269,6 +279,20 @@ def test_plotdata_refuses_run_options(tmp_path, capsys):
             main(["plotdata", report] + option)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content, missing", [
+    ("[]", "list, not an object"),
+    ('{"dataset": "planted", "variant": "full", "config": {}, '
+     '"config_fingerprint": "", "normal_class": 0, "per_seed": [{"seed": 0}], '
+     '"auc_mean": 0.5, "auc_std": 0.0}', "records")])
+def test_plotdata_malformed_report_exits_2(tmp_path, capsys, content, missing):
+    report = tmp_path / "report.json"
+    report.write_text(content)
+    assert main(["plotdata", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert "malformed report" in err and missing in err
+    assert str(report) in err
 
 
 def test_flow_phase_without_encoder_exits_4(tmp_path, capsys):

@@ -50,7 +50,9 @@ def test_config_validation_catches_bad_values():
     for field, value in [("variant", "vanilla"), ("alpha", 1.2),
                          ("beta", -0.1), ("d", 7), ("d", 0),
                          ("test_fraction", 0.0), ("seeds", ()),
-                         ("lr", 0.0), ("s_epochs", -1),
+                         ("lr", 0.0), ("lr", float("nan")), ("lr", float("inf")),
+                         ("s_max", float("inf")), ("s_max", float("nan")),
+                         ("s_epochs", -1),
                          ("seeds", (0, -1)), ("seeds", (2, 2)),
                          ("normal_class", "minority")]:
         cfg = dataclasses.replace(ExperimentConfig(), **{field: value})

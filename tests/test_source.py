@@ -1,3 +1,6 @@
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -6,7 +9,7 @@ from flowgad.autodiff import Tape, Tensor, gradcheck
 from flowgad.data import Graph, normalized_adjacency
 from flowgad.encoding import build_init_features
 from flowgad.errors import ConfigError, ContractViolation, TrainingFault
-from flowgad.optim import is_frozen, make_rng
+from flowgad.optim import fit, is_frozen, make_rng
 from flowgad.pipeline import ExperimentConfig, precompute_inputs, run_seed
 from flowgad.source import (CLAMP_HI, CLAMP_LO, FeatureDecoder, GcnEncoder,
                             adjacency_recon_loss, feature_recon_loss,
@@ -147,6 +150,132 @@ def test_packed_recon_loss_bit_equals_the_chain_per_graph(rng):
             assert h.grad[lo:hi].tobytes() == grad
 
 
+def _recon_graph(rng, n, d=3):
+    """Embeddings (half the rows scaled so the clamp binds) and a random
+    0/1 adjacency of one graph."""
+    upper = np.triu((rng.random((n, n)) < 0.3).astype(np.float64), k=1)
+    return (rng.normal(size=(n, d)) * np.where(rng.random((n, 1)) < 0.5, 30.0, 1.0),
+            upper + upper.T)
+
+
+def _workspace_step_matches_chain(workspace, graphs, rng):
+    """One tape over a pack of ``graphs`` that borrows ``workspace``; each
+    graph's weighted loss and gradient rows must bit-equal the chain's."""
+    hs, adjacencies = zip(*graphs)
+    weights = rng.normal(size=(len(hs), 1))
+    pack = ad.BlockDiag(adjacencies)
+    h = Tensor(np.concatenate(hs), requires_grad=True)
+    with Tape(workspace) as tape:
+        losses = ad.mul(adjacency_recon_loss(h, pack), ad.constant(weights))
+        tape.backward(ad.reduce_sum(losses))
+    for b, (lo, hi) in enumerate(zip(pack.offsets[:-1], pack.offsets[1:])):
+        value, grad = _recon_value_and_grad(_composed_recon_loss, hs[b],
+                                            adjacencies[b], weights[b, 0], False)
+        assert losses.data[b].tobytes() == value
+        assert h.grad[lo:hi].tobytes() == grad
+
+
+def test_workspace_reuse_across_tapes_bit_equals_the_chain(rng):
+    # large, then small (stale values of the large step stay in the
+    # buffer), then large again and a pack of equal-size blocks, all on
+    # one workspace
+    workspace = ad.Workspace()
+    for sizes in ([70], [5], [64], [20, 20, 20], [1, 70]):
+        graphs = [_recon_graph(rng, n) for n in sizes]
+        _workspace_step_matches_chain(workspace, graphs, rng)
+
+
+def test_two_recon_nodes_on_one_tape_get_disjoint_buffers(rng):
+    # one tensor in two gram_bce nodes, and a third node on another
+    # tensor, all recorded before the backward pass reads any of them
+    (h1, a1), (_, a2), (h3, a3) = (_recon_graph(rng, n) for n in (30, 30, 12))
+
+    def value_and_grads(recon, workspace):
+        t1 = Tensor(h1.copy(), requires_grad=True)
+        t3 = Tensor(h3.copy(), requires_grad=True)
+        with Tape(workspace) as tape:
+            loss = ad.add(ad.add(ad.scale(recon(t1, a1), 0.3),
+                                 ad.scale(recon(t1, a2), 0.7)),
+                          recon(t3, a3))
+        tape.backward(loss)
+        return loss.data.tobytes(), t1.grad.tobytes(), t3.grad.tobytes()
+
+    # the first tape sizes the workspace; the second carves all three
+    # nodes' buffers from it
+    chain = value_and_grads(_composed_recon_loss, None)
+    workspace = ad.Workspace()
+    for _ in range(2):
+        assert value_and_grads(adjacency_recon_loss, workspace) == chain
+
+
+def test_abandoned_tape_leaves_the_next_step_exact(rng):
+    workspace = ad.Workspace()
+    h_big, a_big = _recon_graph(rng, 50)
+    with Tape(workspace) as abandoned:
+        loss = adjacency_recon_loss(Tensor(h_big, requires_grad=True), a_big)
+    _workspace_step_matches_chain(workspace, [_recon_graph(rng, 40)], rng)
+    # its buffers now hold the later step's values
+    with pytest.raises(ContractViolation, match="reused"):
+        abandoned.backward(loss)
+
+
+def _one_graph_packs(rng, sizes):
+    """Training packs of one sparse graph each, as a phase builds them, of
+    graphs with ``sizes`` nodes."""
+    return [(ad.BlockDiag([a_hat]), ad.BlockDiag([adjacency]), x_init)
+            for n in sizes
+            for a_hat, adjacency, x_init in _toy_inputs(rng, n=n, count=1,
+                                                        density=0.03)]
+
+
+def test_pretrain_reuses_one_buffer_and_keeps_none_after_it_returns(
+        monkeypatch, rng):
+    buffers, reused = [], []
+
+    class Recording(ad.Workspace):
+        def take(self, nbytes):
+            region = super().take(nbytes)
+            owner = region if region.base is None else region.base
+            reused.append(bool(buffers) and buffers[-1]() is owner)
+            buffers.append(weakref.ref(owner))
+            return region
+
+    monkeypatch.setattr(ad, "Workspace", Recording)
+    packs = _one_graph_packs(rng, (40, 25, 60))
+    enc, dec = _teacher(4, 3)
+    pretrain_source(enc, dec, packs, alpha=0.7, epochs=2, lr=1e-3)
+    # the buffer grows for the first pack and for the largest, then every
+    # step of the second epoch reuses it
+    assert reused == [False, True, False, True, True, True]
+    assert all(ref() is None for ref in buffers)
+
+
+def test_second_step_allocates_no_gram_buffer(rng):
+    # numpy reports its data buffers to tracemalloc; the first step grows
+    # the workspace to two n x n float buffers and two masks, and the
+    # steps after it reuse them
+    n = 200
+    [pack] = _one_graph_packs(rng, [n])
+    enc, dec = _teacher(4, 3)
+    marks = []
+
+    def pack_loss(p):
+        marks.append(tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+        return graph_source_loss(enc, dec, *p, 0.7)
+
+    tracemalloc.start()
+    try:
+        fit(enc.params() + dec.params(), [pack], pack_loss, epochs=3,
+            lr=1e-3, what="reconstruction")
+    finally:
+        tracemalloc.stop()
+    # each mark's peak covers the step before it
+    (start1, _), (start2, peak1), (_, peak2) = marks
+    assert peak1 - start1 >= 2 * n * n * 8
+    assert peak2 - start2 < n * n * 8
+
+
 def test_fused_recon_loss_records_one_tape_node(rng):
     h = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
     with Tape() as tape:
@@ -188,10 +317,10 @@ def test_source_loss_convex_combination_arithmetic(rng):
     assert l1 >= 0.0 and l2 >= 0.0
 
 
-def _toy_inputs(rng, n=4, k_se=4, count=3):
+def _toy_inputs(rng, n=4, k_se=4, count=3, density=0.6):
     out = []
     for _ in range(count):
-        upper = np.triu((rng.random((n, n)) < 0.6).astype(np.float64), k=1)
+        upper = np.triu((rng.random((n, n)) < density).astype(np.float64), k=1)
         g = Graph(n=n, adjacency=upper + upper.T, features=np.zeros((n, 0)),
                   label=0)
         out.append((normalized_adjacency(g), g.adjacency,
