@@ -12,7 +12,8 @@ import numpy as np
 
 from flowgad.data import (Graph, GraphSet, make_anomaly_split,
                           parse_tudataset, write_tudataset)
-from flowgad.encoding import build_init_features, rw_structural_encoding
+from flowgad.encoding import rw_structural_encoding
+from flowgad.pipeline import ExperimentConfig, precompute_inputs
 
 # Two graphs in the standard on-disk layout: a triangle and a 2-path.
 tri = np.zeros((3, 3))
@@ -46,7 +47,12 @@ print("test (index, anomalous):", split.test)
 # Structural encoding: column t holds each node's probability of being
 # back home after t random-walk steps. On a triangle every node looks the
 # same; feature width is the walk length, independent of graph size.
-enc = rw_structural_encoding(gs.graphs[0], k_se=4)
+enc = rw_structural_encoding(gs.graphs[0].adjacency, k_se=4)
 print("\ntriangle return probabilities:\n", enc)
-x_init = build_init_features(gs.graphs[0], k_se=4)
-print("initial features picked up the encoding alone:", x_init.shape)
+# A stack of same-size graphs is encoded in one call, slice by slice.
+stack = np.stack([gs.graphs[0].adjacency, np.ones((3, 3)) - np.eye(3)])
+print("a stack of two triangles encodes alike:",
+      np.array_equal(rw_structural_encoding(stack, k_se=4)[1], enc))
+inputs = precompute_inputs(gs, ExperimentConfig(k_se=4), [0, 1])
+print("initial features picked up the encoding alone:",
+      inputs[0].x_init.shape)

@@ -12,7 +12,7 @@ from .data import (AnomalySplit, Graph, GraphSet, dataset_fingerprint,
                    graphset_from_dict, graphset_to_dict, majority_class,
                    make_anomaly_split, normalized_adjacency, parse_tudataset,
                    write_tudataset)
-from .encoding import build_init_features, rw_structural_encoding
+from .encoding import rw_structural_encoding
 from .errors import (ConfigError, ContractViolation, DatasetError,
                      DeterminismError, FlowgadError, NumericFault,
                      PhaseOrderError, TrainingFault, UndefinedMetricError)

@@ -125,7 +125,7 @@ def cmd_prepare(args) -> int:
 def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
     if getattr(args, "variant", None):
         config.variant = args.variant
-    if getattr(args, "seed_override", None):
+    if getattr(args, "seed_override", None) is not None:
         try:
             config.seeds = _parse_seeds(args.seed_override)
         except ValueError:
@@ -151,7 +151,8 @@ def cmd_train(args) -> int:
         raise ConfigError(f"--phase {args.phase}: variant {config.variant} "
                           f"runs only {', '.join(chain)}")
     store = _store(config, args)
-    gs, normal, inputs = prepare_experiment(load_dataset(config), config)
+    gs, normal, inputs = prepare_experiment(load_dataset(config), config,
+                                            sides=("train",))
     phases = chain if args.phase == "all" else (args.phase,)
     for seed in config.seeds:
         result = run_seed(gs, inputs, config, seed, normal, store=store,
@@ -170,7 +171,7 @@ def cmd_eval(args) -> int:
     t0 = time.perf_counter()
     gs = load_dataset(config)
     t1 = time.perf_counter()
-    gs, normal, inputs = prepare_experiment(gs, config)
+    gs, normal, inputs = prepare_experiment(gs, config, sides=("test",))
     once = {"load": t1 - t0, "setup": time.perf_counter() - t1}
     missing = [seed for seed in config.seeds
                if not os.path.isfile(store.path(seed, "source"))]
@@ -233,7 +234,9 @@ def cmd_plotdata(args) -> int:
     if not os.path.isfile(store.path(first_seed, "source")):
         print("no checkpoints next to the report; skipping embedding export")
         return 0
-    gs, _, inputs = prepare_experiment(load_dataset(config), config)
+    gs, _, inputs = prepare_experiment(
+        load_dataset(config), dataclasses.replace(config, seeds=(first_seed,)),
+        sides=("test",))
     split = make_anomaly_split(gs, report.normal_class, config.test_fraction,
                                first_seed)
     models, _ = store.load_chain(first_seed, phase_chain(config.variant))

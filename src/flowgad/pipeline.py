@@ -17,6 +17,12 @@ pack of one graph computes exactly what that graph alone does. Each phase
 runner builds its training packs once, with ``packs``, the one place that
 groups graphs.
 
+Set-up builds each graph's inputs (A_hat and the initial features) once
+per command, and only for the graphs the command trains on or scores.
+Small graphs get their random-walk encoding in stacks of one node count,
+up to ``STACK_ELEMENTS`` adjacency entries per stack; larger graphs one at
+a time. Either way the bits are those of the graph alone.
+
 Every piece of randomness draws from a stream derived from (seed, phase),
 so phases are individually reproducible, and a split guard vets each graph
 index handed to a trainer so test data can never leak into training.
@@ -29,8 +35,9 @@ so that each phase is checkpointed and read back.
 from __future__ import annotations
 
 import math
+import os
 import time
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict, field, replace
 
 import numpy as np
 
@@ -38,7 +45,7 @@ from . import autodiff as ad
 from .checkpoint import PhaseStore
 from .data import (AnomalySplit, GraphSet, canonical_bytes, majority_class,
                    make_anomaly_split, normalized_adjacency, payload_fingerprint)
-from .encoding import build_init_features
+from .encoding import rw_structural_encoding
 from .errors import (ConfigError, ContractViolation, PhaseOrderError,
                      TrainingFault, UndefinedMetricError)
 from .flow import GraphFlow, train_flow
@@ -142,20 +149,52 @@ class GraphInputs:
     x_init: np.ndarray
 
 
-def precompute_inputs(gs: GraphSet, config: ExperimentConfig) -> list[GraphInputs]:
-    """Adjacency, propagation operator, and initial features per graph.
+# A graph whose n x n adjacency has at most this many elements is encoded
+# in a stack of graphs of its node count, and each stack holds at most this
+# many elements: 512 KiB per float64 buffer, of which the encoding keeps
+# three alive besides the stacked adjacencies. Larger graphs are encoded
+# one at a time, each right after its A_hat and in index order, so that a
+# set of large graphs allocates as it did graph by graph.
+STACK_ELEMENTS = 1 << 16
 
-    Deterministic in (dataset, k_se); shared across seeds and phases, so
-    it runs once per experiment."""
-    out = []
-    for g in gs.graphs:
-        out.append(GraphInputs(
-            adjacency=g.adjacency,
-            a_hat=normalized_adjacency(g),
-            x_init=build_init_features(g, config.k_se),
-        ))
-    widths = {gi.x_init.shape[1] for gi in out}
-    if len(widths) != 1:
+
+def precompute_inputs(gs: GraphSet, config: ExperimentConfig,
+                      indices) -> dict[int, GraphInputs]:
+    """Adjacency, propagation operator and initial features of the graphs
+    ``indices``, keyed by graph index in the order given.
+
+    The initial features are the graph's attribute columns, then its
+    random-walk encoding; graphs without attribute columns use the
+    encoding alone, so their information is purely topological. Small
+    graphs are grouped by node count and encoded a stack at a time
+    (``STACK_ELEMENTS``), which gives the same bits as encoding each alone.
+    Deterministic in (dataset, k_se, indices)."""
+    indices = list(indices)
+    by_size: dict[int, list[int]] = {}
+    for i in indices:
+        n = gs.graphs[i].n
+        if n * n <= STACK_ELEMENTS:
+            by_size.setdefault(n, []).append(i)
+    encodings: dict[int, np.ndarray] = {}
+    for n, group in by_size.items():
+        step = STACK_ELEMENTS // (n * n)
+        for start in range(0, len(group), step):
+            chunk = group[start:start + step]
+            stack = np.stack([gs.graphs[i].adjacency for i in chunk])
+            encodings.update(zip(chunk, rw_structural_encoding(stack,
+                                                               config.k_se)))
+    out = {}
+    for i in indices:
+        g = gs.graphs[i]
+        a_hat = normalized_adjacency(g)
+        encoding = encodings.pop(i, None)
+        if encoding is None:
+            encoding = rw_structural_encoding(g.adjacency, config.k_se)
+        out[i] = GraphInputs(adjacency=g.adjacency, a_hat=a_hat,
+                             x_init=np.concatenate([g.features, encoding],
+                                                   axis=1))
+    widths = {gi.x_init.shape[1] for gi in out.values()}
+    if len(widths) > 1:
         raise ContractViolation(f"inconsistent feature widths across graphs: {widths}")
     return out
 
@@ -313,11 +352,24 @@ def resolve_normal_class(gs: GraphSet, config: ExperimentConfig) -> int:
     return majority_class(gs)
 
 
-def prepare_experiment(gs: GraphSet, config: ExperimentConfig):
+def prepare_experiment(gs: GraphSet, config: ExperimentConfig,
+                       sides=("train", "test")):
     """The set-up every run shares: returns (subsampled set, normal class,
-    per-graph inputs)."""
+    per-graph inputs keyed by graph index).
+
+    Inputs are built only for the graphs that the named ``sides`` of the
+    split of some seed in ``config.seeds`` hold: "train" the training
+    normals, "test" the held-out graphs. Both sides cover every graph."""
     gs = subsample_graphset(gs, config.max_graphs)
-    return gs, resolve_normal_class(gs, config), precompute_inputs(gs, config)
+    normal = resolve_normal_class(gs, config)
+    wanted: set[int] = set()
+    for seed in config.seeds:
+        split = make_anomaly_split(gs, normal, config.test_fraction, seed)
+        if "train" in sides:
+            wanted.update(split.train)
+        if "test" in sides:
+            wanted.update(split.test_indices())
+    return gs, normal, precompute_inputs(gs, config, sorted(wanted))
 
 
 # Each runner takes the upstream models by name and returns its own models
@@ -461,6 +513,21 @@ def run_seed(gs: GraphSet, inputs, config: ExperimentConfig, seed: int,
 # experiment driver and report
 # ---------------------------------------------------------------------------
 
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                         "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
+
+
+def environment() -> dict:
+    """What a run's timings depend on besides the code and the data: the
+    numpy version, its BLAS build, the BLAS thread variables (None when
+    unset) and the CPU count."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {"numpy": np.__version__, "blas": blas.get("name"),
+            "blas_version": blas.get("version"),
+            **{var: os.environ.get(var) for var in BLAS_THREAD_VARIABLES},
+            "cpu_count": os.cpu_count()}
+
+
 @dataclass
 class ScoreReport:
     dataset: str
@@ -473,15 +540,18 @@ class ScoreReport:
     auc_std: float
     phase_seconds: dict
     timestamp: str
+    environment: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     def canonical_bytes(self) -> bytes:
-        """Deterministic serialization: wall-clock and timestamp excluded."""
+        """Deterministic serialization: wall-clock, timestamp and
+        environment excluded."""
         d = self.to_dict()
         d.pop("phase_seconds")
         d.pop("timestamp")
+        d.pop("environment")
         return canonical_bytes(d)
 
 
@@ -491,7 +561,8 @@ def report_from_dict(d: dict) -> ScoreReport:
         config_fingerprint=d["config_fingerprint"],
         normal_class=d["normal_class"], per_seed=d["per_seed"],
         auc_mean=d["auc_mean"], auc_std=d["auc_std"],
-        phase_seconds=d.get("phase_seconds", {}), timestamp=d.get("timestamp", ""))
+        phase_seconds=d.get("phase_seconds", {}), timestamp=d.get("timestamp", ""),
+        environment=d.get("environment", {}))
 
 
 def build_report(gs: GraphSet, config: ExperimentConfig, normal: int,
@@ -499,8 +570,9 @@ def build_report(gs: GraphSet, config: ExperimentConfig, normal: int,
     """Aggregates scored seeds; phase timings are summed over seeds.
 
     ``once`` holds the phases timed once before the seeds: ``setup`` is
-    ``prepare_experiment`` (split, adjacencies, encodings) in every report,
-    and ``eval`` adds ``load``, the reading of the dataset files."""
+    ``prepare_experiment`` (subsample, splits, and the adjacencies and
+    encodings of the graphs the run uses) in every report, and ``eval``
+    adds ``load``, the reading of the dataset files."""
     aucs = np.array([r.auc for r in results])
     seconds: dict = dict(once)
     for r in results:
@@ -514,7 +586,8 @@ def build_report(gs: GraphSet, config: ExperimentConfig, normal: int,
         per_seed=per_seed, auc_mean=float(aucs.mean()),
         auc_std=float(aucs.std()),
         phase_seconds={k: round(v, 3) for k, v in seconds.items()},
-        timestamp=time.strftime("%Y-%m-%dT%H:%M:%S"))
+        timestamp=time.strftime("%Y-%m-%dT%H:%M:%S"),
+        environment=environment())
 
 
 def run_experiment(gs: GraphSet, config: ExperimentConfig):

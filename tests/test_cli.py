@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from flowgad import autodiff as ad
-from flowgad import checkpoint, flow
+from flowgad import checkpoint, flow, pipeline
 from flowgad.cli import load_dataset, main, parse_config_file
 from flowgad.data import (Graph, GraphSet, make_anomaly_split, payload_fingerprint,
                           write_tudataset)
 from flowgad.errors import ConfigError
-from flowgad.pipeline import (ExperimentConfig, prepare_experiment,
-                              report_from_dict, run_experiment)
+from flowgad.pipeline import (PHASES, ExperimentConfig, prepare_experiment,
+                              report_from_dict, resolve_normal_class,
+                              run_experiment, subsample_graphset)
 
 from conftest import fail_checkpoint_writes
 
@@ -105,10 +106,10 @@ def test_bad_config_exits_3(tmp_path, capsys):
     assert main(["train", str(tmp_path / "missing.cfg")]) == 3
 
 
-@pytest.mark.parametrize("seeds", ["abc", "0,,1"])
+@pytest.mark.parametrize("seeds", ["abc", "0,,1", ""])
 def test_bad_seed_list_exits_3(tmp_path, capsys, seeds):
     # the option and the config key share one parser, and neither takes
-    # an empty or non-integer entry
+    # an empty or non-integer entry; an empty option is not an absent one
     cfg = write_config(tmp_path)
     run = tmp_path / "run"
     assert main(["train", cfg, "--out-dir", str(run),
@@ -238,6 +239,54 @@ def test_variant_and_seed_override(tmp_path, capsys):
     report = json.loads(open(os.path.join(run, "report.json")).read())
     assert report["variant"] == "non_st"
     assert report["per_seed"][0]["seed"] == 7
+
+
+def _split_sides(cfg, seeds):
+    """The training and the held-out graph indices of the given seeds'
+    splits, each side's union over the seeds."""
+    config = parse_config_file(cfg)
+    gs = subsample_graphset(load_dataset(config), config.max_graphs)
+    normal = resolve_normal_class(gs, config)
+    splits = [make_anomaly_split(gs, normal, config.test_fraction, seed)
+              for seed in seeds]
+    return (sorted({i for s in splits for i in s.train}),
+            sorted({i for s in splits for i in s.test_indices()}))
+
+
+def test_each_command_builds_only_the_inputs_it_uses(tmp_path, monkeypatch):
+    built = []
+    real = pipeline.precompute_inputs
+
+    def spy(gs, config, indices):
+        built.append(list(indices))
+        return real(gs, config, indices)
+
+    monkeypatch.setattr(pipeline, "precompute_inputs", spy)
+
+    def run(*argv):
+        built.clear()
+        assert main(list(argv)) == 0
+        assert len(built) == 1, argv
+        return built[0]
+
+    cfg = write_config(tmp_path)
+    train, test = _split_sides(cfg, (0, 1))
+    train_1, test_1 = _split_sides(cfg, (1,))
+    _, test_0 = _split_sides(cfg, (0,))
+    # the sides differ, so an index set shows which one a command built
+    assert len({tuple(train), tuple(train_1), tuple(test), tuple(test_1),
+                tuple(test_0)}) == 5
+    run_dir = str(tmp_path / "run")
+    for phase in PHASES:
+        assert run("train", cfg, "--out-dir", run_dir, "--phase", phase) == train
+    assert run("train", cfg, "--out-dir", str(tmp_path / "all")) == train
+    one = str(tmp_path / "one")
+    assert run("train", cfg, "--out-dir", one, "--seed-override", "1") == train_1
+    assert run("eval", cfg, "--out-dir", one, "--seed-override", "1") == test_1
+    assert run("eval", cfg, "--out-dir", run_dir) == test
+    # plotdata embeds the first seed's held-out graphs only
+    assert run("plotdata", os.path.join(run_dir, "report.json"),
+               "--out-dir", str(tmp_path / "plots")) == test_0
 
 
 @pytest.mark.parametrize("variant", ["full", "non_st", "asy_st", "non_nf"])

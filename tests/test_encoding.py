@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from flowgad.data import Graph
-from flowgad.encoding import build_init_features, rw_structural_encoding
+from flowgad import pipeline
+from flowgad.data import Graph, GraphSet, normalized_adjacency
+from flowgad.encoding import rw_structural_encoding
 from flowgad.errors import ContractViolation
+from flowgad.pipeline import ExperimentConfig, precompute_inputs
 
 
 def _graph(a, feats=None):
@@ -17,19 +19,20 @@ def _graph(a, feats=None):
 
 def test_isolated_node_encodes_to_zeros():
     g = _graph(np.zeros((1, 1)))
-    assert np.array_equal(rw_structural_encoding(g, 4), [[0.0, 0.0, 0.0, 0.0]])
+    assert np.array_equal(rw_structural_encoding(g.adjacency, 4),
+                          [[0.0, 0.0, 0.0, 0.0]])
 
 
 def test_single_edge_alternates():
     # the walk flips between the two endpoints every step
     g = _graph([[0, 1], [1, 0]])
-    enc = rw_structural_encoding(g, 4)
+    enc = rw_structural_encoding(g.adjacency, 4)
     assert np.array_equal(enc, [[0, 1, 0, 1], [0, 1, 0, 1]])
 
 
 def test_triangle_return_probability():
     g = _graph([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
-    enc = rw_structural_encoding(g, 2)
+    enc = rw_structural_encoding(g.adjacency, 2)
     assert np.allclose(enc[:, 0], 0.0)
     assert np.allclose(enc[:, 1], 0.5)
 
@@ -42,7 +45,7 @@ def test_matches_dense_power_oracle(rng):
         deg = g.adjacency.sum(axis=1)
         walk = np.divide(g.adjacency, deg[:, None],
                          out=np.zeros_like(g.adjacency), where=deg[:, None] > 0)
-        enc = rw_structural_encoding(g, 6)
+        enc = rw_structural_encoding(g.adjacency, 6)
         for t in range(1, 7):
             expected = np.diagonal(np.linalg.matrix_power(walk, t))
             assert np.allclose(enc[:, t - 1], expected, atol=1e-12)
@@ -56,8 +59,8 @@ def test_permutation_equivariance(rng):
     perm = rng.permutation(n)
     p = np.eye(n)[perm]
     permuted = _graph(p @ g.adjacency @ p.T)
-    assert np.allclose(rw_structural_encoding(permuted, 5),
-                       p @ rw_structural_encoding(g, 5))
+    assert np.allclose(rw_structural_encoding(permuted.adjacency, 5),
+                       p @ rw_structural_encoding(g.adjacency, 5))
 
 
 def test_disconnected_union_is_blockwise(rng):
@@ -67,25 +70,30 @@ def test_disconnected_union_is_blockwise(rng):
     union = np.zeros((5, 5))
     union[:2, :2] = a1
     union[2:, 2:] = a2
-    enc_union = rw_structural_encoding(_graph(union), 4)
-    assert np.allclose(enc_union[:2], rw_structural_encoding(_graph(a1), 4))
-    assert np.allclose(enc_union[2:], rw_structural_encoding(_graph(a2), 4))
+    enc_union = rw_structural_encoding(union, 4)
+    assert np.allclose(enc_union[:2], rw_structural_encoding(a1, 4))
+    assert np.allclose(enc_union[2:], rw_structural_encoding(a2, 4))
 
 
 def test_invalid_step_count_rejected():
     with pytest.raises(ContractViolation):
-        rw_structural_encoding(_graph(np.zeros((1, 1))), 0)
+        rw_structural_encoding(np.zeros((1, 1)), 0)
+
+
+def _initial_features(g, k_se):
+    return precompute_inputs(GraphSet(name="one", graphs=[g]),
+                             ExperimentConfig(k_se=k_se), [0])[0].x_init
 
 
 def test_init_features_attribute_free_is_pure_structure():
     g = _graph([[0, 1], [1, 0]])
-    x = build_init_features(g, k_se=3)
-    assert np.array_equal(x, rw_structural_encoding(g, 3))
+    x = _initial_features(g, k_se=3)
+    assert np.array_equal(x, rw_structural_encoding(g.adjacency, 3))
 
 
 def test_init_features_concatenation_order():
     g = _graph([[0, 1], [1, 0]], feats=[[1.0], [2.0]])
-    x = build_init_features(g, k_se=2)
+    x = _initial_features(g, k_se=2)
     assert np.array_equal(x, [[1.0, 0.0, 1.0], [2.0, 0.0, 1.0]])
 
 
@@ -131,7 +139,112 @@ def test_two_power_walk_matches_power_loop(rng):
     for g in graphs:
         oracle = _power_loop_encoding(g.adjacency, max(K_SE_VALUES))
         for k_se in K_SE_VALUES:
-            enc = rw_structural_encoding(g, k_se)
+            enc = rw_structural_encoding(g.adjacency, k_se)
             assert enc.shape == (g.n, k_se)
             assert np.max(np.abs(enc - oracle[:, :k_se])) <= 1e-12
             assert enc.min() >= 0.0 and enc.max() <= 1.0
+
+
+def _graph_by_graph_encoding(a, k_se):
+    """The encoding as written for one graph at a time, before stacks: the
+    in-suite reference for the stacked code's bits."""
+    deg = a.sum(axis=1)
+    inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
+    s = a * inv_sqrt[:, None] * inv_sqrt[None, :]
+    out = np.empty((a.shape[0], k_se), dtype=np.float64)
+    out[:, 0] = np.diagonal(s)
+    power = s
+    for t in range(2, k_se + 1, 2):
+        out[:, t - 1] = np.vecdot(power, power)
+        if t < k_se:
+            nxt = power @ s
+            out[:, t] = np.vecdot(power, nxt)
+            power = nxt
+    return out
+
+
+def _same_size_graphs(rng, n, count):
+    """``count`` n-node graphs: the empty graph, a self-loop-only one, a
+    complete one, then random ones with self-loops and isolated nodes."""
+    graphs = [_graph(np.zeros((n, n))), _graph(np.eye(n)),
+              _graph(np.ones((n, n)) - np.eye(n))]
+    graphs += [_sparse_graph(rng, n, mean_degree=float(rng.uniform(0.5, 6)),
+                             loop_p=0.2, isolated_p=0.2)
+               for _ in range(count - len(graphs))]
+    return graphs
+
+
+@pytest.mark.parametrize("k_se", K_SE_VALUES)
+def test_stack_bit_equals_each_graph_alone(rng, k_se):
+    # a stack runs the same arithmetic on each slice, so every row keeps
+    # the bits of its graph encoded alone; odd k_se ends without a product
+    for n in (1, 2, 7, 40):
+        graphs = _same_size_graphs(rng, n, 9)
+        stack = np.stack([g.adjacency for g in graphs])
+        enc = rw_structural_encoding(stack, k_se)
+        assert enc.shape == (len(graphs), n, k_se)
+        for g, rows in zip(graphs, enc):
+            alone = rw_structural_encoding(g.adjacency, k_se)
+            assert np.array_equal(rows, alone)
+            assert np.array_equal(alone,
+                                  _graph_by_graph_encoding(g.adjacency, k_se))
+
+
+def _mixed_set(rng):
+    """Graphs of sizes 1-12 in shuffled order, some sizes repeated often,
+    plus one attribute column so the concatenation is exercised."""
+    sizes = [1, 1, 3, 5, 5, 5, 5, 5, 5, 5, 12, 9, 12, 3, 5, 9, 1, 12]
+    graphs = []
+    for n in rng.permutation(sizes):
+        g = _sparse_graph(rng, int(n), mean_degree=2.5)
+        g.features = rng.normal(size=(int(n), 1))
+        graphs.append(g)
+    return GraphSet(name="mixed", graphs=graphs)
+
+
+@pytest.mark.parametrize("budget", [pipeline.STACK_ELEMENTS, 100, 75, 1])
+def test_precompute_inputs_bit_equals_the_per_graph_formula(rng, monkeypatch,
+                                                           budget):
+    # at 100 elements the 5-node group of eight is cut into chunks of four,
+    # the 9- and 12-node graphs are encoded one at a time; at 1 only the
+    # single-node graphs are stacked
+    monkeypatch.setattr(pipeline, "STACK_ELEMENTS", budget)
+    calls = []
+
+    def spy(adjacency, k_se):
+        calls.append(adjacency.shape)
+        return rw_structural_encoding(adjacency, k_se)
+
+    monkeypatch.setattr(pipeline, "rw_structural_encoding", spy)
+    gs = _mixed_set(rng)
+    indices = list(range(len(gs)))[::-1]
+    inputs = precompute_inputs(gs, ExperimentConfig(k_se=7), indices)
+    assert list(inputs) == indices
+    for i, gi in inputs.items():
+        g = gs.graphs[i]
+        assert gi.adjacency is g.adjacency
+        assert np.array_equal(gi.a_hat, normalized_adjacency(g))
+        expected = np.concatenate(
+            [g.features, _graph_by_graph_encoding(g.adjacency, 7)], axis=1)
+        assert np.array_equal(gi.x_init, expected)
+    sizes = [g.n for g in gs.graphs]
+    for n in set(sizes):
+        encoded = sum(shape[0] if len(shape) == 3 else 1
+                      for shape in calls if shape[-1] == n)
+        assert encoded == sizes.count(n)
+        if n * n > budget:
+            assert calls.count((n, n)) == sizes.count(n)
+        else:
+            step = budget // (n * n)
+            chunks = [shape[0] for shape in calls if shape[1:] == (n, n)]
+            assert chunks == [min(step, sizes.count(n) - start)
+                              for start in range(0, sizes.count(n), step)]
+    if budget == 100:
+        assert [s for s in calls if s[1:] == (5, 5)] == [(4, 5, 5), (4, 5, 5)]
+
+
+def test_precompute_inputs_builds_only_the_indices_asked_for(rng):
+    gs = _mixed_set(rng)
+    inputs = precompute_inputs(gs, ExperimentConfig(k_se=4), [3, 0, 17])
+    assert list(inputs) == [3, 0, 17]
+    assert precompute_inputs(gs, ExperimentConfig(k_se=4), []) == {}

@@ -132,7 +132,8 @@ def test_every_trained_parameter_receives_a_gradient(monkeypatch):
                                       s_epochs=1, n_epochs=1, t_epochs=1,
                                       batch_size=batch_size)
             optimizers.clear()
-            res = run_seed(gs, precompute_inputs(gs, config), config, 0, 0)
+            inputs = precompute_inputs(gs, config, range(len(gs)))
+            res = run_seed(gs, inputs, config, 0, 0)
             trained = {id(p) for opt in optimizers for p in opt.params}
             assert trained == {id(p) for model in res.models.values()
                                for p in model.params()}, (variant, batch_size)

@@ -36,7 +36,8 @@ OWNERS = {"source": ("encoder", "decoder"), "flow": ("flow",),
 @pytest.fixture(scope="module")
 def inputs():
     gs = planted_anomaly_set(num_normal=6, num_anomalous=3, seed=3)
-    return precompute_inputs(gs, ExperimentConfig(d=D, hidden=D, k_se=8))
+    return precompute_inputs(gs, ExperimentConfig(d=D, hidden=D, k_se=8),
+                             range(len(gs)))
 
 
 def _models(inputs):
@@ -145,7 +146,7 @@ def _perturbed(inputs, idx, rng):
     changed = dataclasses.replace(
         gi, adjacency=flipped, a_hat=gi.a_hat * 1.1,
         x_init=gi.x_init + rng.normal(size=gi.x_init.shape))
-    return inputs[:idx] + [changed] + inputs[idx + 1:]
+    return {**inputs, idx: changed}
 
 
 @pytest.mark.parametrize("phase", PHASES)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from flowgad import autodiff as ad
+from flowgad import pipeline
 from flowgad.checkpoint import PhaseStore, load_checkpoint, save_checkpoint
 from flowgad.data import Graph, GraphSet, make_anomaly_split
 from flowgad.errors import (ConfigError, ContractViolation, PhaseOrderError,
@@ -14,7 +15,8 @@ from flowgad.optim import make_rng
 from flowgad.pipeline import (PHASES, VARIANTS, ExperimentConfig, SplitGuard,
                               compute_auc, config_from_dict, export_embeddings,
                               forward_stack, precompute_inputs,
-                              resolve_normal_class, run_experiment, run_seed,
+                              report_from_dict, resolve_normal_class,
+                              run_experiment, run_seed,
                               score_graph, score_histogram, subsample_graphset)
 from flowgad.source import FeatureDecoder, GcnEncoder
 from flowgad.synthetic import planted_anomaly_set
@@ -251,6 +253,41 @@ def test_report_times_setup_outside_the_digest():
     assert retimed.to_dict() != report.to_dict()
 
 
+def test_report_records_the_environment_outside_the_digest(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    report, _ = run_experiment(small_set(), ExperimentConfig(**TINY))
+    env = report.environment
+    assert set(env) == {"numpy", "blas", "blas_version", "OPENBLAS_NUM_THREADS",
+                        "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                        "BLIS_NUM_THREADS", "cpu_count"}
+    assert env["numpy"] == np.__version__
+    assert env["OPENBLAS_NUM_THREADS"] == "3" and env["MKL_NUM_THREADS"] is None
+    assert env["cpu_count"] == os.cpu_count()
+    assert report.to_dict()["environment"] == env
+    moved = dataclasses.replace(report, environment={**env, "cpu_count": -1})
+    assert moved.canonical_bytes() == report.canonical_bytes()
+    # a report written before the block existed still reads, to the same digest
+    old = report.to_dict()
+    del old["environment"]
+    assert report_from_dict(old).environment == {}
+    assert report_from_dict(old).canonical_bytes() == report.canonical_bytes()
+
+
+def test_run_experiment_builds_every_graph_once(monkeypatch):
+    built = []
+    real = pipeline.precompute_inputs
+
+    def spy(gs, config, indices):
+        built.append(list(indices))
+        return real(gs, config, indices)
+
+    monkeypatch.setattr(pipeline, "precompute_inputs", spy)
+    gs = small_set()
+    run_experiment(gs, ExperimentConfig(**{**TINY, "seeds": (0, 1)}))
+    assert built == [list(range(len(gs)))]
+
+
 def test_all_variants_run_and_report():
     gs = small_set()
     for variant in ("non_st", "asy_st", "non_nf"):
@@ -310,7 +347,7 @@ def test_score_graph_agreement_is_zero(rng):
     # an identity flow and an identity-like student stub
     gs = small_set()
     cfg = ExperimentConfig(**TINY)
-    inputs = precompute_inputs(gs, cfg)
+    inputs = precompute_inputs(gs, cfg, range(len(gs)))
 
     class Echo(GcnEncoder):
         # subclassing keeps the normalized-adjacency routing of real
@@ -340,7 +377,7 @@ def test_score_matches_per_node_reference(variant):
     _, results = run_experiment(gs, cfg)
     models = results[0].models
     graphs_with_zero_pairs = 0
-    for gi in precompute_inputs(gs, cfg):
+    for gi in precompute_inputs(gs, cfg, range(len(gs))).values():
         with ad.Tape() as tape:
             stages = forward_stack(gi, models)
             score = score_graph(gi, models, cfg)
@@ -360,7 +397,7 @@ def test_score_matches_per_node_reference(variant):
 def test_run_seed_annotates_failures():
     gs = small_set()
     cfg = ExperimentConfig(**{**TINY, "lr": 1e80})
-    inputs = precompute_inputs(gs, cfg)
+    inputs = precompute_inputs(gs, cfg, range(len(gs)))
     with np.errstate(all="ignore"):
         with pytest.raises(Exception, match="seed 0"):
             run_seed(gs, inputs, cfg, 0, 0)
@@ -373,7 +410,7 @@ def _trained_models(tmp_path):
     cfg = ExperimentConfig(**{**TINY, "s_epochs": 2, "n_epochs": 2,
                               "t_epochs": 2})
     _, results = run_experiment(gs, cfg)
-    return gs, cfg, precompute_inputs(gs, cfg), results[0]
+    return gs, cfg, precompute_inputs(gs, cfg, range(len(gs))), results[0]
 
 
 def _save_encoder(store, res):
@@ -394,7 +431,7 @@ def test_checkpoint_roundtrip_preserves_scores(tmp_path):
     models, last_fp = store.load_chain(0, PHASES)
     assert last_fp == target_fp
     assert set(models) == {"encoder", "decoder", "flow", "student"}
-    for gi in inputs[:4]:
+    for gi in [inputs[i] for i in range(4)]:
         orig = score_graph(gi, res.models, cfg)
         loaded = score_graph(gi, models, cfg)
         assert orig == loaded

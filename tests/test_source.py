@@ -7,7 +7,7 @@ import pytest
 from flowgad import autodiff as ad
 from flowgad.autodiff import Tape, Tensor, gradcheck
 from flowgad.data import Graph, normalized_adjacency
-from flowgad.encoding import build_init_features
+from flowgad.encoding import rw_structural_encoding
 from flowgad.errors import ConfigError, ContractViolation, TrainingFault
 from flowgad.optim import fit, is_frozen, make_rng
 from flowgad.pipeline import ExperimentConfig, precompute_inputs, run_seed
@@ -324,7 +324,7 @@ def _toy_inputs(rng, n=4, k_se=4, count=3, density=0.6):
         g = Graph(n=n, adjacency=upper + upper.T, features=np.zeros((n, 0)),
                   label=0)
         out.append((normalized_adjacency(g), g.adjacency,
-                    build_init_features(g, k_se)))
+                    rw_structural_encoding(g.adjacency, k_se)))
     return out
 
 
@@ -375,7 +375,8 @@ def test_pretrain_freezes_encoder():
     for variant in ("full", "non_st", "asy_st"):
         cfg = ExperimentConfig(variant=variant, seeds=(0,), s_epochs=2,
                                n_epochs=2, t_epochs=2, d=8, hidden=8, k_se=8)
-        res = run_seed(gs, precompute_inputs(gs, cfg), cfg, 0, 0)
+        res = run_seed(gs, precompute_inputs(gs, cfg, range(len(gs))),
+                       cfg, 0, 0)
         assert set(res.models) == ({"encoder", "decoder"} if variant == "non_st"
                                    else {"encoder", "decoder", "flow", "student"})
         for model in res.models.values():
