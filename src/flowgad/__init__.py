@@ -9,9 +9,8 @@ flagged anomalous, and AUC is aggregated over seeds.
 
 from .autodiff import Tape, Tensor, gradcheck
 from .data import (AnomalySplit, Graph, GraphSet, dataset_fingerprint,
-                   graphset_from_dict, graphset_to_dict, majority_class,
-                   make_anomaly_split, normalized_adjacency, parse_tudataset,
-                   write_tudataset)
+                   majority_class, make_anomaly_split, normalized_adjacency,
+                   parse_tudataset, write_tudataset)
 from .encoding import rw_structural_encoding
 from .errors import (ConfigError, ContractViolation, DatasetError,
                      DeterminismError, FlowgadError, NumericFault,

@@ -1,16 +1,18 @@
 """Phase checkpoints: JSON files carrying parameter arrays plus a hash chain.
 
 Each file stores its kind, the constructor arguments of every model it holds
-(``meta``), those models' ``params()`` arrays in order, the fingerprint of
-the config it was produced under, and the fingerprint of the upstream
+(``meta``), those models' ``params()`` arrays in order, and its lineage: the
+fingerprint of the config it was produced under, the fingerprint of the
+graph set its models were trained on, and the fingerprint of the upstream
 checkpoint it depends on (flow depends on encoder, student on flow). Loading
-a later phase verifies the chain, so a retrained upstream phase invalidates
-stale downstream checkpoints instead of silently mixing. A file that cannot
-be parsed, verified or rebuilt is a phase-order error naming the file.
+a later phase verifies the lineage, so a changed config or dataset, or a
+retrained upstream phase, invalidates stale checkpoints instead of silently
+mixing. A file that cannot be parsed, verified or rebuilt is a phase-order
+error naming the file.
 
 Values serialize through Python floats, whose repr round-trips 64-bit
 doubles exactly, so save/load is lossless and byte-stable. Checkpoints and
-every other file a run writes (reports, CSV tables, canonical dumps) go
+every other file a run writes (reports, CSV tables) go
 through ``atomic_write``.
 """
 
@@ -60,14 +62,13 @@ def write_csv(path: str, header: list[str], rows):
 
 
 def save_checkpoint(path: str, kind: str, arrays: dict, meta: dict,
-                    config_fingerprint: str,
-                    upstream_fingerprint: str | None = None) -> str:
-    """Writes the checkpoint atomically and returns its fingerprint."""
+                    lineage: dict) -> str:
+    """Writes the checkpoint atomically and returns its fingerprint.
+    ``lineage`` maps each of ``LINEAGE`` to the fingerprint it records."""
     payload = {
         "kind": kind,
         "meta": meta,
-        "config_fingerprint": config_fingerprint,
-        "upstream_fingerprint": upstream_fingerprint,
+        **lineage,
         "arrays": {
             name: {"shape": list(a.shape),
                    "data": [float(v) for v in np.ravel(a)]}
@@ -124,18 +125,36 @@ def _rebuild(path: str, name: str, entry: dict, arrays: dict):
     return model
 
 
+# Each lineage entry a checkpoint records, and what a mismatch means.
+LINEAGE = {
+    "config_fingerprint": "it was produced under another config; re-run "
+                          "the earlier phase",
+    "data_fingerprint": "it was trained on other data; re-run train",
+    "upstream_fingerprint": "the upstream phase was retrained after this "
+                            "checkpoint was written",
+}
+
+
 @dataclass
 class PhaseStore:
     """The checkpoints of one run directory: ``<root>/<seed>/encoder.ckpt``,
     ``flow.ckpt`` and ``target.ckpt``, with each trained phase's per-epoch
-    losses beside them in ``loss_<phase>.csv``."""
+    losses beside them in ``loss_<phase>.csv``. Every checkpoint records
+    the fingerprints of the config and of the graph set
+    (``data.dataset_fingerprint``) that the run uses."""
 
     root: str
     config_fingerprint: str
+    data_fingerprint: str
     KINDS = {"source": "encoder", "flow": "flow", "target": "target"}
 
     def path(self, seed: int, phase: str) -> str:
         return os.path.join(self.root, str(seed), f"{self.KINDS[phase]}.ckpt")
+
+    def lineage(self, upstream_fingerprint: str | None) -> dict:
+        return {"config_fingerprint": self.config_fingerprint,
+                "data_fingerprint": self.data_fingerprint,
+                "upstream_fingerprint": upstream_fingerprint}
 
     def save(self, seed: int, phase: str, models: dict,
              upstream_fingerprint: str | None, trace=None) -> str:
@@ -147,8 +166,7 @@ class PhaseStore:
         arrays = {f"{name}.{i}": p.data for name, model in models.items()
                   for i, p in enumerate(model.params())}
         fingerprint = save_checkpoint(path, self.KINDS[phase], arrays, meta,
-                                      self.config_fingerprint,
-                                      upstream_fingerprint)
+                                      self.lineage(upstream_fingerprint))
         if trace is not None:
             write_csv(os.path.join(os.path.dirname(path), f"loss_{phase}.csv"),
                       ["epoch", "loss"], [[i, repr(v)] for i, v in enumerate(trace)])
@@ -156,26 +174,20 @@ class PhaseStore:
 
     def load_chain(self, seed: int, phases):
         """Models of ``phases``, read in order and rebuilt frozen. Each
-        checkpoint must carry this store's config fingerprint and have been
-        built on exactly the checkpoint before it. Returns (name -> model,
-        last fingerprint)."""
+        checkpoint must carry this store's config and data fingerprints and
+        have been built on exactly the checkpoint before it. Returns
+        (name -> model, last fingerprint)."""
         models, upstream = {}, None
         for phase in phases:
             path = self.path(seed, phase)
             payload = load_checkpoint(path, self.KINDS[phase])
-            if payload.get("config_fingerprint") != self.config_fingerprint:
-                raise PhaseOrderError(
-                    f"checkpoint {path} was produced under config fingerprint "
-                    f"{payload.get('config_fingerprint')}, current config is "
-                    f"{self.config_fingerprint}; re-run the earlier phase")
-            if payload.get("upstream_fingerprint") != upstream:
-                raise PhaseOrderError(
-                    f"checkpoint {path} expected upstream fingerprint "
-                    f"{upstream} but was built on "
-                    f"{payload.get('upstream_fingerprint')}; upstream phase was "
-                    f"retrained after this checkpoint was written")
-            arrays = dict(payload["arrays"])
+            for key, expected in self.lineage(upstream).items():
+                if payload.get(key) != expected:
+                    raise PhaseOrderError(
+                        f"checkpoint {path} records {key} {payload.get(key)}, "
+                        f"expected {expected}: {LINEAGE[key]}")
             try:
+                arrays = dict(payload["arrays"])
                 loaded = {name: _rebuild(path, name, entry, arrays)
                           for name, entry in payload["meta"].items()}
                 if arrays:

@@ -1,7 +1,7 @@
 """Command-line surface: prepare, train, eval, plotdata.
 
-``prepare`` parses a dataset directory, prints its statistics, and writes a
-canonical JSON dump. ``train`` runs the three phases (together or one at a
+``prepare`` parses a dataset directory and prints its statistics and its
+fingerprint. ``train`` runs the three phases (together or one at a
 time) and writes checkpoints plus per-epoch loss CSVs. ``eval`` loads the
 checkpoints, scores the held-out graphs, and writes report.json and
 scores.csv. ``plotdata`` turns a report into histogram and embedding CSVs
@@ -23,8 +23,7 @@ import time
 import numpy as np
 
 from .checkpoint import PhaseStore, atomic_write, write_csv
-from .data import (canonical_bytes, dataset_fingerprint, graphset_to_dict,
-                   make_anomaly_split, parse_tudataset)
+from .data import dataset_fingerprint, make_anomaly_split, parse_tudataset
 from .errors import (ConfigError, DatasetError, FlowgadError, NumericFault,
                      PhaseOrderError, TrainingFault, UndefinedMetricError)
 from .pipeline import (PHASES, VARIANTS, ExperimentConfig, build_report,
@@ -62,6 +61,8 @@ def parse_config_file(path: str) -> ExperimentConfig:
                 raise ConfigError(
                     f"{path}:{line_no}: expected 'key = value', got {text!r}")
             key, value = (part.strip() for part in text.split("=", 1))
+            if key not in _DEFAULTS:
+                raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
             if key in raw:
                 raise ConfigError(f"{path}:{line_no}: duplicate key {key!r}")
             raw[key] = _parse_value(key, value, path, line_no)
@@ -76,7 +77,7 @@ def _parse_seeds(value: str) -> tuple:
 
 
 def _parse_value(key: str, value: str, path: str, line_no: int):
-    kind = type(_DEFAULTS.get(key))
+    kind = type(_DEFAULTS[key])
     try:
         if key == "seeds":
             return _parse_seeds(value)
@@ -115,10 +116,6 @@ def cmd_prepare(args) -> int:
         labels[g.label] = labels.get(g.label, 0) + 1
     print("labels: " + ", ".join(f"{k}: {v}" for k, v in sorted(labels.items())))
     print(f"fingerprint: {dataset_fingerprint(gs)}")
-    out = args.out or f"{args.name}_canonical.json"
-    with atomic_write(out, "wb") as fh:
-        fh.write(canonical_bytes(graphset_to_dict(gs)) + b"\n")
-    print(f"wrote {out}")
     return 0
 
 
@@ -134,10 +131,12 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
     return config.validate()
 
 
-def _store(config: ExperimentConfig, args) -> PhaseStore:
+def _store(config: ExperimentConfig, args, gs) -> PhaseStore:
+    """The run directory's checkpoints, bound to ``config`` and to ``gs``,
+    the subsampled set that ``prepare_experiment`` returned."""
     out_dir = args.out_dir or os.path.join(
         "runs", f"{config.dataset}_{config.variant}")
-    return PhaseStore(out_dir, config.fingerprint())
+    return PhaseStore(out_dir, config.fingerprint(), dataset_fingerprint(gs))
 
 
 _PHASE_DONE = {"source": "encoder trained", "flow": "flow written",
@@ -150,9 +149,9 @@ def cmd_train(args) -> int:
     if args.phase != "all" and args.phase not in chain:
         raise ConfigError(f"--phase {args.phase}: variant {config.variant} "
                           f"runs only {', '.join(chain)}")
-    store = _store(config, args)
     gs, normal, inputs = prepare_experiment(load_dataset(config), config,
                                             sides=("train",))
+    store = _store(config, args, gs)
     phases = chain if args.phase == "all" else (args.phase,)
     for seed in config.seeds:
         result = run_seed(gs, inputs, config, seed, normal, store=store,
@@ -167,12 +166,12 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     config = _apply_overrides(parse_config_file(args.config), args)
-    store = _store(config, args)
     t0 = time.perf_counter()
     gs = load_dataset(config)
     t1 = time.perf_counter()
     gs, normal, inputs = prepare_experiment(gs, config, sides=("test",))
     once = {"load": t1 - t0, "setup": time.perf_counter() - t1}
+    store = _store(config, args, gs)
     missing = [seed for seed in config.seeds
                if not os.path.isfile(store.path(seed, "source"))]
     if missing:
@@ -218,6 +217,7 @@ def cmd_plotdata(args) -> int:
             # a JSON syntax error is a ValueError; a missing entry a KeyError
             raise DatasetError(f"malformed report: {type(exc).__name__} {exc}",
                                path=args.report) from None
+    config = config_from_dict(report.config)
     out_dir = args.out_dir or os.path.dirname(os.path.abspath(args.report))
 
     write_csv(os.path.join(out_dir, "histogram.csv"),
@@ -227,9 +227,8 @@ def cmd_plotdata(args) -> int:
                for i in range(len(normal))])
     print(f"wrote {os.path.join(out_dir, 'histogram.csv')}")
 
-    config = config_from_dict(report.config)
     store = PhaseStore(os.path.dirname(os.path.abspath(args.report)),
-                       report.config_fingerprint)
+                       report.config_fingerprint, report.data_fingerprint)
     first_seed = report.per_seed[0]["seed"]
     if not os.path.isfile(store.path(first_seed, "source")):
         print("no checkpoints next to the report; skipping embedding export")
@@ -237,6 +236,8 @@ def cmd_plotdata(args) -> int:
     gs, _, inputs = prepare_experiment(
         load_dataset(config), dataclasses.replace(config, seeds=(first_seed,)),
         sides=("test",))
+    # the checkpoints must match the data embedded now, not only the report
+    store = dataclasses.replace(store, data_fingerprint=dataset_fingerprint(gs))
     split = make_anomaly_split(gs, report.normal_class, config.test_fraction,
                                first_seed)
     models, _ = store.load_chain(first_seed, phase_chain(config.variant))
@@ -259,10 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Graph-level anomaly detection by flow-guided distillation")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("prepare", help="parse a dataset and dump stats + canonical JSON")
+    p = sub.add_parser("prepare", help="parse a dataset and print its stats "
+                                       "and fingerprint")
     p.add_argument("directory", help="dataset directory")
     p.add_argument("name", help="dataset name (file prefix)")
-    p.add_argument("--out", help="canonical JSON path")
     p.set_defaults(fn=cmd_prepare)
 
     common = argparse.ArgumentParser(add_help=False)

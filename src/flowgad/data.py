@@ -1,5 +1,6 @@
 """Attributed-graph containers, TUDataset text-format I/O, anomaly splits,
-and the canonical JSON encoding that every fingerprint hashes.
+the array fingerprint of a graph set, and the canonical JSON encoding that
+config and checkpoint fingerprints hash.
 
 The on-disk format is the public TUDataset convention: per-dataset directory
 holding ``<DS>_A.txt`` (comma-separated 1-based edge endpoints),
@@ -341,40 +342,12 @@ def write_tudataset(gs: GraphSet, directory: str, dataset_name: str | None = Non
 
 
 # ---------------------------------------------------------------------------
-# canonical JSON dump (debugging, round-trips, fingerprints)
+# fingerprints
 # ---------------------------------------------------------------------------
 
-def graphset_to_dict(gs: GraphSet) -> dict:
-    """Canonical JSON-ready form: per graph n, sorted edge list, features, label."""
-    out = {"name": gs.name, "graphs": []}
-    for g in gs.graphs:
-        iu, ju = np.nonzero(np.triu(g.adjacency))
-        out["graphs"].append({
-            "n": g.n,
-            "edges": sorted([int(a), int(b)] for a, b in zip(iu, ju)),
-            "features": [[float(v) for v in row] for row in g.features],
-            "label": int(g.label),
-        })
-    return out
-
-
-def graphset_from_dict(d: dict) -> GraphSet:
-    graphs = []
-    for gd in d["graphs"]:
-        n = gd["n"]
-        a = np.zeros((n, n), dtype=np.float64)
-        for u, v in gd["edges"]:
-            a[u, v] = a[v, u] = 1.0
-        feats = np.asarray(gd["features"], dtype=np.float64)
-        if feats.size == 0:
-            feats = feats.reshape(n, 0)
-        graphs.append(Graph(n=n, adjacency=a, features=feats,
-                            label=gd["label"]).validate())
-    return GraphSet(name=d["name"], graphs=graphs)
-
-
 def canonical_bytes(payload) -> bytes:
-    """Sorted-key, whitespace-free JSON: what every fingerprint hashes."""
+    """Sorted-key, whitespace-free JSON: what config and checkpoint
+    fingerprints hash."""
     return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
 
 
@@ -383,7 +356,23 @@ def payload_fingerprint(payload) -> str:
 
 
 def dataset_fingerprint(gs: GraphSet) -> str:
-    return payload_fingerprint(graphset_to_dict(gs))
+    """The identity of a graph set: a sha256 over its graphs in order.
+
+    Each graph adds an int64 header (n, label, feature width), then
+    ``np.packbits(adjacency != 0)``, then its float64 feature bytes. The
+    header keeps graph boundaries apart, so two sets whose concatenated
+    bits agree but whose graph sizes differ hash differently. Features are
+    hashed bit for bit (0.0 and -0.0 differ). The set's name is left out:
+    the config already names the dataset. Graphs are hashed one at a time,
+    so no copy of the whole set is built."""
+    digest = hashlib.sha256()
+    for g in gs.graphs:
+        features = np.ascontiguousarray(g.features, dtype=np.float64)
+        digest.update(np.array([g.n, g.label, features.shape[1]],
+                               dtype=np.int64))
+        digest.update(np.packbits(g.adjacency != 0))
+        digest.update(features)
+    return digest.hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -37,14 +37,15 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass, asdict, field, replace
+from dataclasses import dataclass, asdict, field, fields, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from .checkpoint import PhaseStore
-from .data import (AnomalySplit, GraphSet, canonical_bytes, majority_class,
-                   make_anomaly_split, normalized_adjacency, payload_fingerprint)
+from .data import (AnomalySplit, GraphSet, canonical_bytes, dataset_fingerprint,
+                   majority_class, make_anomaly_split, normalized_adjacency,
+                   payload_fingerprint)
 from .encoding import rw_structural_encoding
 from .errors import (ConfigError, ContractViolation, PhaseOrderError,
                      TrainingFault, UndefinedMetricError)
@@ -83,6 +84,17 @@ class ExperimentConfig:
     max_graphs: int = 0                 # 0 keeps the whole set
 
     def validate(self) -> "ExperimentConfig":
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "seeds":
+                if not (isinstance(value, (list, tuple))
+                        and all(_is_a(v, int) for v in value)):
+                    raise ConfigError(f"seeds must be a list of integers, "
+                                      f"got {value!r}")
+            elif f.name != "normal_class" and not _is_a(value, type(f.default)):
+                raise ConfigError(f"{f.name} must be "
+                                  f"{_TYPE_NAMES[type(f.default)]}, "
+                                  f"got {value!r}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if not (0.0 <= self.alpha <= 1.0):
@@ -122,6 +134,18 @@ class ExperimentConfig:
 
     def fingerprint(self) -> str:
         return payload_fingerprint(self.to_dict())
+
+
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
+
+
+def _is_a(value, kind) -> bool:
+    """Whether ``value`` fits a field whose default is of type ``kind``:
+    an int field takes an int, a float field an int or a float, and
+    neither takes a bool."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
@@ -534,6 +558,7 @@ class ScoreReport:
     variant: str
     config: dict
     config_fingerprint: str
+    data_fingerprint: str | None   # None in reports written before it existed
     normal_class: int
     per_seed: list          # dicts: seed, auc, records, traces
     auc_mean: float
@@ -559,6 +584,7 @@ def report_from_dict(d: dict) -> ScoreReport:
     return ScoreReport(
         dataset=d["dataset"], variant=d["variant"], config=d["config"],
         config_fingerprint=d["config_fingerprint"],
+        data_fingerprint=d.get("data_fingerprint"),
         normal_class=d["normal_class"], per_seed=d["per_seed"],
         auc_mean=d["auc_mean"], auc_std=d["auc_std"],
         phase_seconds=d.get("phase_seconds", {}), timestamp=d.get("timestamp", ""),
@@ -572,7 +598,9 @@ def build_report(gs: GraphSet, config: ExperimentConfig, normal: int,
     ``once`` holds the phases timed once before the seeds: ``setup`` is
     ``prepare_experiment`` (subsample, splits, and the adjacencies and
     encodings of the graphs the run uses) in every report, and ``eval``
-    adds ``load``, the reading of the dataset files."""
+    adds ``load``, the reading of the dataset files. The report records
+    the fingerprints of ``config`` and of ``gs``, the subsampled set that
+    was trained on and scored."""
     aucs = np.array([r.auc for r in results])
     seconds: dict = dict(once)
     for r in results:
@@ -582,7 +610,8 @@ def build_report(gs: GraphSet, config: ExperimentConfig, normal: int,
                  "traces": r.traces} for r in results]
     return ScoreReport(
         dataset=gs.name, variant=config.variant, config=config.to_dict(),
-        config_fingerprint=config.fingerprint(), normal_class=normal,
+        config_fingerprint=config.fingerprint(),
+        data_fingerprint=dataset_fingerprint(gs), normal_class=normal,
         per_seed=per_seed, auc_mean=float(aucs.mean()),
         auc_std=float(aucs.std()),
         phase_seconds={k: round(v, 3) for k, v in seconds.items()},

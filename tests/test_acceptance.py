@@ -14,7 +14,7 @@ import pytest
 from conftest import random_flow, require_dataset
 
 from flowgad import autodiff as ad
-from flowgad.data import graphset_to_dict, parse_tudataset, write_tudataset
+from flowgad.data import dataset_fingerprint, parse_tudataset, write_tudataset
 from flowgad.flow import GraphFlow, nf_loss, train_flow
 from flowgad.optim import make_rng
 from flowgad.pipeline import ExperimentConfig, compute_auc, run_experiment
@@ -318,7 +318,7 @@ def test_parser_fidelity(hand_fixture_dir, tmp_path):
     tiny = parse_tudataset(hand_fixture_dir, "TINY")
     write_tudataset(tiny, str(tmp_path / "TINY"))
     tiny2 = parse_tudataset(str(tmp_path / "TINY"), "TINY")
-    hand_ok = graphset_to_dict(tiny) == graphset_to_dict(tiny2)
+    hand_ok = dataset_fingerprint(tiny) == dataset_fingerprint(tiny2)
     assert hand_ok
 
     try:
@@ -328,7 +328,7 @@ def test_parser_fidelity(hand_fixture_dir, tmp_path):
                     "disk for the benchmark half")
     write_tudataset(gs, str(tmp_path / "AIDS"))
     back = parse_tudataset(str(tmp_path / "AIDS"), "AIDS")
-    round_ok = graphset_to_dict(gs) == graphset_to_dict(back)
+    round_ok = dataset_fingerprint(gs) == dataset_fingerprint(back)
     avg_nodes = float(np.mean([g.n for g in gs.graphs]))
     stats_ok = len(gs) == 2000 and abs(avg_nodes - 15.69) <= 0.01
     _report(name, hand_ok and round_ok and stats_ok,

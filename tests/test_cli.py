@@ -8,12 +8,14 @@ import pytest
 from flowgad import autodiff as ad
 from flowgad import checkpoint, flow, pipeline
 from flowgad.cli import load_dataset, main, parse_config_file
-from flowgad.data import (Graph, GraphSet, make_anomaly_split, payload_fingerprint,
-                          write_tudataset)
+from flowgad.data import (Graph, GraphSet, dataset_fingerprint,
+                          make_anomaly_split, parse_tudataset,
+                          payload_fingerprint, write_tudataset)
 from flowgad.errors import ConfigError
 from flowgad.pipeline import (PHASES, ExperimentConfig, prepare_experiment,
                               report_from_dict, resolve_normal_class,
                               run_experiment, subsample_graphset)
+from flowgad.synthetic import planted_anomaly_set
 
 from conftest import fail_checkpoint_writes
 
@@ -40,21 +42,24 @@ def write_config(tmp_path, text=BASE_CONFIG, name="run.cfg"):
 
 # -------------------------------------------------------------------- prepare
 
-def test_prepare_reports_stats_and_writes_json(tmp_path, hand_fixture_dir, capsys):
-    out = tmp_path / "tiny.json"
-    assert main(["prepare", str(hand_fixture_dir), "TINY",
-                 "--out", str(out)]) == 0
+def test_prepare_reports_stats_and_fingerprint(tmp_path, hand_fixture_dir,
+                                               capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    before = sorted(os.listdir(tmp_path))
+    assert main(["prepare", hand_fixture_dir, "TINY"]) == 0
     stdout = capsys.readouterr().out
     assert "TINY: 2 graphs" in stdout
-    assert "fingerprint:" in stdout
-    payload = json.loads(out.read_text())
-    assert payload["name"] == "TINY"
-    assert len(payload["graphs"]) == 2
+    fingerprint = dataset_fingerprint(parse_tudataset(hand_fixture_dir, "TINY"))
+    assert f"fingerprint: {fingerprint}\n" in stdout
+    # prepare only prints; it writes no file
+    assert sorted(os.listdir(tmp_path)) == before
+    with pytest.raises(SystemExit) as exc:
+        main(["prepare", hand_fixture_dir, "TINY", "--out", "x.json"])
+    assert exc.value.code == 2
 
 
 def test_prepare_missing_directory_exits_2(tmp_path, capsys):
-    code = main(["prepare", str(tmp_path / "absent"), "NOPE",
-                 "--out", str(tmp_path / "x.json")])
+    code = main(["prepare", str(tmp_path / "absent"), "NOPE"])
     assert code == 2
     assert "NOPE" in capsys.readouterr().err
 
@@ -99,10 +104,11 @@ def test_bad_config_exits_3(tmp_path, capsys):
     bad = write_config(tmp_path, "variant = vanilla\n", "bad.cfg")
     assert main(["train", bad]) == 3
     assert "variant" in capsys.readouterr().err
-    # a key removed from the configuration is an unknown key
-    old = write_config(tmp_path, "readout = max\n", "old.cfg")
+    # a key removed from the configuration is an unknown key, named with
+    # its line
+    old = write_config(tmp_path, "seeds = 0\n\nreadout = max\n", "old.cfg")
     assert main(["train", old]) == 3
-    assert "readout" in capsys.readouterr().err
+    assert f"{old}:3: unknown key 'readout'" in capsys.readouterr().err
     assert main(["train", str(tmp_path / "missing.cfg")]) == 3
 
 
@@ -412,6 +418,32 @@ def test_corrupt_array_digit_fails_verification(tmp_path, capsys):
     assert "failed verification" in err and str(path) in err
 
 
+def _rewrite_checkpoint(path, edit):
+    """Edits a checkpoint's payload and re-fingerprints it, so that it
+    still verifies."""
+    payload = json.loads(path.read_text())
+    del payload["fingerprint"]
+    edit(payload)
+    payload["fingerprint"] = payload_fingerprint(payload)
+    path.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda payload: payload.pop("arrays"),
+    lambda payload: payload.update(arrays=list(payload["arrays"])),
+], ids=["no-arrays", "arrays-list"])
+def test_checkpoint_with_malformed_arrays_exits_4(tmp_path, capsys, edit):
+    cfg = write_config(tmp_path, BASE_CONFIG.replace("seeds = 0,1", "seeds = 0"))
+    run = str(tmp_path / "run")
+    assert main(["train", cfg, "--out-dir", run]) == 0
+    path = tmp_path / "run" / "0" / "encoder.ckpt"
+    _rewrite_checkpoint(path, edit)
+    capsys.readouterr()
+    assert main(["eval", cfg, "--out-dir", run]) == 4
+    err = capsys.readouterr().err
+    assert str(path) in err and "cannot be rebuilt" in err
+
+
 def test_checkpoint_of_unknown_model_class_exits_4(tmp_path, capsys):
     # an asy_st flow checkpoint as earlier versions wrote it: an
     # IdentityFlow without arrays, re-fingerprinted so that it verifies
@@ -420,12 +452,8 @@ def test_checkpoint_of_unknown_model_class_exits_4(tmp_path, capsys):
     run = str(tmp_path / "run")
     assert main(["train", cfg, "--out-dir", run]) == 0
     path = tmp_path / "run" / "0" / "flow.ckpt"
-    payload = json.loads(path.read_text())
-    del payload["fingerprint"]
-    payload["meta"] = {"flow": {"class": "IdentityFlow", "args": {"d": 8}}}
-    payload["arrays"] = {}
-    payload["fingerprint"] = payload_fingerprint(payload)
-    path.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+    _rewrite_checkpoint(path, lambda payload: payload.update(
+        meta={"flow": {"class": "IdentityFlow", "args": {"d": 8}}}, arrays={}))
     capsys.readouterr()
     assert main(["eval", cfg, "--out-dir", run]) == 4
     err = capsys.readouterr().err
@@ -507,6 +535,93 @@ def test_interrupted_target_phase_reruns_or_is_rejected(tmp_path, capsys,
     assert main(["eval", cfg, "--out-dir", str(run)]) == 4
     err = capsys.readouterr().err
     assert "target.ckpt" in err and "retrained" in err
+
+
+def _planted_on_disk(tmp_path):
+    """38 planted graphs in TUDataset layout and a config that reads them."""
+    data_dir = tmp_path / "data"
+    write_tudataset(planted_anomaly_set(num_normal=30, num_anomalous=8),
+                    str(data_dir / "PLANT"), "PLANT")
+    return write_config(tmp_path, (
+        "dataset = PLANT\n"
+        f"data_dir = {data_dir}\n"
+        "seeds = 0\n"
+        "d = 8\nhidden = 8\nk_se = 8\n"
+        "s_epochs = 2\nn_epochs = 2\nt_epochs = 2\n"), "plant.cfg")
+
+
+def _relabel_a_training_graph(graphs, config):
+    gs = GraphSet(name="PLANT", graphs=graphs)
+    train = make_anomaly_split(gs, resolve_normal_class(gs, config),
+                               config.test_fraction, 0).train
+    graphs[train[0]].label = 1
+
+
+def _flip_one_edge(graphs, config):
+    a = graphs[0].adjacency
+    a[0, 1] = a[1, 0] = 1.0 - a[0, 1]
+
+
+@pytest.mark.parametrize("edit", [
+    _relabel_a_training_graph, _flip_one_edge,
+    lambda graphs, config: graphs.pop()], ids=["relabel", "edge", "drop"])
+def test_data_changed_after_train_exits_4(tmp_path, capsys, edit):
+    # the checkpoints record the fingerprint of the graphs they were
+    # trained on, so eval and plotdata refuse edited data instead of
+    # scoring graphs the models may have seen
+    cfg = _planted_on_disk(tmp_path)
+    config = parse_config_file(cfg)
+    run = tmp_path / "run"
+    assert main(["train", cfg, "--out-dir", str(run)]) == 0
+    assert main(["eval", cfg, "--out-dir", str(run)]) == 0
+    gs = load_dataset(config)
+    report = json.loads((run / "report.json").read_text())
+    assert report["data_fingerprint"] == dataset_fingerprint(gs)
+
+    edit(gs.graphs, config)
+    write_tudataset(gs, os.path.join(config.data_dir, "PLANT"))
+    assert dataset_fingerprint(load_dataset(config)) != report["data_fingerprint"]
+    capsys.readouterr()
+    assert main(["eval", cfg, "--out-dir", str(run)]) == 4
+    err = capsys.readouterr().err
+    assert "encoder.ckpt" in err and "other data; re-run train" in err
+    assert main(["plotdata", str(run / "report.json"),
+                 "--out-dir", str(tmp_path / "plots")]) == 4
+    assert "other data; re-run train" in capsys.readouterr().err
+
+    assert main(["train", cfg, "--out-dir", str(run)]) == 0
+    assert main(["eval", cfg, "--out-dir", str(run)]) == 0
+
+
+def test_checkpoint_without_data_fingerprint_exits_4(tmp_path, capsys):
+    # checkpoints written before they recorded the data are refused
+    cfg = write_config(tmp_path, BASE_CONFIG.replace("seeds = 0,1", "seeds = 0"))
+    run = tmp_path / "run"
+    assert main(["train", cfg, "--out-dir", str(run)]) == 0
+    for name in ("encoder.ckpt", "flow.ckpt", "target.ckpt"):
+        _rewrite_checkpoint(run / "0" / name,
+                            lambda payload: payload.pop("data_fingerprint"))
+    capsys.readouterr()
+    assert main(["eval", cfg, "--out-dir", str(run)]) == 4
+    err = capsys.readouterr().err
+    assert "encoder.ckpt records data_fingerprint None" in err
+
+
+@pytest.mark.parametrize("key, value", [("seeds", 3), ("hidden", "8"),
+                                        ("lr", None)])
+def test_plotdata_wrongly_typed_config_exits_3(tmp_path, capsys, key, value):
+    config = ExperimentConfig().to_dict()
+    config[key] = value
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({
+        "dataset": "planted", "variant": "full", "config": config,
+        "config_fingerprint": "", "normal_class": 0, "auc_mean": 1.0,
+        "auc_std": 0.0, "per_seed": [{"seed": 0, "records": [
+            {"graph": 0, "flag": False, "score": 0.25},
+            {"graph": 1, "flag": True, "score": 0.75}]}]}))
+    assert main(["plotdata", str(report)]) == 3
+    assert f"{key} must be" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["report.json"]
 
 
 def test_foreign_config_checkpoint_exits_4(tmp_path, capsys):

@@ -1,11 +1,9 @@
-import json
 import os
 
 import numpy as np
 import pytest
 
 from flowgad.data import (Graph, GraphSet, dataset_fingerprint,
-                          graphset_from_dict, graphset_to_dict,
                           majority_class, make_anomaly_split,
                           normalized_adjacency, parse_tudataset,
                           write_tudataset)
@@ -121,17 +119,67 @@ def test_tudataset_roundtrip_without_features(tmp_path, rng):
         assert b.features.shape == (b.n, 0)
 
 
-def test_json_roundtrip_and_fingerprint(rng):
+def _edited(gs, edit):
+    """A copy of ``gs`` with fresh arrays, changed in place by ``edit``."""
+    copy = GraphSet(name=gs.name, graphs=[
+        Graph(n=g.n, adjacency=g.adjacency.copy(), features=g.features.copy(),
+              label=g.label) for g in gs.graphs])
+    edit(copy.graphs)
+    return copy
+
+
+def _flip_edge(graphs):
+    g = max(graphs, key=lambda g: g.n)
+    g.adjacency[0, 1] = g.adjacency[1, 0] = 1.0 - g.adjacency[0, 1]
+
+
+def _zero_feature(graphs):
+    graphs[0].features[0, 0] = 0.0
+
+
+def _negate_zero_feature(graphs):
+    _zero_feature(graphs)
+    graphs[0].features[0, 0] = -0.0
+
+
+@pytest.mark.parametrize("edit", [
+    lambda graphs: setattr(graphs[0], "label", graphs[0].label + 1),
+    _flip_edge,
+    lambda graphs: graphs.pop(),
+    lambda graphs: graphs.insert(0, graphs.pop(1)),
+], ids=["label", "edge", "drop", "swap"])
+def test_fingerprint_changes_with_any_graph(rng, edit):
     gs = _random_graphset(rng)
-    d = graphset_to_dict(gs)
-    json.dumps(d)   # must be serializable
-    back = graphset_from_dict(d)
-    for a, b in zip(gs.graphs, back.graphs):
-        assert np.array_equal(a.adjacency, b.adjacency)
-        assert np.array_equal(a.features, b.features)
-    assert dataset_fingerprint(gs) == dataset_fingerprint(back)
-    gs.graphs[0].label += 1
-    assert dataset_fingerprint(gs) != dataset_fingerprint(back)
+    assert (dataset_fingerprint(_edited(gs, lambda graphs: None))
+            == dataset_fingerprint(gs))
+    assert dataset_fingerprint(_edited(gs, edit)) != dataset_fingerprint(gs)
+
+
+def test_fingerprint_hashes_feature_bits(rng):
+    gs = _random_graphset(rng)
+    zero, negative = _edited(gs, _zero_feature), _edited(gs, _negate_zero_feature)
+    assert zero.graphs[0].features[0, 0] == negative.graphs[0].features[0, 0]
+    assert dataset_fingerprint(zero) != dataset_fingerprint(negative)
+
+
+def test_fingerprint_keeps_graph_boundaries():
+    # one 4-node and one 2-node graph against one 2-node and one 4-node
+    # graph: 16 + 4 adjacency bits, all zero, on both sides, and no features
+    def graph(n):
+        return Graph(n=n, adjacency=np.zeros((n, n)),
+                     features=np.zeros((n, 0)), label=0)
+    a = GraphSet(name="A", graphs=[graph(4), graph(2)])
+    b = GraphSet(name="A", graphs=[graph(2), graph(4)])
+    bits = [np.concatenate([np.ravel(g.adjacency != 0) for g in gs.graphs])
+            for gs in (a, b)]
+    assert np.array_equal(*bits)
+    assert dataset_fingerprint(a) != dataset_fingerprint(b)
+
+
+def test_fingerprint_leaves_out_the_name(rng):
+    gs = _random_graphset(rng)
+    renamed = GraphSet(name="OTHER", graphs=gs.graphs)
+    assert dataset_fingerprint(renamed) == dataset_fingerprint(gs)
 
 
 def test_split_counts_by_stated_rule():

@@ -7,7 +7,7 @@ import pytest
 from flowgad import autodiff as ad
 from flowgad import pipeline
 from flowgad.checkpoint import PhaseStore, load_checkpoint, save_checkpoint
-from flowgad.data import Graph, GraphSet, make_anomaly_split
+from flowgad.data import Graph, GraphSet, dataset_fingerprint, make_anomaly_split
 from flowgad.errors import (ConfigError, ContractViolation, PhaseOrderError,
                             UndefinedMetricError)
 from flowgad.flow import CouplingStep, GraphFlow
@@ -60,6 +60,24 @@ def test_config_validation_catches_bad_values():
         cfg = dataclasses.replace(ExperimentConfig(), **{field: value})
         with pytest.raises(ConfigError):
             cfg.validate()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("seeds", 3), ("seeds", "0,1"), ("seeds", (0, "1")), ("seeds", (0, 1.0)),
+    ("seeds", (True,)), ("hidden", "8"), ("hidden", 8.0), ("hidden", True),
+    ("max_graphs", None), ("lr", "0.1"), ("alpha", None), ("alpha", False),
+    ("dataset", 3), ("variant", ["full"])])
+def test_config_validation_names_a_wrongly_typed_field(field, value):
+    # a ConfigError naming the key, not a TypeError from a comparison
+    cfg = dataclasses.replace(ExperimentConfig(), **{field: value})
+    with pytest.raises(ConfigError, match=f"^{field} must be"):
+        cfg.validate()
+    with pytest.raises(ConfigError, match=f"^{field} must be"):
+        run_experiment(small_set(), cfg)
+
+
+def test_config_validation_takes_an_int_for_a_float_field():
+    assert ExperimentConfig(lr=1, alpha=0, seeds=[0, 2]).validate().lr == 1
 
 
 def test_config_fingerprint_tracks_content():
@@ -274,6 +292,22 @@ def test_report_records_the_environment_outside_the_digest(monkeypatch):
     assert report_from_dict(old).canonical_bytes() == report.canonical_bytes()
 
 
+def test_report_records_the_fingerprint_of_the_subsampled_set():
+    gs = small_set()
+    cfg = ExperimentConfig(**{**TINY, "max_graphs": 12})
+    report, _ = run_experiment(gs, cfg)
+    kept = subsample_graphset(gs, 12)
+    assert len(kept) == 12
+    assert report.data_fingerprint == dataset_fingerprint(kept)
+    assert report.data_fingerprint != dataset_fingerprint(gs)
+    assert report.to_dict()["data_fingerprint"] == report.data_fingerprint
+    assert report.data_fingerprint.encode() in report.canonical_bytes()
+    # a report written before the field existed still reads
+    old = report.to_dict()
+    del old["data_fingerprint"]
+    assert report_from_dict(old).data_fingerprint is None
+
+
 def test_run_experiment_builds_every_graph_once(monkeypatch):
     built = []
     real = pipeline.precompute_inputs
@@ -420,7 +454,7 @@ def _save_encoder(store, res):
 
 def test_checkpoint_roundtrip_preserves_scores(tmp_path):
     gs, cfg, inputs, res = _trained_models(tmp_path)
-    store = PhaseStore(str(tmp_path), cfg.fingerprint())
+    store = PhaseStore(str(tmp_path), cfg.fingerprint(), dataset_fingerprint(gs))
     enc_fp = _save_encoder(store, res)
     flow_fp = store.save(0, "flow", {"flow": res.models["flow"]}, enc_fp)
     target_fp = store.save(0, "target", {"student": res.models["student"]},
@@ -439,20 +473,22 @@ def test_checkpoint_roundtrip_preserves_scores(tmp_path):
 
 def test_checkpoint_chain_rejects_stale_upstream(tmp_path):
     gs, cfg, inputs, res = _trained_models(tmp_path)
-    fp = cfg.fingerprint()
-    store = PhaseStore(str(tmp_path), fp)
+    fp, data_fp = cfg.fingerprint(), dataset_fingerprint(gs)
+    store = PhaseStore(str(tmp_path), fp, data_fp)
     _save_encoder(store, res)
     # a flow built on an encoder other than the one on disk
     store.save(0, "flow", {"flow": res.models["flow"]}, "0" * 64)
     with pytest.raises(PhaseOrderError, match="retrained"):
         store.load_chain(0, PHASES[:2])
     with pytest.raises(PhaseOrderError, match="config"):
-        PhaseStore(str(tmp_path), "1" * 64).load_chain(0, ("source",))
+        PhaseStore(str(tmp_path), "1" * 64, data_fp).load_chain(0, ("source",))
+    with pytest.raises(PhaseOrderError, match="other data; re-run train"):
+        PhaseStore(str(tmp_path), fp, "1" * 64).load_chain(0, ("source",))
 
 
 def test_checkpoint_detects_tampering(tmp_path):
     gs, cfg, inputs, res = _trained_models(tmp_path)
-    store = PhaseStore(str(tmp_path), cfg.fingerprint())
+    store = PhaseStore(str(tmp_path), cfg.fingerprint(), dataset_fingerprint(gs))
     _save_encoder(store, res)
     path = store.path(0, "source")
     text = open(path).read()
@@ -464,10 +500,11 @@ def test_checkpoint_detects_tampering(tmp_path):
 
 def test_old_adapter_format_is_phase_order_error(tmp_path):
     # a checkpoint that verifies but whose meta does not describe models
-    store = PhaseStore(str(tmp_path), "fp")
+    store = PhaseStore(str(tmp_path), "fp", "data")
     save_checkpoint(store.path(0, "source"), "encoder",
                     {"encoder_w0": np.ones((3, 2))},
-                    {"d_in": 3, "hidden": 2, "d_out": 2, "layers": 1}, "fp")
+                    {"d_in": 3, "hidden": 2, "d_out": 2, "layers": 1},
+                    store.lineage(None))
     with pytest.raises(PhaseOrderError, match="encoder.ckpt cannot be rebuilt"):
         store.load_chain(0, ("source",))
 
@@ -475,7 +512,7 @@ def test_old_adapter_format_is_phase_order_error(tmp_path):
 def test_student_checkpoint_with_gin_epsilon_is_phase_order_error(tmp_path):
     # students saved while GIN layers took an epsilon record it in their
     # constructor arguments; the GIN-0 student no longer accepts it
-    store = PhaseStore(str(tmp_path), "fp")
+    store = PhaseStore(str(tmp_path), "fp", "data")
     enc_fp = store.save(0, "source", {
         "encoder": GcnEncoder(3, 4, 4, 1, make_rng(0)),
         "decoder": FeatureDecoder(4, 3, make_rng(0))}, None)
@@ -485,8 +522,8 @@ def test_student_checkpoint_with_gin_epsilon_is_phase_order_error(tmp_path):
     meta = {"student": {"class": "GinNetwork",
                         "args": {**student.init_args(), "eps": 0.0}}}
     arrays = {f"student.{i}": p.data for i, p in enumerate(student.params())}
-    save_checkpoint(store.path(0, "target"), "target", arrays, meta, "fp",
-                    flow_fp)
+    save_checkpoint(store.path(0, "target"), "target", arrays, meta,
+                    store.lineage(flow_fp))
     with pytest.raises(PhaseOrderError, match="target.ckpt cannot be rebuilt"):
         store.load_chain(0, PHASES)
 
@@ -494,11 +531,11 @@ def test_student_checkpoint_with_gin_epsilon_is_phase_order_error(tmp_path):
 def test_interrupted_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
     gs, cfg, inputs, res = _trained_models(tmp_path)
     path = tmp_path / "0" / "encoder.ckpt"
-    _save_encoder(PhaseStore(str(tmp_path), cfg.fingerprint()), res)
+    _save_encoder(PhaseStore(str(tmp_path), cfg.fingerprint(), "data"), res)
     before = path.read_bytes()
     fail_checkpoint_writes(monkeypatch, b'{"arrays":{"enc')
     with pytest.raises(OSError, match="disk full"):
-        _save_encoder(PhaseStore(str(tmp_path), "another config"), res)
+        _save_encoder(PhaseStore(str(tmp_path), "another config", "data"), res)
     assert path.read_bytes() == before
     assert os.listdir(tmp_path / "0") == ["encoder.ckpt"]
 
@@ -509,7 +546,7 @@ def test_missing_checkpoint_is_phase_order_error(tmp_path):
 
 
 def test_checkpoint_of_another_kind_is_phase_order_error(tmp_path):
-    store = PhaseStore(str(tmp_path), "fp")
+    store = PhaseStore(str(tmp_path), "fp", "data")
     store.save(0, "source", {"encoder": GcnEncoder(3, 4, 4, 1, make_rng(0)),
                              "decoder": FeatureDecoder(4, 3, make_rng(0))}, None)
     with pytest.raises(PhaseOrderError,
