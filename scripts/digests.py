@@ -16,8 +16,12 @@ runs made on one machine with one setting.
 Those graphs have 10-16 nodes. Two more lines, ``full`` at batch 1 and 4
 marked ``large``, run a planted set of 30 graphs of 150-300 nodes (seed 0,
 2 epochs per phase), so that a byte-identity claim also covers the dense
-kernels at sizes where their n x n work dominates. The whole script runs
-in a few seconds on two cores.
+kernels at sizes where their n x n work dominates.
+
+For each of the two graph sets, an ``encoding`` line gives the sha256 of
+the bytes of every graph's ``rw_structural_encoding(adjacency, 16)``, in
+order: a change can show whether the node features moved or only
+training did. The whole script runs in a few seconds on two cores.
 
 Usage: PYTHONPATH=src python3 scripts/digests.py
 """
@@ -27,6 +31,7 @@ from __future__ import annotations
 import hashlib
 
 from flowgad.data import payload_fingerprint
+from flowgad.encoding import rw_structural_encoding
 from flowgad.pipeline import VARIANTS, ExperimentConfig, run_experiment
 from flowgad.synthetic import planted_anomaly_set
 
@@ -49,6 +54,14 @@ def digests(gs, config) -> tuple[str, str, list]:
             payload_fingerprint(report.per_seed), aucs)
 
 
+def encoding_digest(gs) -> str:
+    """sha256 over the bytes of each graph's 16-step encoding, in order."""
+    h = hashlib.sha256()
+    for g in gs.graphs:
+        h.update(rw_structural_encoding(g.adjacency, 16).tobytes())
+    return h.hexdigest()
+
+
 def runs():
     """(label, graph set, config) of every printed line."""
     for variant in VARIANTS:
@@ -64,6 +77,9 @@ def runs():
 
 
 def main():
+    for label, gs in (("default", planted_anomaly_set()),
+                      ("large  ", large_set())):
+        print(f"encoding {label}  {encoding_digest(gs)}")
     for label, gs, config in runs():
         report, per_seed, aucs = digests(gs, config)
         print(f"{label}  report {report}  per_seed {per_seed}  auc "

@@ -218,6 +218,11 @@ def cmd_plotdata(args) -> int:
             raise DatasetError(f"malformed report: {type(exc).__name__} {exc}",
                                path=args.report) from None
     config = config_from_dict(report.config)
+    if config.fingerprint() != report.config_fingerprint:
+        # the checkpoints beside the report are bound to the fingerprint,
+        # and the inputs would be built from the edited config
+        raise PhaseOrderError(f"the report's config does not match its "
+                              f"config_fingerprint; re-run eval [{args.report}]")
     out_dir = args.out_dir or os.path.dirname(os.path.abspath(args.report))
 
     write_csv(os.path.join(out_dir, "histogram.csv"),
@@ -228,7 +233,7 @@ def cmd_plotdata(args) -> int:
     print(f"wrote {os.path.join(out_dir, 'histogram.csv')}")
 
     store = PhaseStore(os.path.dirname(os.path.abspath(args.report)),
-                       report.config_fingerprint, report.data_fingerprint)
+                       config.fingerprint(), report.data_fingerprint)
     first_seed = report.per_seed[0]["seed"]
     if not os.path.isfile(store.path(first_seed, "source")):
         print("no checkpoints next to the report; skipping embedding export")

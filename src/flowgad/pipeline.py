@@ -176,7 +176,7 @@ class GraphInputs:
 # A graph whose n x n adjacency has at most this many elements is encoded
 # in a stack of graphs of its node count, and each stack holds at most this
 # many elements: 512 KiB per float64 buffer, of which the encoding keeps
-# three alive besides the stacked adjacencies. Larger graphs are encoded
+# four alive besides the stacked adjacencies. Larger graphs are encoded
 # one at a time, each right after its A_hat and in index order, so that a
 # set of large graphs allocates as it did graph by graph.
 STACK_ELEMENTS = 1 << 16

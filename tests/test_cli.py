@@ -624,6 +624,25 @@ def test_plotdata_wrongly_typed_config_exits_3(tmp_path, capsys, key, value):
     assert os.listdir(tmp_path) == ["report.json"]
 
 
+def test_plotdata_edited_report_config_exits_4(tmp_path, capsys):
+    # the checkpoints beside the report were trained under the config its
+    # fingerprint names, not under an edited one
+    cfg = write_config(tmp_path, BASE_CONFIG.replace("seeds = 0,1", "seeds = 0"))
+    run = tmp_path / "run"
+    assert main(["train", cfg, "--out-dir", str(run)]) == 0
+    assert main(["eval", cfg, "--out-dir", str(run)]) == 0
+    report = json.loads((run / "report.json").read_text())
+    report["config"]["k_se"] = 4
+    (run / "report.json").write_text(json.dumps(report))
+    plots = tmp_path / "plots"
+    plots.mkdir()
+    capsys.readouterr()
+    assert main(["plotdata", str(run / "report.json"),
+                 "--out-dir", str(plots)]) == 4
+    assert "does not match its config_fingerprint" in capsys.readouterr().err
+    assert os.listdir(plots) == []
+
+
 def test_foreign_config_checkpoint_exits_4(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE_CONFIG.replace("seeds = 0,1", "seeds = 0"))
     run = str(tmp_path / "run")

@@ -1,9 +1,13 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from flowgad import pipeline
 from flowgad.data import Graph, GraphSet, normalized_adjacency
-from flowgad.encoding import rw_structural_encoding
+from flowgad.encoding import (SYRK_MIN_NODES, product_plan,
+                              rw_structural_encoding)
 from flowgad.errors import ContractViolation
 from flowgad.pipeline import ExperimentConfig, precompute_inputs
 
@@ -145,21 +149,35 @@ def test_two_power_walk_matches_power_loop(rng):
             assert enc.min() >= 0.0 and enc.max() <= 1.0
 
 
+# column t = vecdot(S^a, S^b) for these (a, b), as the product plan takes them
+_PLAN_PAIRS = {2: (1, 1), 3: (1, 2), 4: (2, 2), 5: (1, 4), 6: (2, 4), 7: (2, 5),
+               8: (4, 4), 9: (4, 5), 10: (5, 5), 11: (1, 10), 12: (4, 8),
+               13: (5, 8), 14: (4, 10), 15: (5, 10), 16: (8, 8), 17: (8, 9)}
+
+
 def _graph_by_graph_encoding(a, k_se):
-    """The encoding as written for one graph at a time, before stacks: the
-    in-suite reference for the stacked code's bits."""
+    """The product plan written out for one graph on plain 2-D arrays, up
+    to k_se = 17: the in-suite reference for the encoding's bits."""
+    assert k_se <= max(_PLAN_PAIRS)
     deg = a.sum(axis=1)
     inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
     s = a * inv_sqrt[:, None] * inv_sqrt[None, :]
+
+    def square(x):
+        return x @ (x.T if a.shape[0] >= SYRK_MIN_NODES else x)
+
+    p = {1: s}
+    p[2] = square(s)
+    p[4] = square(p[2])
+    p[5] = p[4] @ s
+    p[10] = square(p[5])
+    p[8] = square(p[4])
+    p[9] = p[8] @ s
     out = np.empty((a.shape[0], k_se), dtype=np.float64)
     out[:, 0] = np.diagonal(s)
-    power = s
-    for t in range(2, k_se + 1, 2):
-        out[:, t - 1] = np.vecdot(power, power)
-        if t < k_se:
-            nxt = power @ s
-            out[:, t] = np.vecdot(power, nxt)
-            power = nxt
+    for t in range(2, k_se + 1):
+        x, y = _PLAN_PAIRS[t]
+        out[:, t - 1] = np.vecdot(p[x], p[y])
     return out
 
 
@@ -177,9 +195,10 @@ def _same_size_graphs(rng, n, count):
 @pytest.mark.parametrize("k_se", K_SE_VALUES)
 def test_stack_bit_equals_each_graph_alone(rng, k_se):
     # a stack runs the same arithmetic on each slice, so every row keeps
-    # the bits of its graph encoded alone; odd k_se ends without a product
-    for n in (1, 2, 7, 40):
-        graphs = _same_size_graphs(rng, n, 9)
+    # the bits of its graph encoded alone; from SYRK_MIN_NODES nodes on,
+    # squares take the syrk path
+    for n, count in ((1, 9), (2, 9), (7, 9), (40, 9), (SYRK_MIN_NODES, 4)):
+        graphs = _same_size_graphs(rng, n, count)
         stack = np.stack([g.adjacency for g in graphs])
         enc = rw_structural_encoding(stack, k_se)
         assert enc.shape == (len(graphs), n, k_se)
@@ -248,3 +267,49 @@ def test_precompute_inputs_builds_only_the_indices_asked_for(rng):
     inputs = precompute_inputs(gs, ExperimentConfig(k_se=4), [3, 0, 17])
     assert list(inputs) == [3, 0, 17]
     assert precompute_inputs(gs, ExperimentConfig(k_se=4), []) == {}
+
+
+def _run_plan(k_se):
+    """Walk ``product_plan(k_se)`` on exponents alone: the columns in the
+    order taken, the products as (made, left, right), and the most powers of
+    S alive at once, S included."""
+    alive, columns, products, most = {1}, [1], [], 1
+    for op, i, a, b in product_plan(k_se):
+        if op == "free":
+            alive.remove(i)
+            continue
+        assert a in alive and b in alive
+        if op == "product":
+            assert i == a + b and i not in alive
+            alive.add(i)
+            products.append((i, a, b))
+            most = max(most, len(alive))
+        else:
+            assert op == "column" and i == a + b
+            columns.append(i)
+    return columns, products, most
+
+
+@pytest.mark.parametrize("k_se", range(1, 41))
+def test_product_plan_takes_each_column_once_in_few_products(k_se):
+    columns, products, most = _run_plan(k_se)
+    assert sorted(columns) == list(range(1, k_se + 1))
+    assert len(products) <= max(math.ceil(k_se / 2) - 1, 0)
+    assert most <= 4
+    if k_se == 16:
+        assert len(products) == 5
+        assert sum(a == b for _, a, b in products) >= 3
+
+
+def test_peak_memory_is_four_n_by_n_arrays(rng):
+    n = 600
+    a = _sparse_graph(rng, n, 5.0).adjacency
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        rw_structural_encoding(a, 16)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.05 * n * n * 8
