@@ -18,12 +18,12 @@ when to free a power. At k_se = 16 it makes five powers:
 
 and takes column 1 from diag S, then 2=1+1, 3=1+2, 4=2+2, 5=1+4, 6=2+4,
 7=2+5, 8=4+4, 9=4+5, 10=5+5, 11=1+10, 14=4+10, 15=5+10, 12=4+8, 13=5+8,
-16=8+8. Four of the five products are squares, which graphs of at least
-``SYRK_MIN_NODES`` nodes run as ``P @ P^T`` and so through BLAS syrk.
-Walking up one power at a time took seven general products,
-``ceil(k_se / 2) - 1``; no ``k_se`` needs more than that. At
-most four n x n arrays are alive at once, S included. Beyond k_se = 16
-the plan walks on from S^8 one power at a time, two columns a product.
+16=8+8. Four of the five products are squares, each written ``P @ P^T``
+so that numpy hands it to BLAS syrk. Walking up one power at a time took
+seven general products, ``ceil(k_se / 2) - 1``; no ``k_se`` needs more
+than that. At most four n x n arrays are alive at once, S included.
+Beyond k_se = 16 the plan walks on from S^8 one power at a time, two
+columns a product.
 
 The encoding takes one adjacency or a ``(G, n, n)`` stack of same-size
 graphs. Every operation acts on the last two axes only: ``matmul`` and
@@ -41,13 +41,6 @@ import functools
 import numpy as np
 
 from .errors import ContractViolation
-
-# Squares of graphs with at least this many nodes run as ``P @ P^T``, which
-# numpy hands to BLAS syrk; smaller ones as ``P @ P`` (gemm). Measured on a
-# 2-vCPU Xeon (OpenBLAS 0.3.31), syrk beats gemm from about 300 nodes at 2
-# threads and 150 at 1, and takes twice as long on stacks of 20-40-node
-# graphs.
-SYRK_MIN_NODES = 256
 
 # (power made, left factor, right factor, powers freed just before), in the
 # order the plan makes them, until every column is taken. After S^8 the
@@ -105,13 +98,13 @@ def rw_structural_encoding(adjacency: np.ndarray, k_se: int) -> np.ndarray:
     s = adjacency * inv_sqrt[..., :, None] * inv_sqrt[..., None, :]
     out = np.empty(adjacency.shape[:-1] + (k_se,), dtype=np.float64)
     out[..., 0] = np.diagonal(s, axis1=-2, axis2=-1)
-    syrk = adjacency.shape[-1] >= SYRK_MIN_NODES
     powers = {1: s}
     for op, i, a, b in product_plan(k_se):
         if op == "product":
-            # no local name holds a power, so that ``del`` frees it
+            # no local name holds a power, so that ``del`` frees it; a
+            # square as P @ P^T runs through BLAS syrk
             powers[i] = powers[a] @ (powers[a].swapaxes(-1, -2)
-                                     if a == b and syrk else powers[b])
+                                     if a == b else powers[b])
         elif op == "column":
             out[..., i - 1] = np.vecdot(powers[a], powers[b])
         else:

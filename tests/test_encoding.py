@@ -6,8 +6,7 @@ import pytest
 
 from flowgad import pipeline
 from flowgad.data import Graph, GraphSet, normalized_adjacency
-from flowgad.encoding import (SYRK_MIN_NODES, product_plan,
-                              rw_structural_encoding)
+from flowgad.encoding import product_plan, rw_structural_encoding
 from flowgad.errors import ContractViolation
 from flowgad.pipeline import ExperimentConfig, precompute_inputs
 
@@ -163,15 +162,12 @@ def _graph_by_graph_encoding(a, k_se):
     inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
     s = a * inv_sqrt[:, None] * inv_sqrt[None, :]
 
-    def square(x):
-        return x @ (x.T if a.shape[0] >= SYRK_MIN_NODES else x)
-
     p = {1: s}
-    p[2] = square(s)
-    p[4] = square(p[2])
+    p[2] = s @ s.T
+    p[4] = p[2] @ p[2].T
     p[5] = p[4] @ s
-    p[10] = square(p[5])
-    p[8] = square(p[4])
+    p[10] = p[5] @ p[5].T
+    p[8] = p[4] @ p[4].T
     p[9] = p[8] @ s
     out = np.empty((a.shape[0], k_se), dtype=np.float64)
     out[:, 0] = np.diagonal(s)
@@ -195,9 +191,9 @@ def _same_size_graphs(rng, n, count):
 @pytest.mark.parametrize("k_se", K_SE_VALUES)
 def test_stack_bit_equals_each_graph_alone(rng, k_se):
     # a stack runs the same arithmetic on each slice, so every row keeps
-    # the bits of its graph encoded alone; from SYRK_MIN_NODES nodes on,
-    # squares take the syrk path
-    for n, count in ((1, 9), (2, 9), (7, 9), (40, 9), (SYRK_MIN_NODES, 4)):
+    # the bits of its graph encoded alone, squares (syrk) included, up to
+    # 256 nodes, the largest graphs that precompute_inputs stacks
+    for n, count in ((1, 9), (2, 9), (7, 9), (40, 9), (256, 4)):
         graphs = _same_size_graphs(rng, n, count)
         stack = np.stack([g.adjacency for g in graphs])
         enc = rw_structural_encoding(stack, k_se)
