@@ -23,6 +23,12 @@ the bytes of every graph's ``rw_structural_encoding(adjacency, 16)``, in
 order: a change can show whether the node features moved or only
 training did. The whole script runs in a few seconds on two cores.
 
+The first line, ``environment``, prints ``pipeline.environment()``: the
+numpy and BLAS versions, the BLAS thread variables (None when unset) and
+the CPU count. The digests of the 150-300-node set differ between 1 and 2
+OpenBLAS threads, so a diff of two runs made under different settings
+shows it on that first line.
+
 Usage: PYTHONPATH=src python3 scripts/digests.py
 """
 
@@ -32,7 +38,8 @@ import hashlib
 
 from flowgad.data import payload_fingerprint
 from flowgad.encoding import rw_structural_encoding
-from flowgad.pipeline import VARIANTS, ExperimentConfig, run_experiment
+from flowgad.pipeline import (VARIANTS, ExperimentConfig, environment,
+                              run_experiment)
 from flowgad.synthetic import planted_anomaly_set
 
 BATCH_SIZES = (1, 4)
@@ -77,6 +84,8 @@ def runs():
 
 
 def main():
+    print("environment "
+          + " ".join(f"{key}={value}" for key, value in environment().items()))
     for label, gs in (("default", planted_anomaly_set()),
                       ("large  ", large_set())):
         print(f"encoding {label}  {encoding_digest(gs)}")

@@ -12,13 +12,16 @@ a ``BlockDiag`` of their propagation matrices as the left operand of
 ``gram_bce`` split per graph. A pack of one graph computes exactly what the
 graph alone does.
 
-Three model computations are fused ops, one node each with a hand-written
-backward that replays the primitive chain they replaced in its order, so
-value and gradients are bit-identical to the chain's: ``gram_bce`` (the
-adjacency reconstruction loss), ``coupling_step`` (one flow step) and
-``cosine_distance``. A node may own several outputs (``coupling_step``
-has three); its backward runs once when any of them has a gradient, with
-zeros for an output no later op used.
+Every primitive records through ``_op``, which takes its output and one
+gradient map per input and, in backward, adds each tracked input's map of
+the output gradient, unbroadcast, in input order. Three model computations
+are fused ops that keep hand-written backwards on ``_record``, one node
+each, because the order in which they add their gradients is what keeps
+value and gradients bit-identical to the primitive chain they replaced:
+``gram_bce`` (the adjacency reconstruction loss), ``coupling_step`` (one
+flow step) and ``cosine_distance``. A node may own several outputs
+(``coupling_step`` has three); its backward runs once when any of them
+has a gradient, with zeros for an output no later op used.
 
 All data is float64.  Matrices are 2-D throughout; per-graph losses are
 B x 1 columns, and the training loss is their 0-d mean (one graph's 1 x 1
@@ -27,6 +30,7 @@ loss itself).
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -171,6 +175,18 @@ def _record(op: str, inputs: tuple, out_data, backprop):
     return out
 
 
+def _op(op: str, inputs: tuple, out_data, grads: tuple) -> Tensor:
+    """``_record`` of a one-output op given one gradient map per input: the
+    backward adds ``grads[i](g)``, unbroadcast to the input's shape, to
+    each tracked input in order, and never calls the map of a constant."""
+    def backprop(g):
+        for t, grad in zip(inputs, grads):
+            if t.requires_grad:
+                _accum(t, _unbroadcast(grad(g), t.data.shape))
+
+    return _record(op, inputs, out_data, backprop)
+
+
 class Workspace:
     """Scratch memory that one training phase lends to the fused ops of its
     tapes, one tape at a time. ``begin`` starts a tape and takes back every
@@ -280,54 +296,25 @@ def constant(x) -> Tensor:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out_data = a.data + b.data
-
-    def backprop(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g, b.data.shape))
-
-    return _record("add", (a, b), out_data, backprop)
+    return _op("add", (a, b), a.data + b.data, (lambda g: g, lambda g: g))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out_data = a.data - b.data
-
-    def backprop(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(-g, b.data.shape))
-
-    return _record("sub", (a, b), out_data, backprop)
+    return _op("sub", (a, b), a.data - b.data, (lambda g: g, lambda g: -g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out_data = a.data * b.data
-
-    def backprop(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g * a.data, b.data.shape))
-
-    return _record("mul", (a, b), out_data, backprop)
+    return _op("mul", (a, b), a.data * b.data,
+               (lambda g: g * b.data, lambda g: g * a.data))
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out_data = a.data / b.data
-
-    def backprop(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(-g * out_data / b.data, b.data.shape))
-
-    return _record("div", (a, b), out_data, backprop)
+    return _op("div", (a, b), out_data,
+               (lambda g: g / b.data, lambda g: -g * out_data / b.data))
 
 
 def matmul(a, b: Tensor) -> Tensor:
@@ -344,28 +331,16 @@ def matmul(a, b: Tensor) -> Tensor:
         raise ContractViolation(
             f"matmul inner dimensions disagree: {a.data.shape} @ {b.data.shape}"
         )
-    out_data = a.data @ b.data
-
-    def backprop(g):
-        if a.requires_grad:
-            _accum(a, g @ b.data.T)
-        if b.requires_grad:
-            _accum(b, a.data.T @ g)
-
-    return _record("matmul", (a, b), out_data, backprop)
+    return _op("matmul", (a, b), a.data @ b.data,
+               (lambda g: g @ b.data.T, lambda g: a.data.T @ g))
 
 
 def _block_matmul(a: BlockDiag, b: Tensor) -> Tensor:
     if b.data.ndim != 2 or a.shape[1] != b.data.shape[0]:
         raise ContractViolation(
             f"matmul inner dimensions disagree: {a.shape} @ {b.data.shape}")
-    out_data = _propagate(a, b.data)
-
-    def backprop(g):
-        if b.requires_grad:
-            _accum(b, _propagate(a, g, transpose=True))
-
-    return _record("matmul", (b,), out_data, backprop)
+    return _op("matmul", (b,), _propagate(a, b.data),
+               (lambda g: _propagate(a, g, transpose=True),))
 
 
 # ---------------------------------------------------------------------------
@@ -374,79 +349,41 @@ def _block_matmul(a: BlockDiag, b: Tensor) -> Tensor:
 
 def transpose(a: Tensor) -> Tensor:
     a = as_tensor(a)
-    out_data = a.data.T
-
-    def backprop(g):
-        if a.requires_grad:
-            _accum(a, g.T)
-
-    return _record("transpose", (a,), out_data, backprop)
+    return _op("transpose", (a,), a.data.T, (lambda g: g.T,))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     a = as_tensor(a)
-    out_data = a.data * c
-
-    def backprop(g):
-        if a.requires_grad:
-            _accum(a, g * c)
-
-    return _record("scale", (a,), out_data, backprop)
+    return _op("scale", (a,), a.data * c, (lambda g: g * c,))
 
 
 def add_scalar(a: Tensor, c: float) -> Tensor:
     a = as_tensor(a)
-    out_data = a.data + c
-
-    def backprop(g):
-        if a.requires_grad:
-            _accum(a, g)
-
-    return _record("add_scalar", (a,), out_data, backprop)
+    return _op("add_scalar", (a,), a.data + c, (lambda g: g,))
 
 
 def exp(a: Tensor) -> Tensor:
     a = as_tensor(a)
     out_data = np.exp(a.data)
-
-    def backprop(g):
-        if a.requires_grad:
-            _accum(a, g * out_data)
-
-    return _record("exp", (a,), out_data, backprop)
+    return _op("exp", (a,), out_data, (lambda g: g * out_data,))
 
 
 def log(a: Tensor) -> Tensor:
     a = as_tensor(a)
-    out_data = np.log(a.data)
-
-    def backprop(g):
-        if a.requires_grad:
-            _accum(a, g / a.data)
-
-    return _record("log", (a,), out_data, backprop)
+    return _op("log", (a,), np.log(a.data), (lambda g: g / a.data,))
 
 
 def sqrt(a: Tensor) -> Tensor:
     a = as_tensor(a)
     out_data = np.sqrt(a.data)
-
-    def backprop(g):
-        if a.requires_grad:
-            _accum(a, g * (0.5 / out_data))
-
-    return _record("sqrt", (a,), out_data, backprop)
+    return _op("sqrt", (a,), out_data, (lambda g: g * (0.5 / out_data),))
 
 
 def tanh(a: Tensor) -> Tensor:
     a = as_tensor(a)
     out_data = np.tanh(a.data)
-
-    def backprop(g):
-        if a.requires_grad:
-            _accum(a, g * (1.0 - out_data * out_data))
-
-    return _record("tanh", (a,), out_data, backprop)
+    return _op("tanh", (a,), out_data,
+               (lambda g: g * (1.0 - out_data * out_data),))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -459,35 +396,21 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 def sigmoid(a: Tensor) -> Tensor:
     a = as_tensor(a)
     out_data = _sigmoid(a.data)
-
-    def backprop(g):
-        if a.requires_grad:
-            _accum(a, g * out_data * (1.0 - out_data))
-
-    return _record("sigmoid", (a,), out_data, backprop)
+    return _op("sigmoid", (a,), out_data,
+               (lambda g: g * out_data * (1.0 - out_data),))
 
 
 def relu(a: Tensor) -> Tensor:
     a = as_tensor(a)
-    out_data = np.maximum(a.data, 0.0)
-
-    def backprop(g):
-        if a.requires_grad:
-            _accum(a, g * (a.data > 0.0))
-
-    return _record("relu", (a,), out_data, backprop)
+    return _op("relu", (a,), np.maximum(a.data, 0.0),
+               (lambda g: g * (a.data > 0.0),))
 
 
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     """Clamp to [lo, hi]; gradient passes through where the input lies inside."""
     a = as_tensor(a)
-    out_data = np.clip(a.data, lo, hi)
-
-    def backprop(g):
-        if a.requires_grad:
-            _accum(a, g * ((a.data >= lo) & (a.data <= hi)))
-
-    return _record("clip", (a,), out_data, backprop)
+    return _op("clip", (a,), np.clip(a.data, lo, hi),
+               (lambda g: g * ((a.data >= lo) & (a.data <= hi)),))
 
 
 # ---------------------------------------------------------------------------
@@ -740,25 +663,21 @@ def cosine_distance(u: Tensor, v: Tensor) -> Tensor:
 
 def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
 
-    def backprop(g):
-        if a.requires_grad:
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis=axis)
-            _accum(a, np.broadcast_to(g, a.data.shape).copy())
+    def grad(g):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis=axis)
+        return np.broadcast_to(g, a.data.shape)
 
-    return _record("reduce_sum", (a,), out_data, backprop)
+    return _op("reduce_sum", (a,), a.data.sum(axis=axis, keepdims=keepdims),
+               (grad,))
 
 
 def reduce_max(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     """Max reduction; gradient routes to the argmax only, ties to lowest index."""
     a = as_tensor(a)
-    out_data = a.data.max(axis=axis, keepdims=keepdims)
 
-    def backprop(g):
-        if not a.requires_grad:
-            return
+    def grad(g):
         buf = np.zeros_like(a.data)
         if axis is None:
             idx = np.unravel_index(np.argmax(a.data), a.data.shape)
@@ -770,9 +689,10 @@ def reduce_max(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
                 buf[idx, np.arange(a.data.shape[1])] = gsq
             else:
                 buf[np.arange(a.data.shape[0]), idx] = gsq
-        _accum(a, buf)
+        return buf
 
-    return _record("reduce_max", (a,), out_data, backprop)
+    return _op("reduce_max", (a,), a.data.max(axis=axis, keepdims=keepdims),
+               (grad,))
 
 
 def _segment_spans(a: Tensor, offsets) -> list:
@@ -802,14 +722,10 @@ def segment_sum(a: Tensor, offsets=None) -> Tensor:
     ``reduce_sum``."""
     a = as_tensor(a)
     spans = _segment_spans(a, offsets)
-    out_data = _segment_totals(a.data, spans)
-
-    def backprop(g):
-        if a.requires_grad:
-            rows = np.repeat(g, [hi - lo for lo, hi in spans], axis=0)
-            _accum(a, np.broadcast_to(rows, a.data.shape))
-
-    return _record("segment_sum", (a,), out_data, backprop)
+    return _op("segment_sum", (a,), _segment_totals(a.data, spans),
+               (lambda g: np.broadcast_to(
+                   np.repeat(g, [hi - lo for lo, hi in spans], axis=0),
+                   a.data.shape),))
 
 
 def segment_max(a: Tensor, offsets=None) -> Tensor:
@@ -817,18 +733,17 @@ def segment_max(a: Tensor, offsets=None) -> Tensor:
     segment's argmax row, ties to the lowest index, as ``reduce_max``."""
     a = as_tensor(a)
     spans = _segment_spans(a, offsets)
-    out_data = np.maximum.reduceat(a.data, [lo for lo, _ in spans], axis=0)
 
-    def backprop(g):
-        if not a.requires_grad:
-            return
+    def grad(g):
         rows = np.array([lo + np.argmax(a.data[lo:hi], axis=0)
                          for lo, hi in spans])
         buf = np.zeros_like(a.data)
         buf[rows, np.arange(a.data.shape[1])] = g
-        _accum(a, buf)
+        return buf
 
-    return _record("segment_max", (a,), out_data, backprop)
+    return _op("segment_max", (a,),
+               np.maximum.reduceat(a.data, [lo for lo, _ in spans], axis=0),
+               (grad,))
 
 
 def segment_mean(a: Tensor, offsets=None) -> Tensor:
@@ -852,30 +767,23 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 def concat(parts: Sequence[Tensor], axis: int = 1) -> Tensor:
     parts = tuple(as_tensor(p) for p in parts)
     out_data = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.data.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def backprop(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if p.requires_grad:
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(lo, hi)
-                _accum(p, g[tuple(sl)])
-
-    return _record("concat", parts, out_data, backprop)
+    bounds = np.cumsum([0] + [p.data.shape[axis] for p in parts])
+    # each part's gradient is its basic slice (a view) of g
+    lead = (slice(None),) * (axis % out_data.ndim)
+    return _op("concat", parts, out_data,
+               tuple(itemgetter(lead + (slice(lo, hi),))
+                     for lo, hi in zip(bounds[:-1], bounds[1:])))
 
 
 def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
     a = as_tensor(a)
-    out_data = a.data[:, start:stop].copy()
 
-    def backprop(g):
-        if a.requires_grad:
-            buf = np.zeros_like(a.data)
-            buf[:, start:stop] = g
-            _accum(a, buf)
+    def grad(g):
+        buf = np.zeros_like(a.data)
+        buf[:, start:stop] = g
+        return buf
 
-    return _record("slice_cols", (a,), out_data, backprop)
+    return _op("slice_cols", (a,), a.data[:, start:stop].copy(), (grad,))
 
 
 def split_half(a: Tensor) -> tuple[Tensor, Tensor]:

@@ -213,6 +213,9 @@ def cmd_plotdata(args) -> int:
                                    path=args.report)
             records = [r for p in report.per_seed for r in p["records"]]
             edges, normal, anomalous = score_histogram(records)
+            if not isinstance(report.config, dict):
+                raise TypeError(f"config is a {type(report.config).__name__}")
+            first_seed = report.per_seed[0]["seed"]
         except (ValueError, KeyError, TypeError) as exc:
             # a JSON syntax error is a ValueError; a missing entry a KeyError
             raise DatasetError(f"malformed report: {type(exc).__name__} {exc}",
@@ -234,7 +237,6 @@ def cmd_plotdata(args) -> int:
 
     store = PhaseStore(os.path.dirname(os.path.abspath(args.report)),
                        config.fingerprint(), report.data_fingerprint)
-    first_seed = report.per_seed[0]["seed"]
     if not os.path.isfile(store.path(first_seed, "source")):
         print("no checkpoints next to the report; skipping embedding export")
         return 0

@@ -1,5 +1,5 @@
 """Adaptive-moment optimizer, the shared training loop, freezing, Glorot
-initialization, seeded RNG streams."""
+initialization, the models' two-layer perceptron, seeded RNG streams."""
 
 from __future__ import annotations
 
@@ -29,6 +29,26 @@ def glorot_init(rows: int, cols: int, seed) -> Tensor:
     rng = seed if isinstance(seed, np.random.Generator) else make_rng(int(seed))
     bound = np.sqrt(6.0 / (rows + cols))
     return Tensor(rng.uniform(-bound, bound, size=(rows, cols)), requires_grad=True)
+
+
+class Perceptron:
+    """relu(x W1 + b1) W2 + b2, the two-layer perceptron of the teacher's
+    feature decoder and of each GIN layer. W1 and then W2 are Glorot draws
+    from ``rng``; the biases start at zero."""
+
+    def __init__(self, d_in: int, hidden: int, d_out: int,
+                 rng: np.random.Generator):
+        self.w1 = glorot_init(d_in, hidden, rng)
+        self.b1 = Tensor(np.zeros((1, hidden)), requires_grad=True)
+        self.w2 = glorot_init(hidden, d_out, rng)
+        self.b2 = Tensor(np.zeros((1, d_out)), requires_grad=True)
+
+    def forward(self, x: Tensor) -> Tensor:
+        hidden = ad.relu(ad.add(ad.matmul(x, self.w1), self.b1))
+        return ad.add(ad.matmul(hidden, self.w2), self.b2)
+
+    def params(self) -> list[Tensor]:
+        return [self.w1, self.b1, self.w2, self.b2]
 
 
 BETA1 = 0.9      # decay of the first-moment estimate

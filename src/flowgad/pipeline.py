@@ -122,7 +122,7 @@ class ExperimentConfig:
         for name, v in (("lr", self.lr), ("s_max", self.s_max)):
             if not (math.isfinite(v) and v > 0):
                 raise ConfigError(f"{name} must be positive and finite, got {v}")
-        if not isinstance(self.normal_class, int) and self.normal_class != "majority":
+        if not _is_a(self.normal_class, int) and self.normal_class != "majority":
             raise ConfigError(
                 f"normal_class must be an integer label or 'majority', got {self.normal_class!r}")
         return self

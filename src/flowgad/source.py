@@ -23,7 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ContractViolation
-from .optim import fit, glorot_init
+from .optim import Perceptron, fit, glorot_init
 
 CLAMP_LO = 1e-12
 CLAMP_HI = 1.0 - 1e-12
@@ -61,21 +61,11 @@ class GcnEncoder:
                 "layers": len(self.weights)}
 
 
-class FeatureDecoder:
+class FeatureDecoder(Perceptron):
     """Two-layer perceptron mapping embeddings back to the input features."""
 
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator):
-        self.w1 = glorot_init(d_in, d_in, rng)
-        self.b1 = Tensor(np.zeros((1, d_in)), requires_grad=True)
-        self.w2 = glorot_init(d_in, d_out, rng)
-        self.b2 = Tensor(np.zeros((1, d_out)), requires_grad=True)
-
-    def forward(self, h: Tensor) -> Tensor:
-        hidden = ad.relu(ad.add(ad.matmul(h, self.w1), self.b1))
-        return ad.add(ad.matmul(hidden, self.w2), self.b2)
-
-    def params(self) -> list[Tensor]:
-        return [self.w1, self.b1, self.w2, self.b2]
+        super().__init__(d_in, d_in, d_out, rng)
 
     def init_args(self) -> dict:
         return {"d_in": self.w1.shape[0], "d_out": self.w2.shape[1]}

@@ -16,24 +16,14 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ContractViolation
-from .optim import fit, glorot_init
+from .optim import Perceptron, fit
 
 
-class GinLayer:
-    def __init__(self, d_in: int, hidden: int, d_out: int,
-                 rng: np.random.Generator):
-        self.w1 = glorot_init(d_in, hidden, rng)
-        self.b1 = Tensor(np.zeros((1, hidden)), requires_grad=True)
-        self.w2 = glorot_init(hidden, d_out, rng)
-        self.b2 = Tensor(np.zeros((1, d_out)), requires_grad=True)
+class GinLayer(Perceptron):
+    """The perceptron applied to the GIN-0 aggregation h + A h."""
 
     def forward(self, a, h: Tensor) -> Tensor:
-        agg = ad.add(h, ad.matmul(a, h))
-        hidden = ad.relu(ad.add(ad.matmul(agg, self.w1), self.b1))
-        return ad.add(ad.matmul(hidden, self.w2), self.b2)
-
-    def params(self) -> list[Tensor]:
-        return [self.w1, self.b1, self.w2, self.b2]
+        return super().forward(ad.add(h, ad.matmul(a, h)))
 
 
 class GinNetwork:

@@ -336,11 +336,26 @@ def test_plotdata_refuses_run_options(tmp_path, capsys):
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def report_text(config, per_seed) -> str:
+    """A report.json whose fingerprint matches the default config."""
+    return json.dumps({
+        "dataset": "planted", "variant": "full", "config": config,
+        "config_fingerprint": ExperimentConfig().fingerprint(),
+        "normal_class": 0, "per_seed": per_seed, "auc_mean": 0.5,
+        "auc_std": 0.0})
+
+
+RECORDS = [{"graph": 0, "flag": False, "score": 0.25}]
+
+
 @pytest.mark.parametrize("content, missing", [
     ("[]", "list, not an object"),
     ('{"dataset": "planted", "variant": "full", "config": {}, '
      '"config_fingerprint": "", "normal_class": 0, "per_seed": [{"seed": 0}], '
-     '"auc_mean": 0.5, "auc_std": 0.0}', "records")])
+     '"auc_mean": 0.5, "auc_std": 0.0}', "records"),
+    (report_text(None, [{"seed": 0, "records": RECORDS}]),
+     "config is a NoneType"),
+    (report_text({}, [{"records": RECORDS}]), "KeyError 'seed'")])
 def test_plotdata_malformed_report_exits_2(tmp_path, capsys, content, missing):
     report = tmp_path / "report.json"
     report.write_text(content)
@@ -348,6 +363,7 @@ def test_plotdata_malformed_report_exits_2(tmp_path, capsys, content, missing):
     err = capsys.readouterr().err
     assert "malformed report" in err and missing in err
     assert str(report) in err
+    assert os.listdir(tmp_path) == ["report.json"]
 
 
 def test_flow_phase_without_encoder_exits_4(tmp_path, capsys):

@@ -66,7 +66,7 @@ def test_config_validation_catches_bad_values():
     ("seeds", 3), ("seeds", "0,1"), ("seeds", (0, "1")), ("seeds", (0, 1.0)),
     ("seeds", (True,)), ("hidden", "8"), ("hidden", 8.0), ("hidden", True),
     ("max_graphs", None), ("lr", "0.1"), ("alpha", None), ("alpha", False),
-    ("dataset", 3), ("variant", ["full"])])
+    ("dataset", 3), ("variant", ["full"]), ("normal_class", True)])
 def test_config_validation_names_a_wrongly_typed_field(field, value):
     # a ConfigError naming the key, not a TypeError from a comparison
     cfg = dataclasses.replace(ExperimentConfig(), **{field: value})
