@@ -21,13 +21,19 @@ kernels at sizes where their n x n work dominates.
 For each of the two graph sets, an ``encoding`` line gives the sha256 of
 the bytes of every graph's ``rw_structural_encoding(adjacency, 16)``, in
 order: a change can show whether the node features moved or only
-training did. The whole script runs in a few seconds on two cores.
+training did. An ``inputs`` line gives, for each set, the bytes that
+``precompute_inputs`` keeps for all its graphs: the adjacencies, the
+A_hat operators and the initial features. Those counts are exact and the
+same on every machine, so a change that moves the inputs' footprint shows
+it beside the digests. The whole script runs in a few seconds on two
+cores.
 
 The first line, ``environment``, prints ``pipeline.environment()``: the
-numpy and BLAS versions, the BLAS thread variables (None when unset) and
-the CPU count. The digests of the 150-300-node set differ between 1 and 2
-OpenBLAS threads, so a diff of two runs made under different settings
-shows it on that first line.
+numpy and BLAS versions, the BLAS thread variables (None when unset), the
+thread count BLAS runs at (``blas_threads``) and the CPU count. The
+digests of the 150-300-node set differ between 1 and 2 OpenBLAS threads,
+so a diff of two runs made under different settings shows it on that
+first line.
 
 Usage: PYTHONPATH=src python3 scripts/digests.py
 """
@@ -39,7 +45,7 @@ import hashlib
 from flowgad.data import payload_fingerprint
 from flowgad.encoding import rw_structural_encoding
 from flowgad.pipeline import (VARIANTS, ExperimentConfig, environment,
-                              run_experiment)
+                              precompute_inputs, run_experiment)
 from flowgad.synthetic import planted_anomaly_set
 
 BATCH_SIZES = (1, 4)
@@ -69,6 +75,15 @@ def encoding_digest(gs) -> str:
     return h.hexdigest()
 
 
+def input_bytes(gs) -> str:
+    """The bytes of every graph's adjacency, A_hat and initial features as
+    ``precompute_inputs`` builds them at k_se = 16."""
+    inputs = precompute_inputs(gs, ExperimentConfig(k_se=16),
+                               range(len(gs))).values()
+    return "  ".join(f"{name} {sum(getattr(gi, name).nbytes for gi in inputs)}"
+                     for name in ("adjacency", "a_hat", "x_init"))
+
+
 def runs():
     """(label, graph set, config) of every printed line."""
     for variant in VARIANTS:
@@ -89,6 +104,7 @@ def main():
     for label, gs in (("default", planted_anomaly_set()),
                       ("large  ", large_set())):
         print(f"encoding {label}  {encoding_digest(gs)}")
+        print(f"inputs   {label}  {input_bytes(gs)}")
     for label, gs, config in runs():
         report, per_seed, aucs = digests(gs, config)
         print(f"{label}  report {report}  per_seed {per_seed}  auc "

@@ -23,9 +23,12 @@ flow step) and ``cosine_distance``. A node may own several outputs
 (``coupling_step`` has three); its backward runs once when any of them
 has a gradient, with zeros for an output no later op used.
 
-All data is float64.  Matrices are 2-D throughout; per-graph losses are
-B x 1 columns, and the training loss is their 0-d mean (one graph's 1 x 1
-loss itself).
+All tensor data is float64. A propagation operand may hold any 0/1 dtype:
+the library keeps raw adjacencies as bool blocks, which ``gram_bce`` reads
+through their edge index, and ``as_float`` gives the float64 blocks that a
+product needs. Matrices are 2-D throughout; per-graph losses are B x 1
+columns, and the training loss is their 0-d mean (one graph's 1 x 1 loss
+itself).
 """
 
 from __future__ import annotations
@@ -82,9 +85,9 @@ class Tape:
 
     Policy: a tape may be backpropagated at most once and is then spent;
     build a fresh tape per training step. A tape given a ``Workspace``
-    lends it to the fused ops it records; entering the tape takes back
-    every region an earlier tape of that workspace held, so that earlier
-    tape can no longer be backpropagated.
+    lends it to the fused ops it records and to ``as_float``; entering the
+    tape takes back every region an earlier tape of that workspace held, so
+    that earlier tape can no longer be backpropagated.
     """
 
     def __init__(self, workspace: Optional["Workspace"] = None):
@@ -188,15 +191,16 @@ def _op(op: str, inputs: tuple, out_data, grads: tuple) -> Tensor:
 
 
 class Workspace:
-    """Scratch memory that one training phase lends to the fused ops of its
-    tapes, one tape at a time. ``begin`` starts a tape and takes back every
-    region the previous tape held; ``take`` hands out a region disjoint
-    from every other region of the current tape. The regions come from one
-    buffer, which the first ``take`` of a tape grows to the largest total
-    any tape has asked for, so from the second pass over a phase's packs on
-    no step allocates. A request that does not fit mid-tape gets an array
-    of its own. The buffer lives as long as the workspace; ``optim.fit``
-    makes one per phase and drops it when it returns."""
+    """Scratch memory that one training phase lends to the fused ops and the
+    ``as_float`` casts of its tapes, one tape at a time. ``begin`` starts a
+    tape and takes back every region the previous tape held; ``take`` hands
+    out a region disjoint from every other region of the current tape. The
+    regions come from one buffer, which the first ``take`` of a tape grows
+    to the largest total any tape has asked for, so from the second pass
+    over a phase's packs on no step allocates. A request that does not fit
+    mid-tape gets an array of its own. The buffer lives as long as the
+    workspace; ``optim.fit`` makes one per phase and drops it when it
+    returns."""
 
     __slots__ = ("generation", "_buffer", "_used", "_high")
 
@@ -230,7 +234,8 @@ class BlockDiag:
     """A constant block-diagonal matrix kept as its diagonal blocks: the
     propagation operand of a pack. Rows ``offsets[b]:offsets[b + 1]`` belong
     to block ``b``. The zeros off the diagonal are never stored, so no
-    product mixes two graphs."""
+    product mixes two graphs. The blocks keep their graphs' dtype: a pack's
+    raw adjacency is bool (one byte an entry), its A_hat float64."""
 
     __slots__ = ("blocks", "offsets", "spans", "_edges")
 
@@ -279,6 +284,34 @@ def _propagate(a, x: np.ndarray, transpose: bool = False) -> np.ndarray:
         return _stacked([(block.T if transpose else block) @ x[lo:hi]
                          for block, lo, hi in a.spans])
     return (a.T if transpose else a) @ x
+
+
+def as_float(a):
+    """A propagation operand whose blocks are float64: ``a`` itself when
+    they already are (or it is a Tensor), else the same operand with each
+    other block cast, 0/1 to 0.0/1.0. Under a tape that has a
+    ``Workspace`` the casts are regions of it, which live as long as that
+    tape and cost no allocation from the second pass over a phase's packs
+    on; elsewhere (scoring, gradcheck) they are allocated per call."""
+    if isinstance(a, Tensor):
+        return a
+    blocks = a.blocks if isinstance(a, BlockDiag) else (a,)
+    if all(block.dtype == np.float64 for block in blocks):
+        return a
+    tape = _active_tape()
+    workspace = None if tape is None else tape.workspace
+    floats = []
+    for block in blocks:
+        if block.dtype != np.float64:
+            if workspace is None:
+                block = block.astype(np.float64)
+            else:
+                cast = workspace.take(block.size * 8).view(
+                    np.float64).reshape(block.shape)
+                np.copyto(cast, block)
+                block = cast
+        floats.append(block)
+    return BlockDiag(floats) if isinstance(a, BlockDiag) else floats[0]
 
 
 def as_tensor(x) -> Tensor:

@@ -25,10 +25,16 @@ from .optim import make_rng
 
 @dataclass
 class Graph:
-    """One undirected attributed graph: dense 0/1 adjacency plus features."""
+    """One undirected attributed graph: dense 0/1 adjacency plus features.
+
+    The library's producers (``parse_tudataset``, ``synthetic``) store the
+    adjacency as a bool array, one byte per entry; a caller's float or int
+    0/1 matrix works as well and gives the same bits everywhere. Only the
+    GIN student multiplies by A as floats, and it makes its float64 copy
+    per step (``autodiff.as_float``)."""
 
     n: int
-    adjacency: np.ndarray          # n x n symmetric, {0,1}
+    adjacency: np.ndarray          # n x n symmetric, {0,1}; bool from the library
     features: np.ndarray           # n x d_attr (d_attr may be 0)
     label: int
 
@@ -40,7 +46,8 @@ class Graph:
             raise ContractViolation(f"adjacency shape {a.shape} != ({self.n}, {self.n})")
         if not np.array_equal(a, a.T):
             raise ContractViolation("adjacency must be symmetric")
-        if not np.all((a == 0) | (a == 1)):
+        # a bool matrix holds nothing but 0 and 1
+        if a.dtype != np.bool_ and not np.all((a == 0) | (a == 1)):
             raise ContractViolation("adjacency entries must be 0 or 1")
         if self.features.shape[0] != self.n:
             raise ContractViolation("feature rows must match node count")
@@ -171,8 +178,9 @@ def parse_tudataset(directory: str, dataset_name: str) -> GraphSet:
     Node labels become one-hot columns (vocabulary over the whole dataset),
     node attributes real columns; features are ``[one-hot || attributes]``.
     Edges are symmetrized, duplicates collapsed, self-loops kept as given,
-    node indices re-based per graph. Each file is read in one array pass;
-    a fault is reported with the file and the 1-based line it is on.
+    node indices re-based per graph; each adjacency is a bool array. Each
+    file is read in one array pass; a fault is reported with the file and
+    the 1-based line it is on.
     """
     prefix = os.path.join(directory, dataset_name)
     a_path = prefix + "_A.txt"
@@ -233,9 +241,9 @@ def parse_tudataset(directory: str, dataset_name: str) -> GraphSet:
     for gi, (n, start, label) in enumerate(
             zip(sizes.tolist(), starts.tolist(), graph_labels.tolist())):
         lo, hi = edge_bounds[gi], edge_bounds[gi + 1]
-        adjacency = np.zeros((n, n), dtype=np.float64)
-        adjacency[rows[lo:hi], cols[lo:hi]] = 1.0
-        adjacency[cols[lo:hi], rows[lo:hi]] = 1.0
+        adjacency = np.zeros((n, n), dtype=np.bool_)
+        adjacency[rows[lo:hi], cols[lo:hi]] = True
+        adjacency[cols[lo:hi], rows[lo:hi]] = True
         graphs.append(Graph(n=n, adjacency=adjacency,
                             features=features[start:start + n],
                             label=label).validate())

@@ -34,6 +34,7 @@ so that each phase is checkpointed and read back.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import time
@@ -541,15 +542,29 @@ BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                          "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
 
 
+def blas_threads() -> int | None:
+    """The thread count numpy's BLAS runs at, read through the
+    ``scipy_openblas_get_num_threads64_`` symbol that numpy's bundled
+    OpenBLAS exports; None when the library or the symbol is missing."""
+    try:
+        get = ctypes.CDLL(np._core._multiarray_umath.__file__
+                          ).scipy_openblas_get_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    return get()
+
+
 def environment() -> dict:
     """What a run's timings depend on besides the code and the data: the
     numpy version, its BLAS build, the BLAS thread variables (None when
-    unset) and the CPU count."""
+    unset), the thread count BLAS actually runs at (``blas_threads``) and
+    the CPU count."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     return {"numpy": np.__version__, "blas": blas.get("name"),
             "blas_version": blas.get("version"),
             **{var: os.environ.get(var) for var in BLAS_THREAD_VARIABLES},
-            "cpu_count": os.cpu_count()}
+            "blas_threads": blas_threads(), "cpu_count": os.cpu_count()}
 
 
 @dataclass
@@ -572,7 +587,13 @@ class ScoreReport:
 
     def canonical_bytes(self) -> bytes:
         """Deterministic serialization: wall-clock, timestamp and
-        environment excluded."""
+        environment excluded.
+
+        Two runs of one config on one data set give the same bytes under
+        one numpy and BLAS build at one BLAS thread count. They need not
+        agree across thread counts once graphs reach about 150 nodes: the
+        dense products then split their sums differently, and the last
+        bits move (``environment()["blas_threads"]`` records the count)."""
         d = self.to_dict()
         d.pop("phase_seconds")
         d.pop("timestamp")

@@ -23,9 +23,9 @@ ANOMALY_LABEL = 1
 
 def _symmetric_bernoulli(n: int, prob: np.ndarray,
                          rng: np.random.Generator) -> np.ndarray:
-    draw = (rng.random((n, n)) < prob).astype(np.float64)
-    upper = np.triu(draw, k=1)
-    return upper + upper.T
+    """A bool adjacency whose upper triangle draws each entry with ``prob``."""
+    upper = np.triu(rng.random((n, n)) < prob, k=1)
+    return upper | upper.T
 
 
 def _community_graph(n: int, rng: np.random.Generator, p_in: float,

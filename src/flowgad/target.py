@@ -1,8 +1,10 @@
 """Student side: GIN network distilled against the frozen flow output.
 
 Each layer aggregates H + A*H over the raw adjacency (GIN-0, no epsilon)
-and pushes the result through a two-layer perceptron. A columnwise max
-readout produces the graph vector, one row per graph of a pack.
+and pushes the result through a two-layer perceptron. A is stored as bool;
+the network casts it to float64 once per forward pass, into the training
+step's workspace (``autodiff.as_float``). A columnwise max readout
+produces the graph vector, one row per graph of a pack.
 Disagreement is measured by halved cosine distance, bounded in [0, 1]; at
 beta = 1/2 the distillation loss is also the anomaly score. The cosine
 distance is one fused tape node (``autodiff.cosine_distance``) with a
@@ -42,6 +44,8 @@ class GinNetwork:
         if x.shape[1] != self.d_in:
             raise ContractViolation(
                 f"network expects {self.d_in} input columns, got {x.shape[1]}")
+        # the one float64 copy of a bool adjacency, shared by every layer
+        a = ad.as_float(a)
         h = x
         for layer in self.layers:
             h = layer.forward(a, h)

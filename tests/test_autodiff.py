@@ -319,6 +319,23 @@ def test_block_diag_rejects_non_square_blocks():
         ad.BlockDiag([np.eye(2), np.zeros((2, 3))])
 
 
+def test_as_float_casts_only_what_is_not_float64(rng):
+    f = rng.random((3, 3))
+    b = f > 0.5
+    for operand in (f, ad.BlockDiag([f]), Tensor(f)):
+        assert ad.as_float(operand) is operand
+    cast = ad.as_float(ad.BlockDiag([b, f]))
+    assert cast.offsets == (0, 3, 6) and cast.blocks[1] is f
+    assert cast.blocks[0].dtype == np.float64
+    assert np.array_equal(cast.blocks[0], b)
+    # under a tape that has a workspace the cast is a region of it
+    workspace = ad.Workspace()
+    with Tape(workspace):
+        region = ad.as_float(b)
+    assert region.dtype == np.float64 and np.array_equal(region, b)
+    assert np.shares_memory(region, workspace._buffer)
+
+
 def _segment_ops(offsets):
     return [
         ("segment_sum", lambda x: ad.segment_sum(x, offsets)),

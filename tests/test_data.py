@@ -9,6 +9,7 @@ from flowgad.data import (Graph, GraphSet, dataset_fingerprint,
                           write_tudataset)
 from flowgad import data as data_module
 from flowgad.errors import ConfigError, ContractViolation, DatasetError
+from flowgad.synthetic import planted_anomaly_set
 
 
 def test_hand_fixture_parses_to_two_graphs(hand_fixture_dir):
@@ -19,6 +20,25 @@ def test_hand_fixture_parses_to_two_graphs(hand_fixture_dir):
     assert np.array_equal(g0.adjacency, [[0.0, 1.0], [1.0, 0.0]])
     assert g1.n == 1 and g1.num_edges == 0 and g1.label == 1
     assert g0.features.shape == (2, 0)
+
+
+def test_library_graphs_keep_one_byte_per_adjacency_entry(hand_fixture_dir):
+    for gs in (parse_tudataset(hand_fixture_dir, "TINY"),
+               planted_anomaly_set(num_normal=4, num_anomalous=2)):
+        for g in gs.graphs:
+            assert g.adjacency.dtype == np.bool_
+            assert g.adjacency.nbytes == g.n * g.n
+
+
+@pytest.mark.parametrize("adjacency, message", [
+    (np.array([[False, True], [False, False]]), "symmetric"),
+    (np.array([[0.0, 1.0], [0.0, 0.0]]), "symmetric"),
+    (np.array([[0.0, 2.0], [2.0, 0.0]]), "0 or 1"),
+], ids=["bool-asymmetric", "float-asymmetric", "float-two"])
+def test_validate_rejects_a_bad_adjacency(adjacency, message):
+    g = Graph(n=2, adjacency=adjacency, features=np.zeros((2, 0)), label=0)
+    with pytest.raises(ContractViolation, match=message):
+        g.validate()
 
 
 def test_empty_edge_file_gives_single_edgeless_graph(tmp_path):

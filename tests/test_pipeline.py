@@ -1,5 +1,7 @@
 import dataclasses
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -31,6 +33,14 @@ TINY = dict(s_epochs=6, n_epochs=6, t_epochs=6, d=8, hidden=8, k_se=8,
 
 def small_set():
     return planted_anomaly_set(num_normal=14, num_anomalous=5, seed=1)
+
+
+def large_set():
+    """Five planted graphs of 150-170 nodes, the size from which the dense
+    products' bits depend on the BLAS thread count."""
+    return planted_anomaly_set(num_normal=4, num_anomalous=1, seed=4,
+                               n_range=(150, 170), p_in=0.04, p_out=0.004,
+                               p_sparse=0.02)
 
 
 def auc_bruteforce(scores, flags):
@@ -260,6 +270,34 @@ def test_report_canonical_bytes_deterministic():
     assert r1.canonical_bytes() == r2.canonical_bytes()
 
 
+def test_report_canonical_bytes_deterministic_on_large_graphs():
+    # byte-identical at one thread count; README states the contract
+    cfg = ExperimentConfig(**{**TINY, "s_epochs": 1, "n_epochs": 1,
+                              "t_epochs": 1})
+    r1, _ = run_experiment(large_set(), cfg)
+    r2, _ = run_experiment(large_set(), cfg)
+    assert r1.canonical_bytes() == r2.canonical_bytes()
+
+
+@pytest.mark.parametrize("batch_size", [1, 4])
+@pytest.mark.parametrize("variant", ["full", "asy_st"])
+def test_float_adjacency_twin_gives_the_same_report(variant, batch_size):
+    # the library stores A as bool; a caller's float64 0/1 graph set must
+    # give the same bytes, on small graphs and on 150+-node ones
+    gs = GraphSet(name="mixed",
+                  graphs=small_set().graphs[:8] + large_set().graphs)
+    twin = GraphSet(name="mixed", graphs=[
+        Graph(n=g.n, adjacency=g.adjacency.astype(np.float64),
+              features=g.features, label=g.label) for g in gs.graphs])
+    assert all(g.adjacency.dtype == np.bool_ for g in gs.graphs)
+    cfg = ExperimentConfig(**{**TINY, "s_epochs": 1, "n_epochs": 1,
+                              "t_epochs": 1, "variant": variant,
+                              "batch_size": batch_size})
+    report, _ = run_experiment(gs, cfg)
+    twin_report, _ = run_experiment(twin, cfg)
+    assert report.canonical_bytes() == twin_report.canonical_bytes()
+
+
 def test_report_times_setup_outside_the_digest():
     report, _ = run_experiment(small_set(), ExperimentConfig(**TINY))
     seconds = report.phase_seconds
@@ -278,8 +316,9 @@ def test_report_records_the_environment_outside_the_digest(monkeypatch):
     env = report.environment
     assert set(env) == {"numpy", "blas", "blas_version", "OPENBLAS_NUM_THREADS",
                         "OMP_NUM_THREADS", "MKL_NUM_THREADS",
-                        "BLIS_NUM_THREADS", "cpu_count"}
+                        "BLIS_NUM_THREADS", "blas_threads", "cpu_count"}
     assert env["numpy"] == np.__version__
+    assert env["blas_threads"] == pipeline.blas_threads()
     assert env["OPENBLAS_NUM_THREADS"] == "3" and env["MKL_NUM_THREADS"] is None
     assert env["cpu_count"] == os.cpu_count()
     assert report.to_dict()["environment"] == env
@@ -290,6 +329,29 @@ def test_report_records_the_environment_outside_the_digest(monkeypatch):
     del old["environment"]
     assert report_from_dict(old).environment == {}
     assert report_from_dict(old).canonical_bytes() == report.canonical_bytes()
+
+
+def test_blas_threads_reads_the_thread_setting():
+    # OpenBLAS reads its variable when it loads, so a fresh process is set
+    code = "from flowgad.pipeline import blas_threads; print(blas_threads())"
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    # None on a numpy whose BLAS does not export the symbol
+    assert out.strip() == ("None" if pipeline.blas_threads() is None else "1")
+
+
+def test_blas_threads_is_none_when_the_lookup_fails(monkeypatch):
+    monkeypatch.setattr(pipeline.ctypes, "CDLL", lambda path: object())
+    assert pipeline.blas_threads() is None
+    assert pipeline.environment()["blas_threads"] is None
+
+    def missing(path):
+        raise OSError(f"cannot open {path}")
+
+    monkeypatch.setattr(pipeline.ctypes, "CDLL", missing)
+    assert pipeline.blas_threads() is None
 
 
 def test_report_records_the_fingerprint_of_the_subsampled_set():

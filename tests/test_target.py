@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from flowgad import autodiff as ad
 from flowgad.autodiff import Tape, Tensor, gradcheck
 from flowgad.errors import ConfigError, ContractViolation
-from flowgad.optim import make_rng
+from flowgad.optim import fit, make_rng
 from flowgad.target import GinNetwork, graph_target_loss, train_target
 
 from conftest import composed_cosine_distance, reference_distance
@@ -267,6 +269,55 @@ def test_train_target_determinism(rng):
     assert t1 == t2
     for x, y in zip(p1, p2):
         assert np.array_equal(x, y)
+
+
+def test_bool_adjacency_bit_equals_its_float_twin(rng):
+    upper = np.triu(rng.random((30, 30)) < 0.2, k=1)
+    a = upper | upper.T
+    x = rng.normal(size=(30, 3))
+    z_nodes = rng.normal(size=(30, 4))
+
+    def run(prop):
+        net = GinNetwork(3, 4, 4, 2, make_rng(5))
+        trace = train_target(net, [(prop, x, z_nodes)], beta=0.6, epochs=3,
+                             lr=1e-2)
+        return trace, net.forward(prop, ad.constant(x)).data
+
+    for pack in (lambda m: m, lambda m: ad.BlockDiag([m])):
+        bool_trace, bool_out = run(pack(a))
+        float_trace, float_out = run(pack(a.astype(np.float64)))
+        assert bool_trace == float_trace
+        assert np.array_equal(bool_out, float_out)
+
+
+def test_second_step_allocates_no_float_adjacency(rng):
+    # numpy reports its data buffers to tracemalloc; the first step grows
+    # the workspace by the float64 copy of the bool adjacency, and the
+    # steps after it cast into the same region
+    n = 200
+    upper = np.triu(rng.random((n, n)) < 0.03, k=1)
+    pack = (ad.BlockDiag([upper | upper.T]), rng.normal(size=(n, 4)),
+            rng.normal(size=(n, 3)))
+    net = GinNetwork(4, 3, 3, 2, make_rng(0))
+    marks = []
+
+    def pack_loss(p):
+        marks.append(tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+        prop, x_init, z_nodes = p
+        out = net.forward(prop, ad.constant(x_init))
+        return graph_target_loss(out, z_nodes, 0.6, ad.row_offsets(prop))
+
+    tracemalloc.start()
+    try:
+        fit(net.params(), [pack], pack_loss, epochs=3, lr=1e-3,
+            what="distillation")
+    finally:
+        tracemalloc.stop()
+    # each mark's peak covers the step before it
+    (start1, _), (start2, peak1), (_, peak2) = marks
+    assert peak1 - start1 >= n * n * 8
+    assert peak2 - start2 < n * n * 8
 
 
 def test_target_loss_gradcheck_away_from_ties(rng):

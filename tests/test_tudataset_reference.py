@@ -63,7 +63,7 @@ def _reference_parse(directory, dataset_name):
         local_of[node] = sizes[gid - 1]
         sizes[gid - 1] += 1
     assert min(sizes) > 0
-    adjacencies = [np.zeros((s, s), dtype=np.float64) for s in sizes]
+    adjacencies = [np.zeros((s, s), dtype=bool) for s in sizes]
     for line_no, line in enumerate(_read_lines(a_path), start=1):
         if not line.strip():
             continue
