@@ -82,7 +82,8 @@ def product_plan(k_se: int) -> tuple[tuple[str, int, int, int], ...]:
     return tuple(ops)
 
 
-def rw_structural_encoding(adjacency: np.ndarray, k_se: int) -> np.ndarray:
+def rw_structural_encoding(adjacency: np.ndarray, k_se: int,
+                           scratch: np.ndarray | None = None) -> np.ndarray:
     """``(..., n, k_se)`` array whose column t-1 is diag((D^-1 A)^t), for an
     ``(n, n)`` adjacency or a ``(G, n, n)`` stack of them.
 
@@ -90,23 +91,45 @@ def rw_structural_encoding(adjacency: np.ndarray, k_se: int) -> np.ndarray:
     four n x n arrays per graph alive at a time, S included. The row sums
     are ``np.vecdot``, which has less per-call overhead than ``einsum`` on
     the 20-40-node graphs of the small TUDataset sets.
+
+    ``scratch``, a float64 array of at least ``4 * adjacency.size``
+    entries, holds the powers when given: four slots of it, a product
+    taking a free slot and a freed power giving its slot back. A caller
+    that encodes many graphs (``pipeline.precompute_inputs``) then
+    allocates that memory once, where one array per power and graph makes
+    fresh pages each time once graphs reach a few hundred nodes. The bits
+    are the same either way; what ``scratch`` holds afterwards is
+    undefined.
     """
     if k_se < 1:
         raise ContractViolation(f"k_se must be positive, got {k_se}")
+    size = adjacency.size
+    if scratch is not None and scratch.size < 4 * size:
+        raise ContractViolation(
+            f"scratch of {scratch.size} entries cannot hold four powers "
+            f"of {size}")
+    slots = [] if scratch is None else [
+        scratch[k * size:(k + 1) * size].reshape(adjacency.shape)
+        for k in range(4)]
     deg = adjacency.sum(axis=-1)
     inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
-    s = adjacency * inv_sqrt[..., :, None] * inv_sqrt[..., None, :]
+    s = np.multiply(adjacency, inv_sqrt[..., :, None],
+                    out=slots.pop() if slots else None)
+    s *= inv_sqrt[..., None, :]
     out = np.empty(adjacency.shape[:-1] + (k_se,), dtype=np.float64)
     out[..., 0] = np.diagonal(s, axis1=-2, axis2=-1)
     powers = {1: s}
     for op, i, a, b in product_plan(k_se):
         if op == "product":
-            # no local name holds a power, so that ``del`` frees it; a
-            # square as P @ P^T runs through BLAS syrk
-            powers[i] = powers[a] @ (powers[a].swapaxes(-1, -2)
-                                     if a == b else powers[b])
+            # a square as P @ P^T runs through BLAS syrk
+            powers[i] = np.matmul(powers[a], powers[a].swapaxes(-1, -2)
+                                  if a == b else powers[b],
+                                  out=slots.pop() if slots else None)
         elif op == "column":
             out[..., i - 1] = np.vecdot(powers[a], powers[b])
-        else:
+        elif scratch is None:
+            # no local name holds a power, so that ``del`` frees it
             del powers[i]
+        else:
+            slots.append(powers.pop(i))
     return out

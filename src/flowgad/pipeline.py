@@ -202,22 +202,28 @@ def precompute_inputs(gs: GraphSet, config: ExperimentConfig,
         n = gs.graphs[i].n
         if n * n <= STACK_ELEMENTS:
             by_size.setdefault(n, []).append(i)
+    # one buffer holds the powers of every encoding call, sized by the
+    # largest stack or graph: with an array per power and graph, set-up
+    # mapped fresh pages for each (planted-large benchmark set: 31.8k
+    # minor page faults at float64 A, 50k at bool A, 22k with the buffer)
+    largest = max([min(len(group), STACK_ELEMENTS // (n * n)) * n * n
+                   for n, group in by_size.items()]
+                  + [gs.graphs[i].n ** 2 for i in indices
+                     if gs.graphs[i].n ** 2 > STACK_ELEMENTS], default=0)
+    scratch = np.empty(4 * largest)
     encodings: dict[int, np.ndarray] = {}
     for n, group in by_size.items():
         step = STACK_ELEMENTS // (n * n)
         for start in range(0, len(group), step):
             chunk = group[start:start + step]
             stack = np.stack([gs.graphs[i].adjacency for i in chunk])
-            encodings.update(zip(chunk, rw_structural_encoding(stack,
-                                                               config.k_se)))
-    # every encoding before the first A_hat: one graph's n x n powers then
-    # take the memory the graph before freed, where a long-lived A_hat made
-    # between them would leave each graph's powers fresh pages to map (the
-    # planted-large benchmark set: 28k minor page faults instead of 44k)
+            encodings.update(zip(chunk, rw_structural_encoding(
+                stack, config.k_se, scratch)))
     for i in indices:
         if i not in encodings:
             encodings[i] = rw_structural_encoding(gs.graphs[i].adjacency,
-                                                  config.k_se)
+                                                  config.k_se, scratch)
+    del scratch     # freed before the long-lived A_hats are made
     out = {}
     for i in indices:
         g = gs.graphs[i]

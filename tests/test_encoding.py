@@ -226,9 +226,9 @@ def test_precompute_inputs_bit_equals_the_per_graph_formula(rng, monkeypatch,
     monkeypatch.setattr(pipeline, "STACK_ELEMENTS", budget)
     calls = []
 
-    def spy(adjacency, k_se):
+    def spy(adjacency, k_se, scratch):
         calls.append(adjacency.shape)
-        return rw_structural_encoding(adjacency, k_se)
+        return rw_structural_encoding(adjacency, k_se, scratch)
 
     monkeypatch.setattr(pipeline, "rw_structural_encoding", spy)
     gs = _mixed_set(rng)
@@ -309,3 +309,23 @@ def test_peak_memory_is_four_n_by_n_arrays(rng):
     finally:
         tracemalloc.stop()
     assert peak <= 4.05 * n * n * 8
+
+
+def test_scratch_holds_every_power(rng):
+    # with a scratch buffer the call allocates no n x n array, and the
+    # bits are those of the call without one
+    n = 300
+    a = _sparse_graph(rng, n, 5.0).adjacency
+    scratch = np.empty(4 * n * n)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        enc = rw_structural_encoding(a, 16, scratch)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8
+    assert np.array_equal(enc, rw_structural_encoding(a, 16))
+    with pytest.raises(ContractViolation, match="scratch"):
+        rw_structural_encoding(a, 16, scratch[:-1])

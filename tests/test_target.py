@@ -271,25 +271,6 @@ def test_train_target_determinism(rng):
         assert np.array_equal(x, y)
 
 
-def test_bool_adjacency_bit_equals_its_float_twin(rng):
-    upper = np.triu(rng.random((30, 30)) < 0.2, k=1)
-    a = upper | upper.T
-    x = rng.normal(size=(30, 3))
-    z_nodes = rng.normal(size=(30, 4))
-
-    def run(prop):
-        net = GinNetwork(3, 4, 4, 2, make_rng(5))
-        trace = train_target(net, [(prop, x, z_nodes)], beta=0.6, epochs=3,
-                             lr=1e-2)
-        return trace, net.forward(prop, ad.constant(x)).data
-
-    for pack in (lambda m: m, lambda m: ad.BlockDiag([m])):
-        bool_trace, bool_out = run(pack(a))
-        float_trace, float_out = run(pack(a.astype(np.float64)))
-        assert bool_trace == float_trace
-        assert np.array_equal(bool_out, float_out)
-
-
 def test_second_step_allocates_no_float_adjacency(rng):
     # numpy reports its data buffers to tracemalloc; the first step grows
     # the workspace by the float64 copy of the bool adjacency, and the
