@@ -204,8 +204,8 @@ def precompute_inputs(gs: GraphSet, config: ExperimentConfig,
             by_size.setdefault(n, []).append(i)
     # one buffer holds the powers of every encoding call, sized by the
     # largest stack or graph: with an array per power and graph, set-up
-    # mapped fresh pages for each (planted-large benchmark set: 31.8k
-    # minor page faults at float64 A, 50k at bool A, 22k with the buffer)
+    # mapped fresh pages for each (planted-large benchmark set: about 32k
+    # minor page faults at float64 A, 50k at bool A, 10k with the buffer)
     largest = max([min(len(group), STACK_ELEMENTS // (n * n)) * n * n
                    for n, group in by_size.items()]
                   + [gs.graphs[i].n ** 2 for i in indices
