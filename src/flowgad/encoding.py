@@ -92,29 +92,29 @@ def rw_structural_encoding(adjacency: np.ndarray, k_se: int,
     are ``np.vecdot``, which has less per-call overhead than ``einsum`` on
     the 20-40-node graphs of the small TUDataset sets.
 
-    ``scratch``, a float64 array of at least ``4 * adjacency.size``
-    entries, holds the powers when given: four slots of it, a product
-    taking a free slot and a freed power giving its slot back. A caller
-    that encodes many graphs (``pipeline.precompute_inputs``) then
-    allocates that memory once, where one array per power and graph makes
-    fresh pages each time once graphs reach a few hundred nodes. The bits
-    are the same either way; what ``scratch`` holds afterwards is
-    undefined.
+    The powers live in four slots of ``scratch``, a float64 array of at
+    least ``4 * adjacency.size`` entries: a product takes a free slot and
+    a freed power gives its slot back. Without ``scratch`` the call
+    allocates one; a caller that encodes many graphs
+    (``pipeline.precompute_inputs``) passes one buffer to every call, so
+    that memory is mapped once rather than once per graph. What
+    ``scratch`` holds afterwards is undefined.
     """
     if k_se < 1:
         raise ContractViolation(f"k_se must be positive, got {k_se}")
     size = adjacency.size
-    if scratch is not None and scratch.size < 4 * size:
+    if scratch is None:
+        scratch = np.empty(4 * size)
+    elif scratch.size < 4 * size:
         raise ContractViolation(
             f"scratch of {scratch.size} entries cannot hold four powers "
             f"of {size}")
-    slots = [] if scratch is None else [
-        scratch[k * size:(k + 1) * size].reshape(adjacency.shape)
-        for k in range(4)]
+    slots = [scratch[k * size:(k + 1) * size].reshape(adjacency.shape)
+             for k in range(4)]
     deg = adjacency.sum(axis=-1)
     inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
     s = np.multiply(adjacency, inv_sqrt[..., :, None],
-                    out=slots.pop() if slots else None)
+                    out=slots.pop())
     s *= inv_sqrt[..., None, :]
     out = np.empty(adjacency.shape[:-1] + (k_se,), dtype=np.float64)
     out[..., 0] = np.diagonal(s, axis1=-2, axis2=-1)
@@ -124,12 +124,9 @@ def rw_structural_encoding(adjacency: np.ndarray, k_se: int,
             # a square as P @ P^T runs through BLAS syrk
             powers[i] = np.matmul(powers[a], powers[a].swapaxes(-1, -2)
                                   if a == b else powers[b],
-                                  out=slots.pop() if slots else None)
+                                  out=slots.pop())
         elif op == "column":
             out[..., i - 1] = np.vecdot(powers[a], powers[b])
-        elif scratch is None:
-            # no local name holds a power, so that ``del`` frees it
-            del powers[i]
         else:
             slots.append(powers.pop(i))
     return out

@@ -202,10 +202,9 @@ def precompute_inputs(gs: GraphSet, config: ExperimentConfig,
         n = gs.graphs[i].n
         if n * n <= STACK_ELEMENTS:
             by_size.setdefault(n, []).append(i)
-    # one buffer holds the powers of every encoding call, sized by the
-    # largest stack or graph: with an array per power and graph, set-up
-    # mapped fresh pages for each (planted-large benchmark set: about 32k
-    # minor page faults at float64 A, 50k at bool A, 10k with the buffer)
+    # one buffer, sized by the largest stack or graph, holds the powers of
+    # every encoding call, so that set-up does not map fresh pages for each
+    # power of each graph
     largest = max([min(len(group), STACK_ELEMENTS // (n * n)) * n * n
                    for n, group in by_size.items()]
                   + [gs.graphs[i].n ** 2 for i in indices
