@@ -25,8 +25,12 @@ training did. An ``inputs`` line gives, for each set, the bytes that
 ``precompute_inputs`` keeps for all its graphs: the adjacencies, the
 A_hat operators and the initial features. Those counts are exact and the
 same on every machine, so a change that moves the inputs' footprint shows
-it beside the digests. The whole script runs in a few seconds on two
-cores.
+it beside the digests. A ``nodes`` line gives, at batch 1 and at batch
+4, the mean count of tape nodes a training step of each phase records on
+the default planted set (variant ``full``, one epoch per phase). That
+count is exact and the same on every machine too, so a change that adds
+or removes nodes shows it without a benchmark run. The whole script runs
+in a few seconds on two cores.
 
 The first line, ``environment``, prints ``pipeline.environment()``: the
 numpy and BLAS versions, the BLAS thread variables (None when unset), the
@@ -42,6 +46,8 @@ from __future__ import annotations
 
 import hashlib
 
+from flowgad import autodiff as ad
+from flowgad import pipeline
 from flowgad.data import payload_fingerprint
 from flowgad.encoding import rw_structural_encoding
 from flowgad.pipeline import (VARIANTS, ExperimentConfig, environment,
@@ -84,6 +90,40 @@ def input_bytes(gs) -> str:
                      for name in ("adjacency", "a_hat", "x_init"))
 
 
+def nodes_per_step(gs, config) -> dict:
+    """Per trained phase, the mean number of tape nodes of its training
+    steps in one ``run_experiment``."""
+    counts, phase = {}, [None]
+    real_backward = ad.Tape.backward
+    real_phases = {name: getattr(pipeline, f"run_phase_{name}")
+                   for name in ("source", "flow", "target")}
+
+    def in_phase(name):
+        def run(*args, **kwargs):
+            phase[0] = name
+            try:
+                return real_phases[name](*args, **kwargs)
+            finally:
+                phase[0] = None
+        return run
+
+    def backward(tape, loss):
+        if phase[0] is not None:
+            counts.setdefault(phase[0], []).append(len(tape.nodes))
+        return real_backward(tape, loss)
+
+    ad.Tape.backward = backward
+    for name in real_phases:
+        setattr(pipeline, f"run_phase_{name}", in_phase(name))
+    try:
+        run_experiment(gs, config)
+    finally:
+        ad.Tape.backward = real_backward
+        for name, run in real_phases.items():
+            setattr(pipeline, f"run_phase_{name}", run)
+    return {name: sum(steps) / len(steps) for name, steps in counts.items()}
+
+
 def runs():
     """(label, graph set, config) of every printed line."""
     for variant in VARIANTS:
@@ -105,6 +145,13 @@ def main():
                       ("large  ", large_set())):
         print(f"encoding {label}  {encoding_digest(gs)}")
         print(f"inputs   {label}  {input_bytes(gs)}")
+    for batch_size in BATCH_SIZES:
+        nodes = nodes_per_step(planted_anomaly_set(), ExperimentConfig(
+            seeds=(0,), s_epochs=1, n_epochs=1, t_epochs=1,
+            batch_size=batch_size))
+        print(f"nodes    batch {batch_size}  "
+              + "  ".join(f"{name} {count:.2f}"
+                          for name, count in nodes.items()))
     for label, gs, config in runs():
         report, per_seed, aucs = digests(gs, config)
         print(f"{label}  report {report}  per_seed {per_seed}  auc "

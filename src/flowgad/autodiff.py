@@ -14,14 +14,19 @@ graph alone does.
 
 Every primitive records through ``_op``, which takes its output and one
 gradient map per input and, in backward, adds each tracked input's map of
-the output gradient, unbroadcast, in input order. Three model computations
-are fused ops that keep hand-written backwards on ``_record``, one node
-each, because the order in which they add their gradients is what keeps
-value and gradients bit-identical to the primitive chain they replaced:
-``gram_bce`` (the adjacency reconstruction loss), ``coupling_step`` (one
-flow step) and ``cosine_distance``. A node may own several outputs
-(``coupling_step`` has three); its backward runs once when any of them
-has a gradient, with zeros for an output no later op used.
+the output gradient, unbroadcast, in input order. Each model layer and
+loss body is a fused op with a hand-written backward on ``_record``, one
+node each, because the order in which it adds its gradients is what keeps
+value and gradients bit-identical to the primitive chain it replaced:
+``perceptron`` (the feature decoder), ``gin_layer`` and ``gcn_layer``
+(one student or teacher layer), ``coupling_step`` (one flow step),
+``normal_nll`` (the flow loss), ``gram_bce`` (the adjacency
+reconstruction loss) and ``cosine_distance``. The fused ops work once
+over a pack where they can: ``gram_bce`` runs its elementwise passes
+over one region that holds every block's n^2 entries, and segment totals
+are one ``reduceat``. A node may own several outputs (``coupling_step``
+has three); its backward runs once when any of them has a gradient, with
+zeros for an output no later op used.
 
 All tensor data is float64. A propagation operand may hold any 0/1 dtype:
 the library keeps raw adjacencies as bool blocks, which ``gram_bce`` reads
@@ -53,7 +58,10 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        # a float64 ndarray is kept as is, as np.asarray would keep it
+        self.data = (data if type(data) is np.ndarray
+                     and data.dtype == np.float64
+                     else np.asarray(data, dtype=np.float64))
         self.requires_grad = requires_grad
         self.grad: Optional[np.ndarray] = None
 
@@ -126,6 +134,11 @@ class Tape:
         self._spent = True
         loss.grad = np.ones_like(loss.data)
         for node in reversed(self.nodes):
+            if len(node.outs) == 1:
+                grad = node.outs[0].grad
+                if grad is not None:
+                    node.backprop(grad)
+                continue
             grads = [out.grad for out in node.outs]
             if any(g is not None for g in grads):
                 # a node runs once; an output no later op used passes zeros
@@ -167,7 +180,12 @@ def _record(op: str, inputs: tuple, out_data, backprop):
     ``out_data`` is a tuple of arrays; recorded as one node when a tape is
     active and an input is tracked."""
     tape = _active_tape()
-    tracked = tape is not None and any(t.requires_grad for t in inputs)
+    tracked = False
+    if tape is not None:
+        for t in inputs:
+            if t.requires_grad:
+                tracked = True
+                break
     if isinstance(out_data, tuple):
         out = outs = tuple(Tensor(d, tracked) for d in out_data)
     else:
@@ -252,15 +270,32 @@ class BlockDiag:
         self.spans = tuple(zip(self.blocks, bounds[:-1], bounds[1:]))
         self._edges = None
 
+    def _with_blocks(self, blocks) -> "BlockDiag":
+        """This pack with each block replaced by the same-shape block of
+        ``blocks``; its offsets are reused, not validated again."""
+        pack = BlockDiag.__new__(BlockDiag)
+        pack.blocks = tuple(blocks)
+        pack.offsets = self.offsets
+        pack.spans = tuple(zip(pack.blocks, self.offsets[:-1],
+                               self.offsets[1:]))
+        pack._edges = None
+        return pack
+
     @property
     def shape(self):
         return (self.offsets[-1], self.offsets[-1])
 
     def edges(self) -> tuple:
-        """Per block, the flat (C-order) indices of its nonzero entries;
-        found on the first call and kept as long as the pack."""
+        """The flat (C-order) indices of the nonzero entries of all blocks,
+        laid back to back in block order (block b's n_b^2 entries start
+        where block b - 1's end), and each block's count of them; found
+        on the first call and kept as long as the pack."""
         if self._edges is None:
-            self._edges = tuple(np.flatnonzero(block) for block in self.blocks)
+            per_block = [np.flatnonzero(block) for block in self.blocks]
+            starts = np.cumsum([0] + [block.size for block in self.blocks])
+            self._edges = (np.concatenate([index + start for index, start
+                                           in zip(per_block, starts)]),
+                           [index.size for index in per_block])
         return self._edges
 
 
@@ -272,46 +307,45 @@ def row_offsets(a) -> tuple:
     return (0, a.shape[0])
 
 
-def _stacked(parts: list) -> np.ndarray:
-    """Per-block row results as one array (the one block itself)."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
 def _propagate(a, x: np.ndarray, transpose: bool = False) -> np.ndarray:
     """a @ x, or a^T @ x, for a constant propagation operand: one graph's
     matrix, or a BlockDiag as one GEMM per block into one buffer."""
     if isinstance(a, BlockDiag):
-        return _stacked([(block.T if transpose else block) @ x[lo:hi]
-                         for block, lo, hi in a.spans])
+        out = np.empty((a.offsets[-1], x.shape[1]))
+        for block, lo, hi in a.spans:
+            np.matmul(block.T if transpose else block, x[lo:hi],
+                      out=out[lo:hi])
+        return out
     return (a.T if transpose else a) @ x
 
 
 def as_float(a):
     """A propagation operand whose blocks are float64: ``a`` itself when
     they already are (or it is a Tensor), else the same operand with each
-    other block cast, 0/1 to 0.0/1.0. Under a tape that has a
-    ``Workspace`` the casts are regions of it, which live as long as that
-    tape and cost no allocation from the second pass over a phase's packs
-    on; elsewhere (scoring, gradcheck) they are allocated per call."""
+    other block cast, 0/1 to 0.0/1.0. The casts of a pack share one
+    region: under a tape that has a ``Workspace`` a region of it, which
+    lives as long as that tape and costs no allocation from the second
+    pass over a phase's packs on; elsewhere (scoring, gradcheck) one
+    allocation per call."""
     if isinstance(a, Tensor):
         return a
     blocks = a.blocks if isinstance(a, BlockDiag) else (a,)
     if all(block.dtype == np.float64 for block in blocks):
         return a
+    size = sum(block.size for block in blocks if block.dtype != np.float64)
     tape = _active_tape()
     workspace = None if tape is None else tape.workspace
-    floats = []
+    region = (np.empty(size) if workspace is None
+              else workspace.take(size * 8).view(np.float64))
+    floats, start = [], 0
     for block in blocks:
         if block.dtype != np.float64:
-            if workspace is None:
-                block = block.astype(np.float64)
-            else:
-                cast = workspace.take(block.size * 8).view(
-                    np.float64).reshape(block.shape)
-                np.copyto(cast, block)
-                block = cast
+            cast = region[start:start + block.size].reshape(block.shape)
+            np.copyto(cast, block)
+            start += block.size
+            block = cast
         floats.append(block)
-    return BlockDiag(floats) if isinstance(a, BlockDiag) else floats[0]
+    return a._with_blocks(floats) if isinstance(a, BlockDiag) else floats[0]
 
 
 def as_tensor(x) -> Tensor:
@@ -452,14 +486,145 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
 # bit-identical to it
 # ---------------------------------------------------------------------------
 
-def _gram_buffers(workspace: Optional[Workspace], n: int) -> tuple:
-    """Two n x n float64 buffers and two n x n masks in one region, from
-    ``workspace`` or, without one, freshly allocated."""
-    floats, masks = 2 * n * n * 8, 2 * n * n
+def _constant_operand(a, op: str, name: str):
+    """A propagation operand as ``_propagate`` takes it: a constant Tensor's
+    array, else ``a`` itself. The fused ops pass no gradient to it."""
+    if isinstance(a, Tensor):
+        if a.requires_grad:
+            raise ContractViolation(f"{op} needs a constant {name}")
+        return a.data
+    return a
+
+
+def _mlp(x: np.ndarray, params) -> tuple:
+    """relu(x W1 + b1) W2 + b2 as the matmul/add/relu chain computes it:
+    the pre-activation, the hidden layer and the output."""
+    w1, b1, w2, b2 = params
+    if x.ndim != 2 or x.shape[1] != w1.data.shape[0]:
+        raise ContractViolation(
+            f"perceptron expects {w1.data.shape[0]} input columns, "
+            f"got {x.shape}")
+    pre = x @ w1.data + b1.data
+    hidden = np.maximum(pre, 0.0)
+    return pre, hidden, hidden @ w2.data + b2.data
+
+
+def _mlp_back(x: np.ndarray, pre, hidden, params, g) -> np.ndarray:
+    """Adds the parameter gradients of ``_mlp`` for output gradient g, in
+    the chain's order (b2, W2, b1, W1); returns the gradient reaching the
+    first product, which the input's gradient is taken from."""
+    w1, b1, w2, b2 = params
+    if b2.requires_grad:
+        _accum(b2, _unbroadcast(g, b2.data.shape))
+    g_hidden = g @ w2.data.T
+    if w2.requires_grad:
+        _accum(w2, hidden.T @ g)
+    g_pre = g_hidden * (pre > 0.0)
+    if b1.requires_grad:
+        _accum(b1, _unbroadcast(g_pre, b1.data.shape))
+    if w1.requires_grad:
+        _accum(w1, x.T @ g_pre)
+    return g_pre
+
+
+def perceptron(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
+               b2: Tensor) -> Tensor:
+    """relu(x W1 + b1) W2 + b2 as one node; value and gradients bit-equal
+    the matmul/add/relu/matmul/add chain."""
+    x = as_tensor(x)
+    params = (w1, b1, w2, b2)
+    pre, hidden, out = _mlp(x.data, params)
+
+    def backprop(g):
+        g_pre = _mlp_back(x.data, pre, hidden, params, g)
+        if x.requires_grad:
+            _accum(x, g_pre @ w1.data.T)
+
+    return _record("perceptron", (x,) + params, out, backprop)
+
+
+def gin_layer(a, h: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
+              b2: Tensor) -> Tensor:
+    """The perceptron of the GIN-0 aggregation h + A h as one node. ``a``
+    is one graph's float64 matrix, a pack's BlockDiag of them or a constant
+    Tensor. The backward gives h its direct gradient first, then the A^T
+    product, as the chain's add and matmul did."""
+    h = as_tensor(h)
+    a = _constant_operand(a, "gin_layer", "A")
+    if a.shape[1] != h.data.shape[0]:
+        raise ContractViolation(
+            f"gin_layer rows {h.data.shape} do not fit A {a.shape}")
+    agg = h.data + _propagate(a, h.data)
+    params = (w1, b1, w2, b2)
+    pre, hidden, out = _mlp(agg, params)
+
+    def backprop(g):
+        g_pre = _mlp_back(agg, pre, hidden, params, g)
+        if h.requires_grad:
+            g_agg = g_pre @ w1.data.T
+            _accum(h, g_agg)
+            _accum(h, _propagate(a, g_agg, transpose=True))
+
+    return _record("gin_layer", (h,) + params, out, backprop)
+
+
+def gcn_layer(a_hat, h: Tensor, w: Tensor, relu: bool) -> Tensor:
+    """relu((A_hat h) W), or (A_hat h) W without the relu, as one node.
+    ``a_hat`` is one graph's matrix, a pack's BlockDiag or a constant
+    Tensor; value and gradients bit-equal the matmul/matmul/relu chain."""
+    h = as_tensor(h)
+    a_hat = _constant_operand(a_hat, "gcn_layer", "A_hat")
+    if a_hat.shape[1] != h.data.shape[0] or h.data.shape[1] != w.data.shape[0]:
+        raise ContractViolation(
+            f"gcn_layer operands do not fit: A_hat {a_hat.shape}, "
+            f"h {h.data.shape}, W {w.data.shape}")
+    prop = _propagate(a_hat, h.data)
+    pre = prop @ w.data
+    out = np.maximum(pre, 0.0) if relu else pre
+
+    def backprop(g):
+        if relu:
+            g = g * (pre > 0.0)
+        if w.requires_grad:
+            _accum(w, prop.T @ g)
+        if h.requires_grad:
+            _accum(h, _propagate(a_hat, g @ w.data.T, transpose=True))
+
+    return _record("gcn_layer", (h, w), out, backprop)
+
+
+def normal_nll(z: Tensor, log_det: Tensor, offsets) -> Tensor:
+    """Per graph (row segments ``offsets`` of z), (0.5 * sum(z * z) -
+    log_det) / n, n the graph's node count, as one node, a B x 1 column.
+    Value and gradients bit-equal the mul/segment_sum/scale/sub/mul chain:
+    log_det gets its gradient first, then z its two g * z terms."""
+    z, log_det = as_tensor(z), as_tensor(log_det)
+    spans = _segment_spans(z, offsets)
+    counts = np.diff(offsets)
+    inv_counts = 1.0 / counts[:, None]
+    energy = _segment_totals(z.data * z.data, spans) * 0.5
+    out_data = (energy - log_det.data) * inv_counts
+
+    def backprop(g):
+        g_diff = g * inv_counts
+        if log_det.requires_grad:
+            _accum(log_det, _unbroadcast(-g_diff, log_det.data.shape))
+        if z.requires_grad:
+            g_z = np.repeat(g_diff * 0.5, counts, axis=0) * z.data
+            _accum(z, g_z)
+            _accum(z, g_z)
+
+    return _record("normal_nll", (z, log_det), out_data, backprop)
+
+
+def _gram_buffers(workspace: Optional[Workspace], size: int) -> tuple:
+    """Two float64 buffers and two masks of ``size`` entries each in one
+    region, from ``workspace`` or, without one, freshly allocated."""
+    floats, masks = 2 * size * 8, 2 * size
     raw = (np.empty(floats + masks, np.uint8) if workspace is None
            else workspace.take(floats + masks))
-    return (*raw[:floats].view(np.float64).reshape(2, n, n),
-            *raw[floats:].view(np.bool_).reshape(2, n, n))
+    return (*raw[:floats].view(np.float64).reshape(2, size),
+            *raw[floats:].view(np.bool_).reshape(2, size))
 
 
 def gram_bce(h: Tensor, adjacency, lo: float, hi: float) -> Tensor:
@@ -473,16 +638,19 @@ def gram_bce(h: Tensor, adjacency, lo: float, hi: float) -> Tensor:
     bit-identical to the composed transpose/matmul/sigmoid/clip/log chain.
     With A in {0, 1} and 0 < lo <= hi < 1, one log of q = where(A, p, 1 - p)
     equals the two-term sum. No step writes through a mask: q is 1 - p
-    everywhere, then p gathered and scattered at the block's edges (the
-    BlockDiag's cached flat nonzero index), so the split costs one n x n
-    op and O(edges). Per block the op works in two n x n float buffers, p
-    and q (which takes the log in place), and two masks, the sign of the
-    Gram matrix and where the clip passes the gradient. p and the clip
-    mask are kept for the backward pass, which splits its 1/q terms from
-    p the same way, in q's buffer. Under a tape that has a ``Workspace`` the
-    buffers are regions of it, reused step after step for as long as the
-    training phase that owns it runs; elsewhere (scoring, gradcheck) they
-    are allocated per call.
+    everywhere, then p gathered and scattered at the edges (the BlockDiag's
+    cached flat nonzero index), so the split costs one elementwise op and
+    O(edges). The op works in two float buffers, p and q (which takes the
+    log in place), and two masks, the sign of the Gram matrix and where the
+    clip passes the gradient, each holding every block's n_b^2 entries
+    back to back. Only the Gram products, the backward's products and its
+    division by the per-graph constant run once per block, into views of
+    them; every other pass runs once over the pack. p and the clip mask
+    are kept for the backward pass, which splits its 1/q terms from p the
+    same way, in q's buffer. Under a tape that has a ``Workspace`` the
+    buffers are one region of it, reused step after step for as long as
+    the training phase that owns it runs; elsewhere (scoring, gradcheck)
+    they are allocated per call.
     """
     h = as_tensor(h)
     n = h.data.shape[0]
@@ -493,53 +661,55 @@ def gram_bce(h: Tensor, adjacency, lo: float, hi: float) -> Tensor:
         adjacency = BlockDiag([adjacency])
     tape = _active_tape()
     workspace = tape.workspace if tape is not None and h.requires_grad else None
-    out_data = np.empty((len(adjacency.blocks), 1))
-    saved = []
-    for edges, (_, first, end) in zip(adjacency.edges(), adjacency.spans):
+    # each block's first and end entry in the buffers
+    bounds = np.cumsum([0] + [b.size for b in adjacency.blocks]).tolist()
+    entries = list(zip(bounds[:-1], bounds[1:]))
+    sig, denom, nonneg, inside = _gram_buffers(workspace, bounds[-1])
+    for (_, first, end), (start, stop) in zip(adjacency.spans, entries):
         hb = h.data[first:end]
-        sig, denom, nonneg, inside = _gram_buffers(workspace, end - first)
-        np.matmul(hb, hb.T, out=sig)
-        # the sigmoid of _sigmoid, step by step in place: e = exp(-|x|)
-        # lies in [+0, 1], so max(e, x >= 0) is 1 where x >= 0 and e
-        # elsewhere, and a NaN stays NaN
-        np.greater_equal(sig, 0.0, out=nonneg)
-        np.copysign(sig, -1.0, out=sig)
-        np.exp(sig, out=sig)
-        np.add(1.0, sig, out=denom)
-        np.maximum(sig, nonneg, out=sig)
-        np.divide(sig, denom, out=sig)
-        # clipping into the other buffer; an entry lies inside [lo, hi]
-        # exactly where the clip kept it (a NaN equals nothing and lies
-        # outside)
-        p = np.clip(sig, lo, hi, out=denom)
-        np.equal(p, sig, out=inside)
-        q = np.subtract(1.0, p, out=sig)
-        np.put(q, edges, np.take(p, edges))
-        out_data[len(saved), 0] = -np.log(q, out=q).sum()
-        saved.append((first, end, edges, p, q, inside))
+        np.matmul(hb, hb.T, out=sig[start:stop].reshape(end - first, -1))
+    # the sigmoid of _sigmoid, step by step in place: e = exp(-|x|) lies
+    # in [+0, 1], so max(e, x >= 0) is 1 where x >= 0 and e elsewhere, and
+    # a NaN stays NaN
+    np.greater_equal(sig, 0.0, out=nonneg)
+    np.copysign(sig, -1.0, out=sig)
+    np.exp(sig, out=sig)
+    np.add(1.0, sig, out=denom)
+    np.maximum(sig, nonneg, out=sig)
+    np.divide(sig, denom, out=sig)
+    # clipping into the other buffer; an entry lies inside [lo, hi] exactly
+    # where the clip kept it (a NaN equals nothing and lies outside)
+    p = np.clip(sig, lo, hi, out=denom)
+    np.equal(p, sig, out=inside)
+    q = np.subtract(1.0, p, out=sig)
+    edges, counts = adjacency.edges()
+    np.put(q, edges, np.take(p, edges))
+    out_data = -_segment_totals(np.log(q, out=q), entries)
 
     def backprop(g):
         if not h.requires_grad:
             return
         g_left = np.empty(h.data.shape)
         g_right = np.empty(h.data.shape)
-        for b, (first, end, edges, p, q, inside) in enumerate(saved):
+        # d/dp of the summed terms: g*-1/p on edges, -(g*-1/(1-p))
+        # elsewhere; "+ 0.0" makes a zero g give +0 everywhere, as the
+        # chain's sum of a term and a zero term did. With 1 - p in (0, 1),
+        # (0 - c)/(1 - p) is 0 - c/(1 - p) bit for bit.
+        c = g[:, 0] * -1.0 + 0.0
+        dz = np.subtract(1.0, p, out=q)
+        for c_b, (start, stop) in zip(c, entries):
+            np.divide(0.0 - c_b, dz[start:stop], out=dz[start:stop])
+        np.put(dz, edges, np.repeat(c, counts) / np.take(p, edges))
+        # then clip and sigmoid; p equals sigmoid(h h^T) wherever the mask
+        # passes the gradient, and both are >= 0 where it zeroes it
+        dz *= inside
+        dz *= p
+        dz *= np.subtract(1.0, p, out=p)
+        for (_, first, end), (start, stop) in zip(adjacency.spans, entries):
             hb = h.data[first:end]
-            # d/dp of the summed terms: g*-1/p on edges, -(g*-1/(1-p))
-            # elsewhere; "+ 0.0" makes a zero g give +0 everywhere, as the
-            # chain's sum of a term and a zero term did. With 1 - p in
-            # (0, 1), (0 - c)/(1 - p) is 0 - c/(1 - p) bit for bit.
-            c = g[b, 0] * -1.0 + 0.0
-            dz = np.subtract(1.0, p, out=q)
-            np.divide(0.0 - c, dz, out=dz)
-            np.put(dz, edges, c / np.take(p, edges))
-            # then clip and sigmoid; p equals sigmoid(h h^T) wherever the
-            # mask passes the gradient, and both are >= 0 where it zeroes it
-            dz *= inside
-            dz *= p
-            dz *= np.subtract(1.0, p, out=p)
-            np.matmul(dz, hb, out=g_left[first:end])
-            g_right[first:end] = (hb.T @ dz).T
+            dz_b = dz[start:stop].reshape(end - first, -1)
+            np.matmul(dz_b, hb, out=g_left[first:end])
+            g_right[first:end] = (hb.T @ dz_b).T
         _accum(h, g_left)
         _accum(h, g_right)
 
@@ -566,10 +736,7 @@ def coupling_step(half0: Tensor, half1: Tensor, a_hat, subnets,
     then f2, then f1.
     """
     half0, half1 = as_tensor(half0), as_tensor(half1)
-    if isinstance(a_hat, Tensor):
-        if a_hat.requires_grad:
-            raise ContractViolation("coupling_step needs a constant A_hat")
-        a_hat = a_hat.data
+    a_hat = _constant_operand(a_hat, "coupling_step", "A_hat")
     if half0.shape != half1.shape or a_hat.shape[1] != half1.shape[0]:
         raise ContractViolation(
             f"coupling_step halves {half0.shape}, {half1.shape} do not fit "
@@ -743,9 +910,21 @@ def _segment_spans(a: Tensor, offsets) -> list:
 
 
 def _segment_totals(x: np.ndarray, spans) -> np.ndarray:
-    """Each span's sum as a B x 1 column, each span summed as its own
-    slice."""
-    return np.array([x[lo:hi].sum() for lo, hi in spans]).reshape(-1, 1)
+    """Each span's sum as a B x 1 column, bit-equal to summing each span of
+    rows as its own slice. A slice's ``sum`` adds its pairwise total to
+    0.0, so one ``np.add.reduceat`` over a copy in which a 0.0 leads every
+    span adds the same terms in the same order (a plain ``reduceat``
+    starts from each span's first entry, and differs)."""
+    if len(spans) == 1 or not x.flags.c_contiguous:
+        return np.array([x[lo:hi].sum() for lo, hi in spans]).reshape(-1, 1)
+    width = x.size // x.shape[0]
+    heads = (np.array([lo for lo, _ in spans]) * width
+             + np.arange(len(spans)))
+    padded = np.zeros(x.size + len(spans))
+    entries = np.ones(padded.size, bool)
+    entries[heads] = False
+    padded[entries] = x.reshape(-1)
+    return np.add.reduceat(padded, heads).reshape(-1, 1)
 
 
 def segment_sum(a: Tensor, offsets=None) -> Tensor:

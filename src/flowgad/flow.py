@@ -136,9 +136,7 @@ def nf_loss(z: Tensor, log_det: Tensor, offsets=None) -> Tensor:
     graph). Each graph's loss is divided by its own node count so graphs
     of different sizes contribute comparably."""
     offsets = ad.row_offsets(z) if offsets is None else offsets
-    energy = ad.scale(ad.segment_sum(ad.mul(z, z), offsets), 0.5)
-    return ad.mul(ad.sub(energy, log_det),
-                  ad.constant(1.0 / np.diff(offsets)[:, None]))
+    return ad.normal_nll(z, log_det, offsets)
 
 
 def train_flow(flow: GraphFlow, packs, *, epochs: int,

@@ -44,8 +44,7 @@ class Perceptron:
         self.b2 = Tensor(np.zeros((1, d_out)), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
-        hidden = ad.relu(ad.add(ad.matmul(x, self.w1), self.b1))
-        return ad.add(ad.matmul(hidden, self.w2), self.b2)
+        return ad.perceptron(x, self.w1, self.b1, self.w2, self.b2)
 
     def params(self) -> list[Tensor]:
         return [self.w1, self.b1, self.w2, self.b2]

@@ -48,9 +48,7 @@ class GcnEncoder:
         h = x
         last = len(self.weights) - 1
         for li, w in enumerate(self.weights):
-            h = ad.matmul(ad.matmul(a_hat, h), w)
-            if li != last:
-                h = ad.relu(h)
+            h = ad.gcn_layer(a_hat, h, w, relu=li != last)
         return h
 
     def params(self) -> list[Tensor]:

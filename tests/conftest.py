@@ -1,7 +1,8 @@
 """Shared fixtures: benchmark-data discovery, a tiny on-disk dataset, the
 scalar reference for the student/flow distance, the composed chains that
-the fused coupling step and cosine distance must bit-equal, fully random
-flows, and checkpoint writes that fail halfway.
+the fused model ops (perceptron, GIN and GCN layers, coupling step, flow
+loss, cosine distance) must bit-equal, a recorder of each training phase's
+tape ops, fully random flows, and checkpoint writes that fail halfway.
 
 Real benchmark directories are looked up under $FLOWGAD_DATA_DIR, falling
 back to <repo>/data. Tests that need them skip with a pointer when the
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from flowgad import autodiff as ad
-from flowgad import checkpoint
+from flowgad import checkpoint, pipeline
 from flowgad.flow import GraphFlow
 from flowgad.optim import glorot_init, make_rng
 
@@ -59,6 +60,87 @@ def reference_distance(u, v) -> float:
         return 0.5
     cos = float(np.dot(u, v) / (nu * nv))
     return (1.0 - min(1.0, max(-1.0, cos))) / 2.0
+
+
+def composed_perceptron(x, w1, b1, w2, b2):
+    """``autodiff.perceptron`` as the chain of tape primitives it was built
+    from before it became one fused node: the reference it must bit-equal."""
+    hidden = ad.relu(ad.add(ad.matmul(x, w1), b1))
+    return ad.add(ad.matmul(hidden, w2), b2)
+
+
+def composed_gin_layer(a, h, w1, b1, w2, b2):
+    """``autodiff.gin_layer`` as the chain of tape primitives it was built
+    from before it became one fused node."""
+    return composed_perceptron(ad.add(h, ad.matmul(a, h)), w1, b1, w2, b2)
+
+
+def composed_gcn_layer(a_hat, h, w, relu):
+    """``autodiff.gcn_layer`` as the chain of tape primitives it was built
+    from before it became one fused node."""
+    out = ad.matmul(ad.matmul(a_hat, h), w)
+    return ad.relu(out) if relu else out
+
+
+def composed_normal_nll(z, log_det, offsets):
+    """``autodiff.normal_nll`` (the body of ``flow.nf_loss``) as the chain
+    of tape primitives it was built from before it became one fused node."""
+    energy = ad.scale(ad.segment_sum(ad.mul(z, z), offsets), 0.5)
+    return ad.mul(ad.sub(energy, log_det),
+                  ad.constant(1.0 / np.diff(offsets)[:, None]))
+
+
+COMPOSED_OPS = {"perceptron": composed_perceptron,
+                "gin_layer": composed_gin_layer,
+                "gcn_layer": composed_gcn_layer,
+                "normal_nll": composed_normal_nll}
+
+
+def tape_bits(build, tensors, reread=False):
+    """``build(*tensors)`` on one tape, as bytes: its output, a weighted sum
+    of it (the loss, weights drawn from a fixed seed) and the gradient of
+    every tracked tensor, in order. With ``reread`` a term recorded after
+    ``build`` reads every tracked tensor again, so their gradient buffers
+    are already written when build's backward adds to them."""
+    for t in tensors:
+        t.grad = None
+    with ad.Tape() as tape:
+        out = build(*tensors)
+        weights = np.random.default_rng(7).normal(size=out.shape)
+        loss = ad.reduce_sum(ad.mul(out, ad.constant(weights)))
+        if reread:
+            for t in tensors:
+                if t.requires_grad:
+                    loss = ad.add(loss, ad.reduce_sum(ad.mul(t, t)))
+    tape.backward(loss)
+    return [out.data.tobytes(), loss.data.tobytes()] + [
+        t.grad.tobytes() for t in tensors if t.requires_grad]
+
+
+def phase_tape_ops(patch, gs, config) -> dict:
+    """Runs ``run_experiment`` on ``gs`` under ``patch`` and returns, per
+    trained phase, the op names of each training step's tape in order."""
+    steps, phase = {}, [None]
+    for name in ("source", "flow", "target"):
+        real = getattr(pipeline, f"run_phase_{name}")
+
+        def run(*args, _real=real, _name=name, **kwargs):
+            phase[0] = _name
+            try:
+                return _real(*args, **kwargs)
+            finally:
+                phase[0] = None
+        patch.setattr(pipeline, f"run_phase_{name}", run)
+    backward = ad.Tape.backward
+
+    def recording(tape, loss):
+        if phase[0] is not None:
+            steps.setdefault(phase[0], []).append(
+                [node.op for node in tape.nodes])
+        return backward(tape, loss)
+    patch.setattr(ad.Tape, "backward", recording)
+    pipeline.run_experiment(gs, config)
+    return steps
 
 
 def composed_coupling_step(step, half0, half1, a_hat):

@@ -334,6 +334,18 @@ def test_as_float_casts_only_what_is_not_float64(rng):
         region = ad.as_float(b)
     assert region.dtype == np.float64 and np.array_equal(region, b)
     assert np.shares_memory(region, workspace._buffer)
+    # a pack's casts share one region, back to back, and keep its offsets
+    pack = ad.BlockDiag([b, f, rng.random((2, 2)) > 0.5])
+    with Tape(workspace):
+        cast = ad.as_float(pack)
+    assert cast.offsets is pack.offsets and cast.blocks[1] is f
+    first, _, last = (block.__array_interface__["data"][0]
+                      for block in cast.blocks)
+    assert last - first == b.size * 8
+    # one region of 9 + 4 floats takes two cache lines; a region per
+    # block would take three
+    assert workspace._used == 2 * workspace.ALIGN
+    assert all(np.array_equal(c, p) for c, p in zip(cast.blocks, pack.blocks))
 
 
 def _segment_ops(offsets):
@@ -405,3 +417,28 @@ def test_segments_must_cover_the_rows_without_empties():
     # a graph without nodes has nothing to pool
     with pytest.raises(ContractViolation, match="at least one row"):
         ad.segment_max(Tensor(np.ones((0, 2))))
+
+
+def test_segment_totals_bit_equal_per_slice_sums(rng):
+    # one reduceat over 0.0-led spans against each span's own slice sum:
+    # 1-row spans, width 1, one span, spans long enough for pairwise
+    # blocking, magnitudes from 1e-3 to 1e3 and spans of negative zeros
+    for trial in range(300):
+        count = 1 if trial % 25 == 0 else int(rng.integers(2, 10))
+        top = 400 if trial % 10 == 0 else 40
+        sizes = rng.integers(1, top, size=count)
+        sizes[rng.random(count) < 0.3] = 1
+        width = 1 if trial % 3 == 0 else int(rng.integers(2, 9))
+        rows = int(sizes.sum())
+        x = rng.normal(size=(rows, width)) * 10.0 ** rng.integers(
+            -3, 4, size=(rows, 1))
+        bounds = np.cumsum([0, *sizes])
+        spans = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+        if trial % 20 == 0:
+            lo, hi = spans[-1]
+            x[lo:hi] = -0.0
+        for data in (x, x[:, 0]) if width == 1 else (x,):
+            expected = np.array([data[lo:hi].sum() for lo, hi in spans])
+            totals = ad._segment_totals(data, spans)
+            assert totals.shape == (count, 1)
+            assert totals[:, 0].tobytes() == expected.tobytes(), trial

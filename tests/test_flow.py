@@ -8,7 +8,8 @@ from flowgad.errors import ContractViolation, NumericFault, TrainingFault
 from flowgad.flow import CouplingStep, GraphFlow, nf_loss, train_flow
 from flowgad.optim import freeze, make_rng
 
-from conftest import composed_coupling_step, random_flow
+from conftest import (composed_coupling_step, composed_normal_nll,
+                      random_flow, tape_bits)
 
 
 def _random_a_hat(n, rng):
@@ -411,3 +412,24 @@ def test_coupling_step_rejects_a_tracked_propagation_operand(rng):
         step.forward(half, half, Tensor(np.eye(2), requires_grad=True))
     with pytest.raises(ContractViolation, match="do not fit"):
         step.forward(half, half, np.eye(3))
+
+
+@pytest.mark.parametrize("track", [(True, False), (False, True), (True, True)])
+@pytest.mark.parametrize("reread", [False, True])
+def test_fused_flow_loss_bit_equals_composed_chain(rng, track, reread):
+    for trial in range(8):
+        sizes = [1] + [int(k) for k in rng.integers(1, 30,
+                                                    size=trial % 5)]
+        offsets = tuple(int(b) for b in np.cumsum([0] + sizes))
+        d = int(rng.integers(1, 9))
+        z = Tensor(rng.normal(size=(offsets[-1], d))
+                   * 10.0 ** rng.integers(-3, 4, size=(offsets[-1], 1)),
+                   requires_grad=track[0])
+        log_det = Tensor(rng.normal(size=(len(sizes), 1)),
+                         requires_grad=track[1])
+        fused = tape_bits(lambda z, l: ad.normal_nll(z, l, offsets),
+                          [z, log_det], reread)
+        chain = tape_bits(lambda z, l: composed_normal_nll(z, l, offsets),
+                          [z, log_det], reread)
+        assert len(fused) == 2 + sum(track)
+        assert fused == chain, (sizes, d, track, reread)

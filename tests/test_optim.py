@@ -6,12 +6,13 @@ from flowgad import optim
 from flowgad.autodiff import Tape, Tensor
 from flowgad.errors import ContractViolation
 from flowgad.flow import nf_loss
-from flowgad.optim import BETA1, BETA2, EPS, Adam, fit, glorot_init, make_rng
+from flowgad.optim import (BETA1, BETA2, EPS, Adam, Perceptron, fit,
+                           glorot_init, make_rng)
 from flowgad.pipeline import (VARIANTS, ExperimentConfig, precompute_inputs,
                               run_experiment, run_seed)
 from flowgad.synthetic import planted_anomaly_set
 
-from conftest import random_flow
+from conftest import composed_perceptron, random_flow, tape_bits
 
 
 class ReferenceAdam:
@@ -292,3 +293,26 @@ def test_one_graph_loss_bit_equals_its_mean():
         tape.backward(loss)
         results.append(_bits([loss.data] + [q.grad for q in flow.params()]))
     assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("track", [False, True])
+@pytest.mark.parametrize("reread", [False, True])
+def test_fused_perceptron_bit_equals_composed_chain(rng, track, reread):
+    for trial in range(6):
+        d_in, hidden, d_out = (int(k) for k in rng.integers(1, 7, size=3))
+        mlp = Perceptron(d_in, hidden, d_out, make_rng(trial))
+        for bias in (mlp.b1, mlp.b2):
+            bias.data = rng.normal(size=bias.shape)
+        n = 1 if trial == 0 else int(rng.integers(2, 12))
+        x = Tensor(rng.normal(size=(n, d_in)), requires_grad=track)
+        tensors = [x] + mlp.params()
+        fused = tape_bits(ad.perceptron, tensors, reread)
+        chain = tape_bits(composed_perceptron, tensors, reread)
+        assert len(fused) == 6 + track
+        assert fused == chain, (n, d_in, hidden, d_out)
+
+
+def test_perceptron_rejects_a_wrong_input_width(rng):
+    mlp = Perceptron(3, 4, 2, make_rng(0))
+    with pytest.raises(ContractViolation, match="3 input columns"):
+        mlp.forward(Tensor(rng.normal(size=(5, 4))))

@@ -24,8 +24,9 @@ from flowgad.source import FeatureDecoder, GcnEncoder
 from flowgad.synthetic import planted_anomaly_set
 from flowgad.target import GinNetwork
 
-from conftest import (composed_coupling_step, composed_cosine_distance,
-                      fail_checkpoint_writes, reference_distance)
+from conftest import (COMPOSED_OPS, composed_coupling_step,
+                      composed_cosine_distance, fail_checkpoint_writes,
+                      phase_tape_ops, reference_distance)
 
 TINY = dict(s_epochs=6, n_epochs=6, t_epochs=6, d=8, hidden=8, k_se=8,
             seeds=(0,))
@@ -399,8 +400,8 @@ def test_all_variants_run_and_report():
 
 
 def test_reports_match_the_composed_chains(monkeypatch):
-    # the fused coupling step and cosine distance leave every report
-    # byte-identical to the primitive chains they replaced
+    # the fused model ops leave every report byte-identical to the
+    # primitive chains they replaced
     gs = planted_anomaly_set()
     for variant in VARIANTS:
         for batch_size in (1, 4):
@@ -411,8 +412,40 @@ def test_reports_match_the_composed_chains(monkeypatch):
             with monkeypatch.context() as patch:
                 patch.setattr(CouplingStep, "forward", composed_coupling_step)
                 patch.setattr(ad, "cosine_distance", composed_cosine_distance)
+                for name, chain_op in COMPOSED_OPS.items():
+                    patch.setattr(ad, name, chain_op)
                 chain = run_experiment(gs, config)[0].canonical_bytes()
             assert fused == chain, (variant, batch_size)
+
+
+# one tape node per model layer: the op names of each training step
+SOURCE_STEP = ["gcn_layer", "gcn_layer", "perceptron", "gram_bce", "sub",
+               "mul", "segment_sum", "scale", "scale", "add"]
+FLOW_STEP = ["coupling_step", "add", "coupling_step", "add", "concat",
+             "normal_nll"]
+LOSS_STEP = ["segment_max", "cosine_distance", "cosine_distance",
+             "segment_sum", "mul", "scale", "scale", "add"]
+TARGET_STEP = {"full": ["gin_layer", "gin_layer"] + LOSS_STEP,
+               "asy_st": ["gcn_layer", "gcn_layer"] + LOSS_STEP}
+MEAN = ["reduce_sum", "scale"]
+
+
+@pytest.mark.parametrize("variant", ["full", "asy_st"])
+@pytest.mark.parametrize("batch_size", [1, 4])
+def test_each_training_step_records_its_ops_once(monkeypatch, variant,
+                                                 batch_size):
+    config = ExperimentConfig(variant=variant, seeds=(0,), s_epochs=1,
+                              n_epochs=1, t_epochs=1, batch_size=batch_size)
+    steps = phase_tape_ops(monkeypatch, planted_anomaly_set(), config)
+    expected = {"source": SOURCE_STEP, "target": TARGET_STEP[variant]}
+    if variant == "full":
+        expected["flow"] = FLOW_STEP
+    assert set(steps) == set(expected)
+    # a step of one graph descends on its loss, with no mean
+    mean = MEAN if batch_size > 1 else []
+    for phase, ops in expected.items():
+        assert steps[phase][0] == ops + mean, phase
+        assert all(step in (ops, ops + mean) for step in steps[phase])
 
 
 def test_protocol_purity_on_synthetic_run():

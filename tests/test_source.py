@@ -9,12 +9,14 @@ from flowgad.autodiff import Tape, Tensor, gradcheck
 from flowgad.data import Graph, normalized_adjacency
 from flowgad.encoding import rw_structural_encoding
 from flowgad.errors import ConfigError, ContractViolation, TrainingFault
-from flowgad.optim import fit, is_frozen, make_rng
+from flowgad.optim import fit, glorot_init, is_frozen, make_rng
 from flowgad.pipeline import ExperimentConfig, precompute_inputs, run_seed
 from flowgad.source import (CLAMP_HI, CLAMP_LO, FeatureDecoder, GcnEncoder,
                             adjacency_recon_loss, feature_recon_loss,
                             graph_source_loss, pretrain_source, source_loss)
 from flowgad.synthetic import planted_anomaly_set
+
+from conftest import composed_gcn_layer, tape_bits
 
 
 def _identity_encoder(d):
@@ -49,6 +51,47 @@ def test_gcn_permutation_equivariance(rng):
     h_p = enc.forward(ad.constant(p @ a_hat @ p.T),
                       ad.constant(p @ g.features)).data
     assert np.allclose(h_p, p @ h)
+
+
+def _a_hat(rng, n):
+    upper = np.triu((rng.random((n, n)) < 0.4).astype(np.float64), k=1)
+    g = Graph(n=n, adjacency=upper + upper.T, features=np.zeros((n, 0)),
+              label=0)
+    return normalized_adjacency(g)
+
+
+@pytest.mark.parametrize("track", [False, True])
+@pytest.mark.parametrize("relu", [False, True])
+def test_fused_gcn_layer_bit_equals_composed_chain(rng, track, relu):
+    for trial in range(5):
+        d_in, d_out = (int(k) for k in rng.integers(1, 6, size=2))
+        w = glorot_init(d_in, d_out, make_rng(trial))
+        n = 1 if trial == 0 else int(rng.integers(2, 9))
+        a_hat = _a_hat(rng, n)
+        sizes = [1] + [int(k) for k in rng.integers(1, 9, size=3)] + [1]
+        pack = ad.BlockDiag([_a_hat(rng, k) for k in sizes])
+        for kind, operand, rows in (("matrix", a_hat, n),
+                                    ("constant", ad.constant(a_hat), n),
+                                    ("pack", pack, sum(sizes))):
+            h = Tensor(rng.normal(size=(rows, d_in)), requires_grad=track)
+            for reread in (False, True):
+                fused = tape_bits(
+                    lambda h, w: ad.gcn_layer(operand, h, w, relu), [h, w],
+                    reread)
+                chain = tape_bits(
+                    lambda h, w: composed_gcn_layer(operand, h, w, relu),
+                    [h, w], reread)
+                assert len(fused) == 3 + track
+                assert fused == chain, (kind, rows, track, reread)
+
+
+def test_gcn_layer_rejects_a_tracked_or_misfit_operand(rng):
+    w = glorot_init(2, 3, make_rng(0))
+    h = Tensor(rng.normal(size=(3, 2)))
+    with pytest.raises(ContractViolation, match="constant A_hat"):
+        ad.gcn_layer(Tensor(np.eye(3), requires_grad=True), h, w, True)
+    with pytest.raises(ContractViolation, match="do not fit"):
+        ad.gcn_layer(np.eye(4), h, w, True)
 
 
 def test_recon_loss_single_node_zero_embedding():
@@ -178,9 +221,11 @@ def _workspace_step_matches_chain(workspace, graphs, rng):
 def test_workspace_reuse_across_tapes_bit_equals_the_chain(rng):
     # large, then small (stale values of the large step stay in the
     # buffer), then large again and a pack of equal-size blocks, all on
-    # one workspace
+    # one workspace; then a pack whose blocks together need more than any
+    # earlier step, and 1-node blocks inside a pack
     workspace = ad.Workspace()
-    for sizes in ([70], [5], [64], [20, 20, 20], [1, 70]):
+    for sizes in ([70], [5], [64], [20, 20, 20], [1, 70], [60, 1, 60, 30],
+                  [3, 1, 1, 9, 1]):
         graphs = [_recon_graph(rng, n) for n in sizes]
         _workspace_step_matches_chain(workspace, graphs, rng)
 

@@ -7,9 +7,11 @@ from flowgad import autodiff as ad
 from flowgad.autodiff import Tape, Tensor, gradcheck
 from flowgad.errors import ConfigError, ContractViolation
 from flowgad.optim import fit, make_rng
-from flowgad.target import GinNetwork, graph_target_loss, train_target
+from flowgad.source import GcnEncoder
+from flowgad.target import GinLayer, GinNetwork, graph_target_loss, train_target
 
-from conftest import composed_cosine_distance, reference_distance
+from conftest import (composed_cosine_distance, composed_gcn_layer,
+                      composed_gin_layer, reference_distance, tape_bits)
 
 
 def _rows(u, v):
@@ -312,3 +314,72 @@ def test_target_loss_gradcheck_away_from_ties(rng):
         return graph_target_loss(out, z_nodes, beta=0.6)
 
     assert gradcheck(fn, net.params()) < 1e-4
+
+
+def _adjacency(rng, n):
+    upper = np.triu(rng.random((n, n)) < 0.4, k=1)
+    return upper | upper.T
+
+
+def _gin_operands(rng, n):
+    """(kind, A, rows) over the operands a GIN layer receives: one graph's
+    float matrix, the same as a constant Tensor, and the float cast of a
+    bool pack that holds 1-node graphs."""
+    a = _adjacency(rng, n).astype(np.float64)
+    yield "matrix", a, n
+    yield "constant", ad.constant(a), n
+    sizes = [1] + [int(k) for k in rng.integers(1, 9, size=3)] + [1]
+    pack = ad.as_float(ad.BlockDiag([_adjacency(rng, k) for k in sizes]))
+    yield "pack", pack, sum(sizes)
+
+
+@pytest.mark.parametrize("track", [False, True])
+@pytest.mark.parametrize("reread", [False, True])
+def test_fused_gin_layer_bit_equals_composed_chain(rng, track, reread):
+    for trial in range(5):
+        d_in, hidden, d_out = (int(k) for k in rng.integers(1, 6, size=3))
+        layer = GinLayer(d_in, hidden, d_out, make_rng(trial))
+        for bias in (layer.b1, layer.b2):
+            bias.data = rng.normal(size=bias.shape)
+        n = 1 if trial == 0 else int(rng.integers(2, 9))
+        for kind, a, rows in _gin_operands(rng, n):
+            h = Tensor(rng.normal(size=(rows, d_in)), requires_grad=track)
+            tensors = [h] + layer.params()
+            fused = tape_bits(lambda h, *p: ad.gin_layer(a, h, *p), tensors,
+                              reread)
+            chain = tape_bits(lambda h, *p: composed_gin_layer(a, h, *p),
+                              tensors, reread)
+            assert len(fused) == 6 + track
+            assert fused == chain, (kind, rows, track, reread)
+
+
+def test_gin_layer_rejects_a_tracked_or_misfit_operand(rng):
+    layer = GinLayer(2, 3, 2, make_rng(0))
+    h = Tensor(rng.normal(size=(3, 2)))
+    with pytest.raises(ContractViolation, match="constant A"):
+        layer.forward(Tensor(np.eye(3), requires_grad=True), h)
+    with pytest.raises(ContractViolation, match="do not fit"):
+        layer.forward(np.eye(4), h)
+
+
+def test_gcn_student_trains_bit_equal_to_the_composed_chain(monkeypatch, rng):
+    # the asy_st student is a GcnEncoder trained on A_hat packs
+    sizes = [1, 7, 12, 5]
+    a_hats = []
+    for n in sizes:
+        a = _adjacency(rng, n).astype(np.float64) + np.eye(n)
+        scale = 1.0 / np.sqrt(a.sum(axis=1))
+        a_hats.append(a * scale[:, None] * scale[None, :])
+    packs = [(ad.BlockDiag(a_hats[:2]), rng.normal(size=(8, 3)),
+              rng.normal(size=(8, 4))),
+             (ad.BlockDiag(a_hats[2:]), rng.normal(size=(17, 3)),
+              rng.normal(size=(17, 4)))]
+
+    def run():
+        student = GcnEncoder(3, 5, 4, 2, make_rng(4))
+        trace = train_target(student, packs, beta=0.6, epochs=3, lr=1e-2)
+        return trace, [p.data.tobytes() for p in student.params()]
+
+    fused = run()
+    monkeypatch.setattr(ad, "gcn_layer", composed_gcn_layer)
+    assert fused == run()
