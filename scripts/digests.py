@@ -90,10 +90,10 @@ def input_bytes(gs) -> str:
                      for name in ("adjacency", "a_hat", "x_init"))
 
 
-def nodes_per_step(gs, config) -> dict:
-    """Per trained phase, the mean number of tape nodes of its training
-    steps in one ``run_experiment``."""
-    counts, phase = {}, [None]
+def step_ops(gs, config) -> dict:
+    """Per trained phase, the op names of each training step's tape, in
+    order, in one ``run_experiment``."""
+    steps, phase = {}, [None]
     real_backward = ad.Tape.backward
     real_phases = {name: getattr(pipeline, f"run_phase_{name}")
                    for name in ("source", "flow", "target")}
@@ -109,7 +109,8 @@ def nodes_per_step(gs, config) -> dict:
 
     def backward(tape, loss):
         if phase[0] is not None:
-            counts.setdefault(phase[0], []).append(len(tape.nodes))
+            steps.setdefault(phase[0], []).append(
+                [node.op for node in tape.nodes])
         return real_backward(tape, loss)
 
     ad.Tape.backward = backward
@@ -121,7 +122,7 @@ def nodes_per_step(gs, config) -> dict:
         ad.Tape.backward = real_backward
         for name, run in real_phases.items():
             setattr(pipeline, f"run_phase_{name}", run)
-    return {name: sum(steps) / len(steps) for name, steps in counts.items()}
+    return steps
 
 
 def runs():
@@ -146,12 +147,12 @@ def main():
         print(f"encoding {label}  {encoding_digest(gs)}")
         print(f"inputs   {label}  {input_bytes(gs)}")
     for batch_size in BATCH_SIZES:
-        nodes = nodes_per_step(planted_anomaly_set(), ExperimentConfig(
+        steps = step_ops(planted_anomaly_set(), ExperimentConfig(
             seeds=(0,), s_epochs=1, n_epochs=1, t_epochs=1,
             batch_size=batch_size))
-        print(f"nodes    batch {batch_size}  "
-              + "  ".join(f"{name} {count:.2f}"
-                          for name, count in nodes.items()))
+        print(f"nodes    batch {batch_size}  " + "  ".join(
+            f"{name} {sum(map(len, ops)) / len(ops):.2f}"
+            for name, ops in steps.items()))
     for label, gs, config in runs():
         report, per_seed, aucs = digests(gs, config)
         print(f"{label}  report {report}  per_seed {per_seed}  auc "

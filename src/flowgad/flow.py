@@ -10,7 +10,8 @@ arithmetic exact. The forward step is one fused tape node
 (``autodiff.coupling_step``) with a hand-written backward; the inverse,
 which no training step records, runs the same algebra backwards as a chain
 of primitives. On a pack of graphs the log-determinant is a column with
-one entry per graph.
+one entry per graph. The loss is one fused tape node too
+(``autodiff.normal_nll``).
 """
 
 from __future__ import annotations

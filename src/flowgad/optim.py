@@ -33,8 +33,8 @@ def glorot_init(rows: int, cols: int, seed) -> Tensor:
 
 class Perceptron:
     """relu(x W1 + b1) W2 + b2, the two-layer perceptron of the teacher's
-    feature decoder and of each GIN layer. W1 and then W2 are Glorot draws
-    from ``rng``; the biases start at zero."""
+    feature decoder and of each GIN layer, recorded as one tape node. W1
+    and then W2 are Glorot draws from ``rng``; the biases start at zero."""
 
     def __init__(self, d_in: int, hidden: int, d_out: int,
                  rng: np.random.Generator):

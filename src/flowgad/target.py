@@ -1,9 +1,10 @@
 """Student side: GIN network distilled against the frozen flow output.
 
 Each layer aggregates H + A*H over the raw adjacency (GIN-0, no epsilon)
-and pushes the result through a two-layer perceptron. A is stored as bool;
-the network casts it to float64 once per forward pass, into the training
-step's workspace (``autodiff.as_float``). A columnwise max readout
+and pushes the result through a two-layer perceptron, as one fused tape
+node (``autodiff.gin_layer``). A is stored as bool; the network casts a
+pack's blocks to float64 once per forward pass, into one region of the
+training step's workspace (``autodiff.as_float``). A columnwise max readout
 produces the graph vector, one row per graph of a pack.
 Disagreement is measured by halved cosine distance, bounded in [0, 1]; at
 beta = 1/2 the distillation loss is also the anomaly score. The cosine

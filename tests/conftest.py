@@ -1,8 +1,8 @@
 """Shared fixtures: benchmark-data discovery, a tiny on-disk dataset, the
 scalar reference for the student/flow distance, the composed chains that
 the fused model ops (perceptron, GIN and GCN layers, coupling step, flow
-loss, cosine distance) must bit-equal, a recorder of each training phase's
-tape ops, fully random flows, and checkpoint writes that fail halfway.
+loss, cosine distance) must bit-equal, fully random flows, and checkpoint
+writes that fail halfway.
 
 Real benchmark directories are looked up under $FLOWGAD_DATA_DIR, falling
 back to <repo>/data. Tests that need them skip with a pointer when the
@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from flowgad import autodiff as ad
-from flowgad import checkpoint, pipeline
+from flowgad import checkpoint
 from flowgad.flow import GraphFlow
 from flowgad.optim import glorot_init, make_rng
 
@@ -115,32 +115,6 @@ def tape_bits(build, tensors, reread=False):
     tape.backward(loss)
     return [out.data.tobytes(), loss.data.tobytes()] + [
         t.grad.tobytes() for t in tensors if t.requires_grad]
-
-
-def phase_tape_ops(patch, gs, config) -> dict:
-    """Runs ``run_experiment`` on ``gs`` under ``patch`` and returns, per
-    trained phase, the op names of each training step's tape in order."""
-    steps, phase = {}, [None]
-    for name in ("source", "flow", "target"):
-        real = getattr(pipeline, f"run_phase_{name}")
-
-        def run(*args, _real=real, _name=name, **kwargs):
-            phase[0] = _name
-            try:
-                return _real(*args, **kwargs)
-            finally:
-                phase[0] = None
-        patch.setattr(pipeline, f"run_phase_{name}", run)
-    backward = ad.Tape.backward
-
-    def recording(tape, loss):
-        if phase[0] is not None:
-            steps.setdefault(phase[0], []).append(
-                [node.op for node in tape.nodes])
-        return backward(tape, loss)
-    patch.setattr(ad.Tape, "backward", recording)
-    pipeline.run_experiment(gs, config)
-    return steps
 
 
 def composed_coupling_step(step, half0, half1, a_hat):

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import os
 import subprocess
 import sys
@@ -24,9 +25,9 @@ from flowgad.source import FeatureDecoder, GcnEncoder
 from flowgad.synthetic import planted_anomaly_set
 from flowgad.target import GinNetwork
 
-from conftest import (COMPOSED_OPS, composed_coupling_step,
+from conftest import (COMPOSED_OPS, REPO_ROOT, composed_coupling_step,
                       composed_cosine_distance, fail_checkpoint_writes,
-                      phase_tape_ops, reference_distance)
+                      reference_distance)
 
 TINY = dict(s_epochs=6, n_epochs=6, t_epochs=6, d=8, hidden=8, k_se=8,
             seeds=(0,))
@@ -430,13 +431,22 @@ TARGET_STEP = {"full": ["gin_layer", "gin_layer"] + LOSS_STEP,
 MEAN = ["reduce_sum", "scale"]
 
 
+def _load_digests():
+    """``scripts/digests.py``, whose recorder of each step's tape ops
+    feeds its ``nodes`` line."""
+    path = os.path.join(REPO_ROOT, "scripts", "digests.py")
+    spec = importlib.util.spec_from_file_location("digests_script", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 @pytest.mark.parametrize("variant", ["full", "asy_st"])
 @pytest.mark.parametrize("batch_size", [1, 4])
-def test_each_training_step_records_its_ops_once(monkeypatch, variant,
-                                                 batch_size):
+def test_each_training_step_records_its_ops_once(variant, batch_size):
     config = ExperimentConfig(variant=variant, seeds=(0,), s_epochs=1,
                               n_epochs=1, t_epochs=1, batch_size=batch_size)
-    steps = phase_tape_ops(monkeypatch, planted_anomaly_set(), config)
+    steps = _load_digests().step_ops(planted_anomaly_set(), config)
     expected = {"source": SOURCE_STEP, "target": TARGET_STEP[variant]}
     if variant == "full":
         expected["flow"] = FLOW_STEP
