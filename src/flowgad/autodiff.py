@@ -6,11 +6,12 @@ walks the record once in reverse and accumulates ``.grad`` buffers on every
 tensor that had ``requires_grad`` set.  Outside a tape the same primitives
 run as plain numpy calls, which keeps frozen-model inference cheap.
 
-A batch of graphs runs as one pack: the graphs' node rows stacked in order,
-a ``BlockDiag`` of their propagation matrices as the left operand of
-``matmul``, and row offsets that the ``segment_*`` reductions and
-``gram_bce`` split per graph. A pack of one graph computes exactly what the
-graph alone does.
+Every graph set runs as one pack: the graphs' node rows stacked in order,
+a ``BlockDiag`` of their propagation matrices, and its row offsets, which
+the ``segment_*`` reductions and the per-graph losses split per graph. The
+``BlockDiag`` is the only propagation operand the fused ops and
+``as_float`` take (``require_pack``); one graph is ``BlockDiag([a])``, its
+offsets (0, n).
 
 Every primitive records through ``_op``, which takes its output and one
 gradient map per input and, in backward, adds each tracked input's map of
@@ -28,8 +29,8 @@ are one ``reduceat``. A node may own several outputs (``coupling_step``
 has three); its backward runs once when any of them has a gradient, with
 zeros for an output no later op used.
 
-All tensor data is float64. A propagation operand may hold any 0/1 dtype:
-the library keeps raw adjacencies as bool blocks, which ``gram_bce`` reads
+All tensor data is float64. A pack's blocks may hold any 0/1 dtype: the
+library keeps raw adjacencies as bool blocks, which ``gram_bce`` reads
 through their edge index, and ``as_float`` gives the float64 blocks that a
 product needs. Matrices are 2-D throughout; per-graph losses are B x 1
 columns, and the training loss is their 0-d mean (one graph's 1 x 1 loss
@@ -299,37 +300,33 @@ class BlockDiag:
         return self._edges
 
 
-def row_offsets(a) -> tuple:
-    """The per-graph row offsets of a propagation operand: a BlockDiag's,
-    or a single segment over the rows of one graph's matrix."""
-    if isinstance(a, BlockDiag):
-        return a.offsets
-    return (0, a.shape[0])
+def require_pack(a, op: str) -> BlockDiag:
+    """``a``, the propagation operand of ``op``, if it is a BlockDiag."""
+    if not isinstance(a, BlockDiag):
+        raise ContractViolation(
+            f"{op} takes a BlockDiag propagation operand "
+            f"(BlockDiag([a]) for one graph), got {type(a).__name__}")
+    return a
 
 
-def _propagate(a, x: np.ndarray, transpose: bool = False) -> np.ndarray:
-    """a @ x, or a^T @ x, for a constant propagation operand: one graph's
-    matrix, or a BlockDiag as one GEMM per block into one buffer."""
-    if isinstance(a, BlockDiag):
-        out = np.empty((a.offsets[-1], x.shape[1]))
-        for block, lo, hi in a.spans:
-            np.matmul(block.T if transpose else block, x[lo:hi],
-                      out=out[lo:hi])
-        return out
-    return (a.T if transpose else a) @ x
+def _propagate(a: BlockDiag, x: np.ndarray,
+               transpose: bool = False) -> np.ndarray:
+    """a @ x, or a^T @ x, for a pack's BlockDiag: one GEMM per block into
+    one buffer."""
+    out = np.empty((a.offsets[-1], x.shape[1]))
+    for block, lo, hi in a.spans:
+        np.matmul(block.T if transpose else block, x[lo:hi], out=out[lo:hi])
+    return out
 
 
-def as_float(a):
-    """A propagation operand whose blocks are float64: ``a`` itself when
-    they already are (or it is a Tensor), else the same operand with each
-    other block cast, 0/1 to 0.0/1.0. The casts of a pack share one
-    region: under a tape that has a ``Workspace`` a region of it, which
-    lives as long as that tape and costs no allocation from the second
-    pass over a phase's packs on; elsewhere (scoring, gradcheck) one
-    allocation per call."""
-    if isinstance(a, Tensor):
-        return a
-    blocks = a.blocks if isinstance(a, BlockDiag) else (a,)
+def as_float(a: BlockDiag) -> BlockDiag:
+    """The pack ``a`` with float64 blocks: ``a`` itself when they already
+    are, else the same pack with each other block cast, 0/1 to 0.0/1.0.
+    The casts share one region: under a tape that has a ``Workspace`` a
+    region of it, which lives as long as that tape and costs no allocation
+    from the second pass over a phase's packs on; elsewhere (scoring,
+    gradcheck) one allocation per call."""
+    blocks = require_pack(a, "as_float").blocks
     if all(block.dtype == np.float64 for block in blocks):
         return a
     size = sum(block.size for block in blocks if block.dtype != np.float64)
@@ -345,7 +342,7 @@ def as_float(a):
             start += block.size
             block = cast
         floats.append(block)
-    return a._with_blocks(floats) if isinstance(a, BlockDiag) else floats[0]
+    return a._with_blocks(floats)
 
 
 def as_tensor(x) -> Tensor:
@@ -486,16 +483,6 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
 # bit-identical to it
 # ---------------------------------------------------------------------------
 
-def _constant_operand(a, op: str, name: str):
-    """A propagation operand as ``_propagate`` takes it: a constant Tensor's
-    array, else ``a`` itself. The fused ops pass no gradient to it."""
-    if isinstance(a, Tensor):
-        if a.requires_grad:
-            raise ContractViolation(f"{op} needs a constant {name}")
-        return a.data
-    return a
-
-
 def _mlp(x: np.ndarray, params) -> tuple:
     """relu(x W1 + b1) W2 + b2 as the matmul/add/relu chain computes it:
     the pre-activation, the hidden layer and the output."""
@@ -543,14 +530,14 @@ def perceptron(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
     return _record("perceptron", (x,) + params, out, backprop)
 
 
-def gin_layer(a, h: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
+def gin_layer(a: BlockDiag, h: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
               b2: Tensor) -> Tensor:
     """The perceptron of the GIN-0 aggregation h + A h as one node. ``a``
-    is one graph's float64 matrix, a pack's BlockDiag of them or a constant
-    Tensor. The backward gives h its direct gradient first, then the A^T
-    product, as the chain's add and matmul did."""
+    is a pack's BlockDiag of float64 matrices. The backward gives h its
+    direct gradient first, then the A^T product, as the chain's add and
+    matmul did."""
     h = as_tensor(h)
-    a = _constant_operand(a, "gin_layer", "A")
+    a = require_pack(a, "gin_layer")
     if a.shape[1] != h.data.shape[0]:
         raise ContractViolation(
             f"gin_layer rows {h.data.shape} do not fit A {a.shape}")
@@ -568,12 +555,12 @@ def gin_layer(a, h: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
     return _record("gin_layer", (h,) + params, out, backprop)
 
 
-def gcn_layer(a_hat, h: Tensor, w: Tensor, relu: bool) -> Tensor:
+def gcn_layer(a_hat: BlockDiag, h: Tensor, w: Tensor, relu: bool) -> Tensor:
     """relu((A_hat h) W), or (A_hat h) W without the relu, as one node.
-    ``a_hat`` is one graph's matrix, a pack's BlockDiag or a constant
-    Tensor; value and gradients bit-equal the matmul/matmul/relu chain."""
+    ``a_hat`` is a pack's BlockDiag; value and gradients bit-equal the
+    matmul/matmul/relu chain."""
     h = as_tensor(h)
-    a_hat = _constant_operand(a_hat, "gcn_layer", "A_hat")
+    a_hat = require_pack(a_hat, "gcn_layer")
     if a_hat.shape[1] != h.data.shape[0] or h.data.shape[1] != w.data.shape[0]:
         raise ContractViolation(
             f"gcn_layer operands do not fit: A_hat {a_hat.shape}, "
@@ -627,12 +614,12 @@ def _gram_buffers(workspace: Optional[Workspace], size: int) -> tuple:
             *raw[floats:].view(np.bool_).reshape(2, size))
 
 
-def gram_bce(h: Tensor, adjacency, lo: float, hi: float) -> Tensor:
+def gram_bce(h: Tensor, adjacency: BlockDiag, lo: float,
+             hi: float) -> Tensor:
     """Per-graph summed binary cross entropy of p = clip(sigmoid(h h^T), lo,
     hi) against a 0/1 matrix A: -sum(A log p + (1 - A) log(1 - p)), as a
-    B x 1 column. ``adjacency`` is one graph's matrix or a pack's BlockDiag;
-    each block pairs only its own rows of ``h``, so no cross-graph pair
-    enters.
+    B x 1 column. ``adjacency`` is a pack's BlockDiag; each block pairs
+    only its own rows of ``h``, so no cross-graph pair enters.
 
     One node with a hand-written backward; value and gradient are
     bit-identical to the composed transpose/matmul/sigmoid/clip/log chain.
@@ -654,11 +641,9 @@ def gram_bce(h: Tensor, adjacency, lo: float, hi: float) -> Tensor:
     """
     h = as_tensor(h)
     n = h.data.shape[0]
-    if adjacency.shape != (n, n):
+    if require_pack(adjacency, "gram_bce").shape != (n, n):
         raise ContractViolation(
             f"gram_bce needs a {n}x{n} target, got {adjacency.shape}")
-    if not isinstance(adjacency, BlockDiag):
-        adjacency = BlockDiag([adjacency])
     tape = _active_tape()
     workspace = tape.workspace if tape is not None and h.requires_grad else None
     # each block's first and end entry in the buffers
@@ -716,7 +701,14 @@ def gram_bce(h: Tensor, adjacency, lo: float, hi: float) -> Tensor:
     return _record("gram_bce", (h,), out_data, backprop)
 
 
-def coupling_step(half0: Tensor, half1: Tensor, a_hat, subnets,
+def _subnet(net, prop: np.ndarray) -> tuple:
+    """A coupling subnet's hidden layer and output for prop = A_hat h."""
+    w_prop, w_lin, bias = net
+    hidden = prop @ w_prop.data
+    return hidden, hidden @ w_lin.data + bias.data
+
+
+def coupling_step(half0: Tensor, half1: Tensor, a_hat: BlockDiag, subnets,
                   s_max: float) -> tuple:
     """One affine coupling step as one node with three outputs: half0',
     half1' and the per-graph log-det increment, a B x 1 column.
@@ -729,40 +721,34 @@ def coupling_step(half0: Tensor, half1: Tensor, a_hat, subnets,
         s_g = c(g1(half0')),  half1' = half1 exp(s_g) + g2(half0')
 
     and each graph's increment is its sum of s_f plus its sum of s_g.
-    ``a_hat`` is one graph's matrix, a pack's BlockDiag or a constant
-    Tensor. The forward propagates half1 once for f1 and f2, and half0'
-    once for g1 and g2. The backward takes one A_hat^T product per subnet
-    and adds half1's gradient in the chain's order: the g-side product,
-    then f2, then f1.
+    ``a_hat`` is a pack's BlockDiag. The forward propagates half1 once for
+    f1 and f2, and half0' once for g1 and g2. The backward takes one
+    A_hat^T product per subnet and adds half1's gradient in the chain's
+    order: the g-side product, then f2, then f1.
     """
     half0, half1 = as_tensor(half0), as_tensor(half1)
-    a_hat = _constant_operand(a_hat, "coupling_step", "A_hat")
+    a_hat = require_pack(a_hat, "coupling_step")
     if half0.shape != half1.shape or a_hat.shape[1] != half1.shape[0]:
         raise ContractViolation(
             f"coupling_step halves {half0.shape}, {half1.shape} do not fit "
             f"A_hat {a_hat.shape}")
-    spans = _segment_spans(half0, row_offsets(a_hat))
+    spans = _segment_spans(half0, a_hat.offsets)
     f1, f2, g1, g2 = subnets
     inv_s_max = 1.0 / s_max
 
-    def subnet(net, prop):
-        w_prop, w_lin, bias = net
-        hidden = prop @ w_prop.data
-        return hidden, hidden @ w_lin.data + bias.data
-
     prop1 = _propagate(a_hat, half1.data)
-    hidden_f1, raw = subnet(f1, prop1)
+    hidden_f1, raw = _subnet(f1, prop1)
     tanh_f = np.tanh(raw * inv_s_max)
     s_f = tanh_f * s_max
     exp_f = np.exp(s_f)
-    hidden_f2, shift = subnet(f2, prop1)
+    hidden_f2, shift = _subnet(f2, prop1)
     new0 = half0.data * exp_f + shift
     prop0 = _propagate(a_hat, new0)
-    hidden_g1, raw = subnet(g1, prop0)
+    hidden_g1, raw = _subnet(g1, prop0)
     tanh_g = np.tanh(raw * inv_s_max)
     s_g = tanh_g * s_max
     exp_g = np.exp(s_g)
-    hidden_g2, shift = subnet(g2, prop0)
+    hidden_g2, shift = _subnet(g2, prop0)
     new1 = half1.data * exp_g + shift
     inc = _segment_totals(s_f, spans) + _segment_totals(s_g, spans)
 
@@ -808,6 +794,30 @@ def coupling_step(half0: Tensor, half1: Tensor, a_hat, subnets,
     params = tuple(p for net in subnets for p in net)
     return _record("coupling_step", (half0, half1) + params,
                    (new0, new1, inc), backprop)
+
+
+def coupling_inverse(half0, half1, a_hat: BlockDiag, subnets,
+                     s_max: float) -> tuple:
+    """The input halves of ``coupling_step`` from its output halves, as
+    plain arrays and recording nothing; the same subnets and clamp c give
+
+        s_g = c(g1(half0)),  half1 = (half1 - g2(half0)) exp(-s_g)
+        s_f = c(f1(half1)),  half0 = (half0 - f2(half1)) exp(-s_f)
+    """
+    a_hat = require_pack(a_hat, "coupling_inverse")
+    if half0.shape != half1.shape or a_hat.shape[1] != half0.shape[0]:
+        raise ContractViolation(
+            f"coupling_inverse halves {half0.shape}, {half1.shape} do not "
+            f"fit A_hat {a_hat.shape}")
+    f1, f2, g1, g2 = subnets
+    inv_s_max = 1.0 / s_max
+    prop0 = _propagate(a_hat, half0)
+    s_g = np.tanh(_subnet(g1, prop0)[1] * inv_s_max) * s_max
+    half1 = (half1 - _subnet(g2, prop0)[1]) * np.exp(-s_g)
+    prop1 = _propagate(a_hat, half1)
+    s_f = np.tanh(_subnet(f1, prop1)[1] * inv_s_max) * s_max
+    half0 = (half0 - _subnet(f2, prop1)[1]) * np.exp(-s_f)
+    return half0, half1
 
 
 def cosine_distance(u: Tensor, v: Tensor) -> Tensor:
@@ -896,14 +906,12 @@ def reduce_max(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def _segment_spans(a: Tensor, offsets) -> list:
-    """(first row, end row) per segment; None is one segment over all
-    rows."""
+    """(first row, end row) per segment of the row offsets ``offsets``."""
     n = a.data.shape[0]
-    bounds = (0, n) if offsets is None else offsets
-    if bounds[0] != 0 or bounds[-1] != n:
+    if offsets[0] != 0 or offsets[-1] != n:
         raise ContractViolation(
-            f"segments {bounds[0]}..{bounds[-1]} do not cover {n} rows")
-    spans = list(zip(bounds[:-1], bounds[1:]))
+            f"segments {offsets[0]}..{offsets[-1]} do not cover {n} rows")
+    spans = list(zip(offsets[:-1], offsets[1:]))
     if any(lo >= hi for lo, hi in spans):
         raise ContractViolation("every segment needs at least one row")
     return spans
@@ -927,11 +935,10 @@ def _segment_totals(x: np.ndarray, spans) -> np.ndarray:
     return np.add.reduceat(padded, heads).reshape(-1, 1)
 
 
-def segment_sum(a: Tensor, offsets=None) -> Tensor:
-    """Per-segment totals of a's row blocks ``offsets[b]:offsets[b + 1]``
-    (one segment over all rows when ``offsets`` is None), a B x 1 column.
-    Each segment is summed as its own slice, so a single segment bit-equals
-    ``reduce_sum``."""
+def segment_sum(a: Tensor, offsets) -> Tensor:
+    """Per-segment totals of a's row blocks ``offsets[b]:offsets[b + 1]``,
+    a B x 1 column. Each segment is summed as its own slice, so the single
+    segment (0, n) bit-equals ``reduce_sum``."""
     a = as_tensor(a)
     spans = _segment_spans(a, offsets)
     return _op("segment_sum", (a,), _segment_totals(a.data, spans),
@@ -940,7 +947,7 @@ def segment_sum(a: Tensor, offsets=None) -> Tensor:
                    a.data.shape),))
 
 
-def segment_max(a: Tensor, offsets=None) -> Tensor:
+def segment_max(a: Tensor, offsets) -> Tensor:
     """Per-segment column maxima, B x d; the gradient routes to each
     segment's argmax row, ties to the lowest index, as ``reduce_max``."""
     a = as_tensor(a)
@@ -958,7 +965,7 @@ def segment_max(a: Tensor, offsets=None) -> Tensor:
                (grad,))
 
 
-def segment_mean(a: Tensor, offsets=None) -> Tensor:
+def segment_mean(a: Tensor, offsets) -> Tensor:
     """``segment_sum`` times 1/count, the count being each segment's
     entries, as ``mean`` scales."""
     a = as_tensor(a)

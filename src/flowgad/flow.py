@@ -8,10 +8,11 @@ are soft-clamped through tanh so exp() cannot overflow, and the clamped
 values feed both the transform and the log-determinant, keeping the density
 arithmetic exact. The forward step is one fused tape node
 (``autodiff.coupling_step``) with a hand-written backward; the inverse,
-which no training step records, runs the same algebra backwards as a chain
-of primitives. On a pack of graphs the log-determinant is a column with
-one entry per graph. The loss is one fused tape node too
-(``autodiff.normal_nll``).
+which no training step records, runs the same subnets and clamp backwards
+on plain arrays (``autodiff.coupling_inverse``). Every graph set, one
+graph included, arrives as a pack: a BlockDiag of its A_hat matrices. The
+log-determinant is a column with one entry per graph of the pack. The
+loss is one fused tape node too (``autodiff.normal_nll``).
 """
 
 from __future__ import annotations
@@ -36,10 +37,6 @@ class CouplingSubnet:
         self.w_lin = Tensor(np.zeros((width, width)), requires_grad=True)
         self.bias = Tensor(np.zeros((1, width)), requires_grad=True)
 
-    def forward(self, a_hat, h: Tensor) -> Tensor:
-        prop = ad.matmul(ad.matmul(a_hat, h), self.w_prop)
-        return ad.add(ad.matmul(prop, self.w_lin), self.bias)
-
     def params(self) -> list[Tensor]:
         return [self.w_prop, self.w_lin, self.bias]
 
@@ -54,31 +51,25 @@ class CouplingStep:
         self.g1 = CouplingSubnet(half_width, rng)
         self.g2 = CouplingSubnet(half_width, rng)
 
-    def _clamped(self, raw: Tensor) -> Tensor:
-        return ad.scale(ad.tanh(ad.scale(raw, 1.0 / self.s_max)), self.s_max)
+    def subnets(self) -> list[tuple]:
+        """The (w_prop, w_lin, bias) tensors of f1, f2, g1 and g2."""
+        return [tuple(net.params()) for net in (self.f1, self.f2, self.g1,
+                                                self.g2)]
 
     def forward(self, half0: Tensor, half1: Tensor, a_hat):
         """Returns (half0', half1', per-graph log-det increment column),
         recorded as one ``coupling_step`` tape node."""
-        return ad.coupling_step(
-            half0, half1, a_hat,
-            [(net.w_prop, net.w_lin, net.bias)
-             for net in (self.f1, self.f2, self.g1, self.g2)],
-            self.s_max)
+        return ad.coupling_step(half0, half1, a_hat, self.subnets(),
+                                self.s_max)
 
     def inverse(self, half0: Tensor, half1: Tensor, a_hat):
-        """The step's inverse, composed from tape primitives."""
-        s_g = self._clamped(self.g1.forward(a_hat, half0))
-        half1 = ad.mul(ad.sub(half1, self.g2.forward(a_hat, half0)),
-                       ad.exp(ad.scale(s_g, -1.0)))
-        s_f = self._clamped(self.f1.forward(a_hat, half1))
-        half0 = ad.mul(ad.sub(half0, self.f2.forward(a_hat, half1)),
-                       ad.exp(ad.scale(s_f, -1.0)))
-        return half0, half1
+        """The step's inverse (``autodiff.coupling_inverse``), as two
+        untracked Tensors."""
+        return tuple(Tensor(half) for half in ad.coupling_inverse(
+            half0.data, half1.data, a_hat, self.subnets(), self.s_max))
 
     def params(self) -> list[Tensor]:
-        return (self.f1.params() + self.f2.params()
-                + self.g1.params() + self.g2.params())
+        return [p for net in self.subnets() for p in net]
 
 
 class GraphFlow:
@@ -97,12 +88,13 @@ class GraphFlow:
 
     def forward(self, h: Tensor, a_hat):
         """Maps embeddings to the latent; returns (z, log_det) Tensors,
-        log_det a column with one entry per graph of ``a_hat``."""
+        log_det a column with one entry per graph of the pack ``a_hat``."""
         if h.shape[1] != self.d:
             raise ContractViolation(
                 f"flow built for width {self.d}, got {h.shape[1]}")
         half0, half1 = ad.split_half(h)
-        log_det = ad.constant(np.zeros((len(ad.row_offsets(a_hat)) - 1, 1)))
+        graphs = len(ad.require_pack(a_hat, "GraphFlow.forward").offsets) - 1
+        log_det = ad.constant(np.zeros((graphs, 1)))
         for step in self.steps:
             half0, half1, inc = step.forward(half0, half1, a_hat)
             log_det = ad.add(log_det, inc)
@@ -130,13 +122,12 @@ class GraphFlow:
         return {"d": self.d, "steps": len(self.steps), "s_max": self.s_max}
 
 
-def nf_loss(z: Tensor, log_det: Tensor, offsets=None) -> Tensor:
+def nf_loss(z: Tensor, log_det: Tensor, offsets) -> Tensor:
     """Per-graph negative log likelihood under a standard-normal latent, up
     to the constant (d/2)log(2 pi) per node, as a B x 1 column. The graphs
-    are the row segments ``offsets`` of ``z`` (None: all rows are one
-    graph). Each graph's loss is divided by its own node count so graphs
-    of different sizes contribute comparably."""
-    offsets = ad.row_offsets(z) if offsets is None else offsets
+    are the row segments ``offsets`` of ``z`` ((0, n) for one graph). Each
+    graph's loss is divided by its own node count so graphs of different
+    sizes contribute comparably."""
     return ad.normal_nll(z, log_det, offsets)
 
 
@@ -152,7 +143,7 @@ def train_flow(flow: GraphFlow, packs, *, epochs: int,
     def pack_loss(pack):
         a_hat, h = pack
         z, log_det = flow.forward(ad.constant(h), a_hat)
-        return nf_loss(z, log_det, ad.row_offsets(a_hat))
+        return nf_loss(z, log_det, a_hat.offsets)
 
     return fit(flow.params(), packs, pack_loss, epochs=epochs, lr=lr,
                what="flow")

@@ -97,7 +97,7 @@ def fit(params, packs, pack_loss, *, epochs: int, lr: float,
 
     ``packs`` is the phase's list of training packs, built once and
     visited in order every epoch; a pack's first entry is its propagation
-    operand, whose row offsets say how many graphs it holds.
+    operand, a BlockDiag whose row offsets say how many graphs it holds.
     ``pack_loss(pack)`` records the pack's per-graph losses on the active
     tape as a B x 1 column; a step descends on its mean (on the loss
     itself for a one-graph pack, which records no mean). Returns the
@@ -107,7 +107,8 @@ def fit(params, packs, pack_loss, *, epochs: int, lr: float,
     share one ``autodiff.Workspace``, dropped when training returns."""
     if not packs:
         raise ContractViolation("training set is empty")
-    counts = [len(ad.row_offsets(pack[0])) - 1 for pack in packs]
+    counts = [len(ad.require_pack(pack[0], "fit").offsets) - 1
+              for pack in packs]
     opt = Adam(params, lr=lr)
     workspace = ad.Workspace()
     trace = []

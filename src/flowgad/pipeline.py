@@ -166,12 +166,12 @@ def config_from_dict(d: dict) -> ExperimentConfig:
 
 @dataclass
 class GraphInputs:
-    """One graph's matrices, or a pack's: then ``adjacency`` and ``a_hat``
-    are BlockDiags of the graphs' own matrices and ``x_init`` stacks their
-    rows. ``adjacency`` is the graph's own array, shared with its ``Graph``:
-    bool, n^2 bytes, for every graph the library builds. ``a_hat`` is
-    float64, 8 n^2 bytes. The GIN student, the one float consumer of A,
-    casts a pack's blocks per step (``autodiff.as_float``)."""
+    """One graph's matrices, or a pack's: the models take only a pack,
+    whose ``adjacency`` and ``a_hat`` are BlockDiags of its graphs' own
+    matrices and whose ``x_init`` stacks their rows (``packs``). A graph's
+    ``adjacency`` is shared with its ``Graph``: bool, n^2 bytes. Its
+    ``a_hat`` is float64, 8 n^2 bytes. The GIN student, the one float
+    consumer of A, casts a pack's blocks per step (``autodiff.as_float``)."""
     adjacency: np.ndarray | ad.BlockDiag
     a_hat: np.ndarray | ad.BlockDiag
     x_init: np.ndarray
@@ -309,7 +309,7 @@ def student_propagation(gi: GraphInputs, student):
 
 
 def forward_stack(gi: GraphInputs, models: dict) -> dict:
-    """Node matrices of one graph or pack at each stage the named models
+    """Node matrices of one pack at each stage the named models
     reach: "source" (teacher embeddings), "flow" (their latent) and
     "target" (the student's output). Frozen models record nothing, so no
     tape is built."""
@@ -327,8 +327,8 @@ def forward_stack(gi: GraphInputs, models: dict) -> dict:
 
 def score_graph(gi: GraphInputs, models: dict,
                 config: ExperimentConfig) -> np.ndarray:
-    """The anomaly score of each graph of a pack (or of one graph), from
-    the models of the variant's phase chain. The flow-less baseline
+    """The anomaly score of each graph of a pack (``packs``), from the
+    models of the variant's phase chain. The flow-less baseline
     (``non_st``) scores by its reconstruction loss; every other variant by
     the distillation loss at beta = 1/2: the mean of the graph-level and
     mean node-level disagreement, in [0, 1] under the cosine distance."""
@@ -339,8 +339,7 @@ def score_graph(gi: GraphInputs, models: dict,
     else:
         stages = forward_stack(gi, models)
         losses = graph_target_loss(ad.constant(stages["target"]),
-                                   stages["flow"], 0.5,
-                                   ad.row_offsets(gi.a_hat))
+                                   stages["flow"], 0.5, gi.a_hat.offsets)
     return np.ravel(losses.data)
 
 

@@ -13,8 +13,8 @@ and graph, and the backward pass reuses them. It splits edges from
 non-edges by a gather and scatter over the pack's cached edge index, not
 by a mask. During pre-training these buffers are one region of the
 workspace that ``optim.fit`` owns for the phase: reused step after step,
-and freed when the phase returns. A training step runs on a pack of
-graphs (see ``autodiff``), and every loss is a column of per-graph values.
+and freed when the phase returns. Every op takes a pack of graphs (see
+``autodiff``), and every loss is a column of per-graph values.
 Afterwards the encoder is frozen; later phases only read it.
 """
 
@@ -74,14 +74,14 @@ class FeatureDecoder(Perceptron):
 def adjacency_recon_loss(h: Tensor, adjacency) -> Tensor:
     """Per graph, the summed BCE between sigmoid(h_i . h_j), clamped to
     [CLAMP_LO, CLAMP_HI], and the 0/1 adjacency over all n^2 entries; a
-    B x 1 column for one graph's matrix (B = 1) or a pack's BlockDiag."""
+    B x 1 column, one entry per graph of the pack's BlockDiag."""
     return ad.gram_bce(h, adjacency, CLAMP_LO, CLAMP_HI)
 
 
 def feature_recon_loss(x_init: np.ndarray, x_star: Tensor,
-                       offsets=None) -> Tensor:
-    """Per graph (row segments ``offsets``; None is one graph), the squared
-    Frobenius distance between decoded and initial features."""
+                       offsets) -> Tensor:
+    """Per graph (row segments ``offsets``; (0, n) for one graph), the
+    squared Frobenius distance between decoded and initial features."""
     diff = ad.sub(ad.constant(x_init), x_star)
     return ad.segment_sum(ad.mul(diff, diff), offsets)
 
@@ -93,14 +93,14 @@ def source_loss(h: Tensor, adjacency, x_init: np.ndarray,
     if not (0.0 <= alpha <= 1.0):
         raise ConfigError(f"alpha must lie in [0, 1], got {alpha}")
     recon_a = adjacency_recon_loss(h, adjacency)
-    recon_x = feature_recon_loss(x_init, x_star, ad.row_offsets(adjacency))
+    recon_x = feature_recon_loss(x_init, x_star, adjacency.offsets)
     return ad.add(ad.scale(recon_a, 1.0 - alpha), ad.scale(recon_x, alpha))
 
 
 def graph_source_loss(encoder: GcnEncoder, decoder: FeatureDecoder,
                       a_hat, adjacency, x_init: np.ndarray,
                       alpha: float) -> Tensor:
-    """``source_loss`` of one graph's or one pack's matrices."""
+    """``source_loss`` of one pack's matrices."""
     h = encoder.forward(a_hat, ad.constant(x_init))
     x_star = decoder.forward(h)
     return source_loss(h, adjacency, x_init, x_star, alpha)
@@ -110,8 +110,8 @@ def pretrain_source(encoder: GcnEncoder, decoder: FeatureDecoder, packs, *,
                     alpha: float, epochs: int, lr: float) -> list[float]:
     """Pre-train encoder+decoder on normal graphs.
 
-    ``packs`` is a list of (a_hat, adjacency, x_init) packs: one graph's
-    matrices, or a pack's BlockDiags and stacked rows. One optimizer step
+    ``packs`` is a list of (a_hat, adjacency, x_init) packs: two
+    BlockDiags and the graphs' stacked rows. One optimizer step
     per pack, on the mean of its per-graph losses. Returns the mean
     per-graph loss of each epoch.
     """

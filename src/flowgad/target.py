@@ -2,10 +2,10 @@
 
 Each layer aggregates H + A*H over the raw adjacency (GIN-0, no epsilon)
 and pushes the result through a two-layer perceptron, as one fused tape
-node (``autodiff.gin_layer``). A is stored as bool; the network casts a
-pack's blocks to float64 once per forward pass, into one region of the
-training step's workspace (``autodiff.as_float``). A columnwise max readout
-produces the graph vector, one row per graph of a pack.
+node (``autodiff.gin_layer``). A is a pack's BlockDiag of bool blocks; the
+network casts them to float64 once per forward pass, into one region of
+the training step's workspace (``autodiff.as_float``). A columnwise max
+readout produces the graph vector, one row per graph of the pack.
 Disagreement is measured by halved cosine distance, bounded in [0, 1]; at
 beta = 1/2 the distillation loss is also the anomaly score. The cosine
 distance is one fused tape node (``autodiff.cosine_distance``) with a
@@ -61,10 +61,10 @@ class GinNetwork:
 
 
 def graph_target_loss(student_nodes: Tensor, z_nodes: np.ndarray,
-                      beta: float, offsets=None) -> Tensor:
+                      beta: float, offsets) -> Tensor:
     """(1-beta) * graph-level distance + beta * mean node-level distance
-    per graph, as a B x 1 column over the row segments ``offsets`` (None:
-    all rows are one graph). The trainer averages the column, and at
+    per graph, as a B x 1 column over the row segments ``offsets`` ((0, n)
+    for one graph). The trainer averages the column, and at
     beta = 1/2 each entry is its graph's anomaly score. Both graph vectors
     are the columnwise max of their graph's rows. Each distance is the
     halved cosine distance (1 - cos)/2 in [0, 1]. A row pair with exactly
@@ -90,15 +90,15 @@ def train_target(student, packs, *, beta: float, epochs: int,
                  lr: float) -> list[float]:
     """Distill the student toward frozen latent targets.
 
-    ``packs`` holds (prop, x_init, z_nodes) packs, where ``prop`` is
-    whichever propagation operand the student consumes (raw adjacency for
-    GIN, normalized for a GCN student) and the rows of ``x_init`` and
-    ``z_nodes`` stack its graphs. One optimizer step per pack. Returns the
-    per-epoch mean loss trace."""
+    ``packs`` holds (prop, x_init, z_nodes) packs, where ``prop`` is the
+    BlockDiag the student consumes (raw adjacency for GIN, normalized for
+    a GCN student) and the rows of ``x_init`` and ``z_nodes`` stack its
+    graphs. One optimizer step per pack. Returns the per-epoch mean loss
+    trace."""
     def pack_loss(pack):
         prop, x_init, z_nodes = pack
         out = student.forward(prop, ad.constant(x_init))
-        return graph_target_loss(out, z_nodes, beta, ad.row_offsets(prop))
+        return graph_target_loss(out, z_nodes, beta, prop.offsets)
 
     return fit(student.params(), packs, pack_loss, epochs=epochs, lr=lr,
                what="distillation")

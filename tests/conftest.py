@@ -117,15 +117,29 @@ def tape_bits(build, tensors, reread=False):
         t.grad.tobytes() for t in tensors if t.requires_grad]
 
 
+def composed_subnet(net, a_hat, h):
+    """One coupling subnet, h -> (A_hat h W_prop) W_lin + b, as tape
+    primitives."""
+    prop = ad.matmul(ad.matmul(a_hat, h), net.w_prop)
+    return ad.add(ad.matmul(prop, net.w_lin), net.bias)
+
+
+def composed_clamp(raw, s_max):
+    """The soft clamp s_max tanh(raw / s_max) as tape primitives."""
+    return ad.scale(ad.tanh(ad.scale(raw, 1.0 / s_max)), s_max)
+
+
 def composed_coupling_step(step, half0, half1, a_hat):
     """``CouplingStep.forward`` as the chain of tape primitives it was built
     from before it became one fused node: the reference it must bit-equal."""
-    s_f = step._clamped(step.f1.forward(a_hat, half1))
-    half0 = ad.add(ad.mul(half0, ad.exp(s_f)), step.f2.forward(a_hat, half1))
-    s_g = step._clamped(step.g1.forward(a_hat, half0))
-    half1 = ad.add(ad.mul(half1, ad.exp(s_g)), step.g2.forward(a_hat, half0))
-    offsets = ad.row_offsets(a_hat)
-    inc = ad.add(ad.segment_sum(s_f, offsets), ad.segment_sum(s_g, offsets))
+    s_f = composed_clamp(composed_subnet(step.f1, a_hat, half1), step.s_max)
+    half0 = ad.add(ad.mul(half0, ad.exp(s_f)),
+                   composed_subnet(step.f2, a_hat, half1))
+    s_g = composed_clamp(composed_subnet(step.g1, a_hat, half0), step.s_max)
+    half1 = ad.add(ad.mul(half1, ad.exp(s_g)),
+                   composed_subnet(step.g2, a_hat, half0))
+    inc = ad.add(ad.segment_sum(s_f, a_hat.offsets),
+                 ad.segment_sum(s_g, a_hat.offsets))
     return half0, half1, inc
 
 

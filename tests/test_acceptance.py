@@ -55,6 +55,7 @@ def _benchmark_report(dataset: str, variant: str = "full", **overrides):
 
 
 def _random_graph(rng, n, width):
+    """A random graph's A and A_hat, each as a pack of one, and features."""
     a = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
@@ -63,7 +64,8 @@ def _random_graph(rng, n, width):
     with_loops = a + np.eye(n)
     inv_root = np.diag(1.0 / np.sqrt(with_loops.sum(axis=1)))
     x = rng.normal(size=(n, width))
-    return a, inv_root @ with_loops @ inv_root, x
+    a_hat = inv_root @ with_loops @ inv_root
+    return ad.BlockDiag([a]), ad.BlockDiag([a_hat]), x
 
 
 # --------------------------------------------------------------- benchmarks
@@ -164,8 +166,8 @@ def test_flow_correctness_suite():
         n = int(rng.integers(2, 9))
         _, a_hat, h = _random_graph(rng, n, d)
         flow = random_flow(d, 2, make_rng(trial, 5))
-        z, _ = flow.forward(ad.constant(h), ad.constant(a_hat))
-        back = flow.inverse(z, ad.constant(a_hat))
+        z, _ = flow.forward(ad.constant(h), a_hat)
+        back = flow.inverse(z, a_hat)
         worst_untrained = max(worst_untrained, np.abs(back.data - h).max())
 
     # (a') the same bound after actual training
@@ -179,8 +181,8 @@ def test_flow_correctness_suite():
     worst_trained = 0.0
     for trial in range(100):
         _, a_hat, h = _random_graph(rng, int(rng.integers(2, 9)), d)
-        z, _ = flow.forward(ad.constant(h), ad.constant(a_hat))
-        back = flow.inverse(z, ad.constant(a_hat))
+        z, _ = flow.forward(ad.constant(h), a_hat)
+        back = flow.inverse(z, a_hat)
         worst_trained = max(worst_trained, np.abs(back.data - h).max())
 
     # (b) volume term vs a finite-difference Jacobian, 50 small instances
@@ -192,8 +194,7 @@ def test_flow_correctness_suite():
         flow = random_flow(d, 2, make_rng(trial, 6))
 
         def fwd(flat):
-            z, _ = flow.forward(ad.constant(flat.reshape(n, d)),
-                                ad.constant(a_hat))
+            z, _ = flow.forward(ad.constant(flat.reshape(n, d)), a_hat)
             return z.data.ravel()
 
         flat = h.ravel()
@@ -205,7 +206,7 @@ def test_flow_correctness_suite():
             bump[j] = step
             jac[:, j] = (fwd(flat + bump) - fwd(flat - bump)) / (2 * step)
         sign, log_abs_det = np.linalg.slogdet(jac)
-        _, analytic = flow.forward(ad.constant(h), ad.constant(a_hat))
+        _, analytic = flow.forward(ad.constant(h), a_hat)
         rel = abs(analytic.item() - log_abs_det) / max(1.0, abs(log_abs_det))
         assert sign > 0
         worst_logdet = max(worst_logdet, rel)
@@ -213,7 +214,7 @@ def test_flow_correctness_suite():
     # (c) freshly initialised couplings are exactly the identity map
     _, a_hat, h = _random_graph(rng, 5, 8)
     fresh = GraphFlow(8, steps=2, s_max=2.0, rng=make_rng(1, 5))
-    z, log_det = fresh.forward(ad.constant(h), ad.constant(a_hat))
+    z, log_det = fresh.forward(ad.constant(h), a_hat)
     identity_exact = np.array_equal(z.data, h) and log_det.item() == 0.0
 
     ok = (worst_untrained < 1e-8 and worst_trained < 1e-5
@@ -232,7 +233,6 @@ def test_gradient_suite():
     for rep in range(10):
         rng = np.random.default_rng(400 + rep)
         adj, a_hat, x = _random_graph(rng, 4, width)
-        a_hat_c, adj_c = ad.constant(a_hat), ad.constant(adj)
         x_c = ad.constant(x)
 
         encoder = GcnEncoder(width, hidden, d, 2, make_rng(rep, 41))
@@ -250,8 +250,8 @@ def test_gradient_suite():
         h_in = ad.constant(rng.normal(size=(4, d)))
 
         def density_loss(*params):
-            z, log_det = flow.forward(h_in, a_hat_c)
-            return nf_loss(z, log_det)
+            z, log_det = flow.forward(h_in, a_hat)
+            return nf_loss(z, log_det, a_hat.offsets)
 
         worst["density"] = max(
             worst["density"], ad.gradcheck(density_loss, flow.params(), 1e-5))
@@ -260,8 +260,9 @@ def test_gradient_suite():
         z_nodes = rng.normal(size=(4, d))
 
         def distill_loss(*params):
-            out = student.forward(adj_c, x_c)
-            return graph_target_loss(out, z_nodes, beta=0.6)
+            out = student.forward(adj, x_c)
+            return graph_target_loss(out, z_nodes, beta=0.6,
+                                     offsets=adj.offsets)
 
         worst["distillation"] = max(
             worst["distillation"],

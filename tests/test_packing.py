@@ -2,20 +2,23 @@
 
 A pack stacks its graphs' node rows and keeps their propagation matrices as
 BlockDiags, so every loss is a column with one row per graph. Each row must
-equal the loss of its graph alone (up to the rounding of larger matrix
-products), a training step must descend on the rows' mean, and no graph's
-row may depend on another graph of the pack.
+equal the loss of its graph (a pack of one) alone, up to the rounding of
+larger matrix products, a training step must descend on the rows' mean,
+and no graph's row may depend on another graph of the pack. A pack is the
+only propagation operand the models take.
 """
 
 import copy
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 from flowgad import autodiff as ad
-from flowgad.autodiff import Tape
-from flowgad.flow import nf_loss, train_flow
+from flowgad.autodiff import Tape, Tensor
+from flowgad.errors import ContractViolation
+from flowgad.flow import GraphFlow, nf_loss, train_flow
 from flowgad.optim import make_rng
 from flowgad.pipeline import (PHASES, ExperimentConfig, forward_stack, packs,
                               precompute_inputs, score_graph)
@@ -55,10 +58,10 @@ def _pack(inputs, chunk):
 
 
 def _losses(phase, models, gi):
-    """The phase's loss column on one graph's or one pack's inputs, with the
-    upstream stages as constants, as each phase's trainer sees them."""
+    """The phase's loss column on one pack's inputs, with the upstream
+    stages as constants, as each phase's trainer sees them."""
     stages = forward_stack(gi, models)     # outside the tape: constants
-    offsets = ad.row_offsets(gi.a_hat)
+    offsets = gi.a_hat.offsets
     if phase == "source":
         return graph_source_loss(models["encoder"], models["decoder"],
                                  gi.a_hat, gi.adjacency, gi.x_init, ALPHA)
@@ -108,7 +111,8 @@ def _trace(phase, models, pack_list, lr=1e-3):
 def test_pack_loss_is_the_mean_of_per_graph_losses(inputs, phase):
     models = _models(inputs)
     rows, grads = _rows_and_grads(phase, models, _pack(inputs, CHUNK))
-    alone = [_rows_and_grads(phase, models, inputs[i]) for i in CHUNK]
+    alone = [_rows_and_grads(phase, models, _pack(inputs, [i]))
+             for i in CHUNK]
     expected = np.array([graph_rows[0] for graph_rows, _ in alone])
     assert rows == pytest.approx(expected, rel=1e-12, abs=1e-15)
     for i, grad in enumerate(grads):
@@ -129,7 +133,7 @@ def test_epoch_mean_weighs_each_graph_once_with_a_short_last_pack(inputs,
     pack_list = list(packs(inputs, chunk, 2))
     assert [len(pack.a_hat.blocks) for pack in pack_list] == [2, 2, 1]
     models = _models(inputs)
-    alone = np.array([_rows_and_grads(phase, models, inputs[i])[0][0]
+    alone = np.array([_rows_and_grads(phase, models, _pack(inputs, [i]))[0][0]
                       for i in chunk])
     pack_means = np.mean([alone[:2].mean(), alone[2:4].mean(), alone[4]])
     assert alone.mean() != pytest.approx(pack_means, rel=1e-6)
@@ -169,5 +173,36 @@ def test_one_graph_never_moves_another_graphs_score(inputs, variant, rng):
                         models, config)
     assert after[2] != before[2]
     assert np.delete(after, 2).tobytes() == np.delete(before, 2).tobytes()
-    alone = [score_graph(inputs[i], models, config)[0] for i in CHUNK]
+    alone = [score_graph(_pack(inputs, [i]), models, config)[0]
+             for i in CHUNK]
     assert before == pytest.approx(alone, rel=1e-12, abs=1e-15)
+
+
+X = ad.constant(np.ones((3, 2)))
+# entry point -> (the op its error names, a call on propagation operand a)
+PACK_TAKERS = {
+    "GcnEncoder.forward": ("gcn_layer", lambda a: GcnEncoder(
+        2, 2, 2, 1, make_rng(0)).forward(a, X)),
+    "GinNetwork.forward": ("as_float", lambda a: GinNetwork(
+        2, 2, 2, 1, make_rng(0)).forward(a, X)),
+    "GraphFlow.forward": ("GraphFlow.forward", lambda a: GraphFlow(
+        2, 1, 2.0, make_rng(0)).forward(X, a)),
+    "GraphFlow.inverse": ("coupling_inverse", lambda a: GraphFlow(
+        2, 1, 2.0, make_rng(0)).inverse(X, a)),
+    "gram_bce": ("gram_bce", lambda a: ad.gram_bce(X, a, 0.1, 0.9)),
+    "as_float": ("as_float", ad.as_float),
+    "train_flow": ("fit", lambda a: train_flow(
+        GraphFlow(2, 1, 2.0, make_rng(0)), [(a, X.data)], epochs=1,
+        lr=1e-3)),
+}
+
+
+@pytest.mark.parametrize("operand", [np.eye(3), Tensor(np.eye(3), True)],
+                         ids=["ndarray", "Tensor"])
+@pytest.mark.parametrize("entry", list(PACK_TAKERS))
+def test_a_propagation_operand_that_is_not_a_pack_is_rejected(entry,
+                                                              operand):
+    op, call = PACK_TAKERS[entry]
+    with pytest.raises(ContractViolation,
+                       match=f"^{re.escape(op)} takes a BlockDiag"):
+        call(operand)

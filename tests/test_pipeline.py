@@ -17,7 +17,7 @@ from flowgad.flow import CouplingStep, GraphFlow
 from flowgad.optim import make_rng
 from flowgad.pipeline import (PHASES, VARIANTS, ExperimentConfig, SplitGuard,
                               compute_auc, config_from_dict, export_embeddings,
-                              forward_stack, precompute_inputs,
+                              forward_stack, packs, precompute_inputs,
                               report_from_dict, resolve_normal_class,
                               run_experiment, run_seed,
                               score_graph, score_histogram, subsample_graphset)
@@ -502,7 +502,8 @@ def test_score_graph_agreement_is_zero(rng):
     _, results = run_experiment(gs, cfg)
     models = results[0].models
     echo = Echo(models["encoder"], models["flow"])
-    score = score_graph(inputs[0], {**models, "student": echo}, cfg)
+    score = score_graph(next(packs(inputs, [0], 1)),
+                        {**models, "student": echo}, cfg)
     assert score < 1e-9
 
 
@@ -516,7 +517,8 @@ def test_score_matches_per_node_reference(variant):
     _, results = run_experiment(gs, cfg)
     models = results[0].models
     graphs_with_zero_pairs = 0
-    for gi in precompute_inputs(gs, cfg, range(len(gs))).values():
+    inputs = precompute_inputs(gs, cfg, range(len(gs)))
+    for gi in packs(inputs, range(len(gs)), 1):
         with ad.Tape() as tape:
             stages = forward_stack(gi, models)
             score = score_graph(gi, models, cfg)
@@ -570,7 +572,7 @@ def test_checkpoint_roundtrip_preserves_scores(tmp_path):
     models, last_fp = store.load_chain(0, PHASES)
     assert last_fp == target_fp
     assert set(models) == {"encoder", "decoder", "flow", "student"}
-    for gi in [inputs[i] for i in range(4)]:
+    for gi in packs(inputs, range(4), 1):
         orig = score_graph(gi, res.models, cfg)
         loaded = score_graph(gi, models, cfg)
         assert orig == loaded
