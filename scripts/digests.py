@@ -25,7 +25,13 @@ training did. An ``inputs`` line gives, for each set, the bytes that
 ``precompute_inputs`` keeps for all its graphs: the adjacencies, the
 A_hat operators and the initial features. Those counts are exact and the
 same on every machine, so a change that moves the inputs' footprint shows
-it beside the digests. A ``nodes`` line gives, at batch 1 and at batch
+it beside the digests. A ``held`` line gives, for each set, the bytes of
+A_hat and initial features that ``run_experiment`` holds while it trains
+(the training normals of every seed) and while it scores (the held-out
+graphs of every seed), with the graph counts, under the seeds of that
+set's digest lines. The adjacencies belong to the graph set and stay
+either way, so they are left out. These counts are exact and
+machine-independent too. A ``nodes`` line gives, at batch 1 and at batch
 4, the mean count of tape nodes a training step of each phase records on
 the default planted set (variant ``full``, one epoch per phase). That
 count is exact and the same on every machine too, so a change that adds
@@ -90,6 +96,34 @@ def input_bytes(gs) -> str:
                      for name in ("adjacency", "a_hat", "x_init"))
 
 
+def held_bytes(gs, seeds) -> str:
+    """The A_hat and initial-feature bytes of the inputs ``run_experiment``
+    hands to ``train_seed`` and to ``score_seed`` at k_se = 16, over
+    ``seeds``, with no epochs."""
+    held = {}
+    real = {name: getattr(pipeline, name) for name in ("train_seed", "score_seed")}
+
+    def spy(name):
+        def run(*args, **kwargs):
+            inputs = args[1]
+            held.setdefault(name, (len(inputs), sum(
+                gi.a_hat.nbytes + gi.x_init.nbytes for gi in inputs.values())))
+            return real[name](*args, **kwargs)
+        return run
+
+    for name in real:
+        setattr(pipeline, name, spy(name))
+    try:
+        run_experiment(gs, ExperimentConfig(seeds=seeds, k_se=16, s_epochs=0,
+                                            n_epochs=0, t_epochs=0))
+    finally:
+        for name, fn in real.items():
+            setattr(pipeline, name, fn)
+    return "  ".join(f"{side} {held[name][1]} ({held[name][0]} graphs)"
+                     for side, name in (("train", "train_seed"),
+                                        ("score", "score_seed")))
+
+
 def step_ops(gs, config) -> dict:
     """Per trained phase, the op names of each training step's tape, in
     order, in one ``run_experiment``."""
@@ -142,10 +176,11 @@ def runs():
 def main():
     print("environment "
           + " ".join(f"{key}={value}" for key, value in environment().items()))
-    for label, gs in (("default", planted_anomaly_set()),
-                      ("large  ", large_set())):
+    for label, gs, seeds in (("default", planted_anomaly_set(), (0, 1)),
+                             ("large  ", large_set(), (0,))):
         print(f"encoding {label}  {encoding_digest(gs)}")
         print(f"inputs   {label}  {input_bytes(gs)}")
+        print(f"held     {label}  {held_bytes(gs, seeds)}")
     for batch_size in BATCH_SIZES:
         steps = step_ops(planted_anomaly_set(), ExperimentConfig(
             seeds=(0,), s_epochs=1, n_epochs=1, t_epochs=1,

@@ -28,8 +28,8 @@ from .errors import (ConfigError, DatasetError, FlowgadError, NumericFault,
                      PhaseOrderError, TrainingFault, UndefinedMetricError)
 from .pipeline import (PHASES, VARIANTS, ExperimentConfig, build_report,
                        config_from_dict, export_embeddings, phase_chain,
-                       prepare_experiment, report_from_dict, run_seed,
-                       score_histogram)
+                       prepare_experiment, report_from_dict, score_histogram,
+                       score_seed, train_seed)
 from .synthetic import planted_anomaly_set
 
 EXIT_CODES = (
@@ -150,12 +150,12 @@ def cmd_train(args) -> int:
         raise ConfigError(f"--phase {args.phase}: variant {config.variant} "
                           f"runs only {', '.join(chain)}")
     gs, normal, inputs = prepare_experiment(load_dataset(config), config,
-                                            sides=("train",))
+                                            "train")
     store = _store(config, args, gs)
     phases = chain if args.phase == "all" else (args.phase,)
     for seed in config.seeds:
-        result = run_seed(gs, inputs, config, seed, normal, store=store,
-                          train=phases, score=False)
+        result = train_seed(gs, inputs, config, seed, normal, store=store,
+                            phases=phases)
         for phase in phases:
             trace = result.traces.get(phase)
             note = ("identity" if trace is None else
@@ -169,7 +169,7 @@ def cmd_eval(args) -> int:
     t0 = time.perf_counter()
     gs = load_dataset(config)
     t1 = time.perf_counter()
-    gs, normal, inputs = prepare_experiment(gs, config, sides=("test",))
+    gs, normal, inputs = prepare_experiment(gs, config, "test")
     once = {"load": t1 - t0, "setup": time.perf_counter() - t1}
     store = _store(config, args, gs)
     missing = [seed for seed in config.seeds
@@ -180,8 +180,10 @@ def cmd_eval(args) -> int:
 
     results = []
     for seed in config.seeds:
-        results.append(run_seed(gs, inputs, config, seed, normal, store=store,
-                                train=()))
+        # no phase is trained here: score_seed reads the chain from the store
+        trained = train_seed(gs, inputs, config, seed, normal, store=store,
+                             phases=())
+        results.append(score_seed(trained, inputs, config, store=store))
         print(f"seed {seed}: AUC {results[-1].auc:.4f}")
     report = build_report(gs, config, normal, results, once)
     report_path = os.path.join(store.root, "report.json")
@@ -242,7 +244,7 @@ def cmd_plotdata(args) -> int:
         return 0
     gs, _, inputs = prepare_experiment(
         load_dataset(config), dataclasses.replace(config, seeds=(first_seed,)),
-        sides=("test",))
+        "test")
     # the checkpoints must match the data embedded now, not only the report
     store = dataclasses.replace(store, data_fingerprint=dataset_fingerprint(gs))
     split = make_anomaly_split(gs, report.normal_class, config.test_fraction,

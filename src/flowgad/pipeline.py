@@ -27,13 +27,18 @@ Every piece of randomness draws from a stream derived from (seed, phase),
 so phases are individually reproducible, and a split guard vets each graph
 index handed to a trainer so test data can never leak into training.
 
-``run_seed`` is the one place that sequences the phases. The library passes
-models between phases in memory; the command line hands it a ``PhaseStore``
-so that each phase is checkpointed and read back.
+``train_seed`` is the one place that sequences a seed's phases, and
+``score_seed`` the one place that scores its held-out graphs. The library
+and the command line call both: the library passes models in memory,
+trains every seed before it scores any, and so, like the command line's
+``train`` and ``eval``, holds only one side's inputs at a time. The command
+line hands both functions a ``PhaseStore``, so that each phase is
+checkpointed and read back.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import math
 import os
@@ -388,23 +393,21 @@ def resolve_normal_class(gs: GraphSet, config: ExperimentConfig) -> int:
     return majority_class(gs)
 
 
-def prepare_experiment(gs: GraphSet, config: ExperimentConfig,
-                       sides=("train", "test")):
+def prepare_experiment(gs: GraphSet, config: ExperimentConfig, side: str):
     """The set-up every run shares: returns (subsampled set, normal class,
     per-graph inputs keyed by graph index).
 
-    Inputs are built only for the graphs that the named ``sides`` of the
-    split of some seed in ``config.seeds`` hold: "train" the training
-    normals, "test" the held-out graphs. Both sides cover every graph."""
+    Inputs are built only for the graphs that one ``side`` of the split of
+    some seed in ``config.seeds`` holds: "train" the training normals,
+    "test" the held-out graphs. No run holds both sides at once:
+    ``run_experiment`` builds what the held-out side still lacks after
+    training."""
     gs = subsample_graphset(gs, config.max_graphs)
     normal = resolve_normal_class(gs, config)
     wanted: set[int] = set()
     for seed in config.seeds:
         split = make_anomaly_split(gs, normal, config.test_fraction, seed)
-        if "train" in sides:
-            wanted.update(split.train)
-        if "test" in sides:
-            wanted.update(split.test_indices())
+        wanted.update(split.train if side == "train" else split.test_indices())
     return gs, normal, precompute_inputs(gs, config, sorted(wanted))
 
 
@@ -481,35 +484,30 @@ def phase_chain(variant: str) -> tuple:
     return PHASES[:1] if variant == "non_st" else PHASES
 
 
-def run_seed(gs: GraphSet, inputs, config: ExperimentConfig, seed: int,
-             normal: int, store: PhaseStore | None = None, train=PHASES,
-             score: bool = True) -> SeedResult:
-    """Trains the phases named in ``train`` in order, then scores the
-    held-out graphs unless ``score`` is false.
+def train_seed(gs: GraphSet, inputs, config: ExperimentConfig, seed: int,
+               normal: int, store: PhaseStore | None = None,
+               phases=None) -> SeedResult:
+    """Trains the phases named in ``phases`` (default: the variant's whole
+    chain) in order, on the seed's training normals. ``inputs`` must hold
+    those graphs. The result holds no records until ``score_seed``.
 
-    Without a store the models pass in memory, so every phase the variant
-    runs must be trained. With a store each trained phase is saved, and
-    every consumer (a later phase, the scorer) reads its upstream phases
-    back through the store, which verifies the checkpoint chain; phases
-    left out of ``train`` come from an earlier run."""
+    Without a store the trained models are kept in the result, so every
+    phase the variant runs must be trained. With a store each trained phase
+    is saved, and a later phase reads its upstream phases back through the
+    store, which verifies the checkpoint chain; phases left out of
+    ``phases`` come from an earlier run."""
     split = make_anomaly_split(gs, normal, config.test_fraction, seed)
     guard = SplitGuard(split)
+    result = SeedResult(seed=seed, auc=None, records=[], traces={},
+                        split=split, guard=guard, phase_seconds={}, models={})
     chain = phase_chain(config.variant)
-    todo = [phase for phase in chain if phase in train]
+    todo = chain if phases is None else [p for p in chain if p in phases]
     if store is None and len(todo) != len(chain):
         raise ContractViolation("without a phase store every phase must be trained")
-    traces: dict = {}
-    seconds: dict = {}
-    models: dict = {}
-    records: list = []
-    auc = None
-
-    def upstream(phases):
-        return (models, None) if store is None else store.load_chain(seed, phases)
-
-    try:
+    with _seed_prefix(seed):
         for phase in todo:
-            above, upstream_fp = upstream(chain[:chain.index(phase)])
+            above, upstream_fp = _upstream(result, store,
+                                           chain[:chain.index(phase)])
             # looked up per call, so a profiler that replaces the module's
             # runner functions sees every phase
             runner = {"source": run_phase_source, "flow": run_phase_flow,
@@ -517,32 +515,56 @@ def run_seed(gs: GraphSet, inputs, config: ExperimentConfig, seed: int,
             t0 = time.perf_counter()
             trained, trace = runner(above, inputs, guard.take(split.train),
                                     config, seed)
-            seconds[phase] = time.perf_counter() - t0
+            result.phase_seconds[phase] = time.perf_counter() - t0
             freeze(*trained.values())
             if trace is not None:
-                traces[phase] = trace
+                result.traces[phase] = trace
             if store is None:
-                models.update(trained)
+                result.models.update(trained)
             else:
                 store.save(seed, phase, trained, upstream_fp, trace)
+    return result
 
-        if score:
-            models, _ = upstream(chain)
-            t0 = time.perf_counter()
-            scores = [float(score) for pack in
-                      packs(inputs, split.test_indices(), config.batch_size)
-                      for score in score_graph(pack, models, config)]
-            records = [{"graph": idx, "flag": bool(flag), "score": score}
-                       for (idx, flag), score in zip(split.test, scores)]
-            seconds["scoring"] = time.perf_counter() - t0
-            auc = compute_auc([r["score"] for r in records],
-                              [r["flag"] for r in records])
+
+def score_seed(result: SeedResult, inputs, config: ExperimentConfig,
+               store: PhaseStore | None = None) -> SeedResult:
+    """Scores the held-out graphs of ``result``'s split, which ``inputs``
+    must hold, and fills in its records, AUC, scoring time and models.
+
+    Without a store the models are those ``train_seed`` kept in ``result``;
+    with one, the variant's whole chain is read back from the store."""
+    split = result.split
+    with _seed_prefix(result.seed):
+        models, _ = _upstream(result, store, phase_chain(config.variant))
+        t0 = time.perf_counter()
+        scores = [float(score) for pack in
+                  packs(inputs, split.test_indices(), config.batch_size)
+                  for score in score_graph(pack, models, config)]
+        result.records = [{"graph": idx, "flag": bool(flag), "score": score}
+                          for (idx, flag), score in zip(split.test, scores)]
+        result.phase_seconds["scoring"] = time.perf_counter() - t0
+        result.auc = compute_auc([r["score"] for r in result.records],
+                                 [r["flag"] for r in result.records])
+        result.models = models
+    return result
+
+
+def _upstream(result: SeedResult, store: PhaseStore | None, phases):
+    """(models, fingerprint of the last phase) of ``phases``: in memory
+    without a store, else read back through it."""
+    if store is None:
+        return result.models, None
+    return store.load_chain(result.seed, phases)
+
+
+@contextlib.contextmanager
+def _seed_prefix(seed: int):
+    """Prefixes the seed to a training fault or contract violation."""
+    try:
+        yield
     except (TrainingFault, ContractViolation, PhaseOrderError) as exc:
         exc.args = (f"seed {seed}: {exc.args[0]}",) + exc.args[1:]
         raise
-    return SeedResult(seed=seed, auc=auc, records=records, traces=traces,
-                      split=split, guard=guard, phase_seconds=seconds,
-                      models=models)
 
 
 # ---------------------------------------------------------------------------
@@ -627,12 +649,13 @@ def build_report(gs: GraphSet, config: ExperimentConfig, normal: int,
                  results, once: dict) -> ScoreReport:
     """Aggregates scored seeds; phase timings are summed over seeds.
 
-    ``once`` holds the phases timed once before the seeds: ``setup`` is
-    ``prepare_experiment`` (subsample, splits, and the adjacencies and
-    encodings of the graphs the run uses) in every report, and ``eval``
-    adds ``load``, the reading of the dataset files. The report records
-    the fingerprints of ``config`` and of ``gs``, the subsampled set that
-    was trained on and scored."""
+    ``once`` holds the spans timed once, not per seed: ``setup`` is the
+    subsample, the splits and the building of the inputs of the graphs
+    the run uses; ``run_experiment``'s sums its two set-up stages (the
+    training side before training, the rest of the held-out side before
+    scoring), and ``eval`` adds ``load``, the reading of the dataset
+    files. The report records the fingerprints of ``config`` and of
+    ``gs``, the subsampled set that was trained on and scored."""
     aucs = np.array([r.auc for r in results])
     seconds: dict = dict(once)
     for r in results:
@@ -653,13 +676,28 @@ def build_report(gs: GraphSet, config: ExperimentConfig, normal: int,
 
 def run_experiment(gs: GraphSet, config: ExperimentConfig):
     """Full multi-seed experiment. Returns (ScoreReport, list of SeedResult);
-    each result keeps its seed's trained, frozen models."""
+    each result keeps its seed's trained, frozen models.
+
+    Training and scoring each hold only their own side's inputs, as the
+    ``train`` and ``eval`` commands do: set-up builds the training normals
+    of every seed, every seed is trained, the inputs that no held-out side
+    uses are released, the held-out graphs not built yet are built, and
+    every seed is scored. Each graph is built once, and its bits do not
+    depend on which call builds it."""
     config.validate()
     t0 = time.perf_counter()
-    gs, normal, inputs = prepare_experiment(gs, config)
-    once = {"setup": time.perf_counter() - t0}
-    results = [run_seed(gs, inputs, config, seed, normal)
+    gs, normal, inputs = prepare_experiment(gs, config, "train")
+    setup = time.perf_counter() - t0
+    results = [train_seed(gs, inputs, config, seed, normal)
                for seed in config.seeds]
+    t0 = time.perf_counter()
+    held = sorted({i for r in results for i in r.split.test_indices()})
+    inputs = {i: inputs[i] for i in held if i in inputs}
+    inputs.update(precompute_inputs(gs, config,
+                                    [i for i in held if i not in inputs]))
+    once = {"setup": setup + time.perf_counter() - t0}
+    for r in results:
+        score_seed(r, inputs, config)
     return build_report(gs, config, normal, results, once), results
 
 

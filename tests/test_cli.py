@@ -297,8 +297,9 @@ def test_each_command_builds_only_the_inputs_it_uses(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("variant", ["full", "non_st", "asy_st", "non_nf"])
 def test_cli_records_equal_library_records(tmp_path, variant):
-    # the CLI drives the same run_seed as the library, only through
-    # checkpoints, so its scores must match the in-memory run exactly
+    # the CLI drives the same train_seed and score_seed as the library,
+    # only through checkpoints, so its scores must match the in-memory run
+    # exactly
     cfg = write_config(tmp_path, BASE_CONFIG + f"variant = {variant}\n"
                        "batch_size = 3\n")
     run = str(tmp_path / "run")
@@ -377,7 +378,7 @@ def test_flow_phase_without_encoder_exits_4(tmp_path, capsys):
 def test_nan_in_flow_phase_exits_5(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path, BASE_CONFIG.replace("seeds = 0,1", "seeds = 0"))
     config = parse_config_file(cfg)
-    gs, normal, _ = prepare_experiment(load_dataset(config), config)
+    gs, normal, _ = prepare_experiment(load_dataset(config), config, "train")
     n_train = len(make_anomaly_split(gs, normal, config.test_fraction, 0).train)
     real_nf_loss = flow.nf_loss
     calls = []

@@ -61,7 +61,9 @@ def test_digests_script_prints_every_line(tmp_path):
     for graphs in ("default", "large"):
         expected += [rf"encoding {graphs} +{digest}",
                      rf"inputs +{graphs} +adjacency \d+ +a_hat \d+ "
-                     r"+x_init \d+"]
+                     r"+x_init \d+",
+                     rf"held +{graphs} +train \d+ \(\d+ graphs\) "
+                     r"+score \d+ \(\d+ graphs\)"]
     expected += [rf"nodes +batch {b} +source [\d.]+ +flow [\d.]+ "
                  r"+target [\d.]+" for b in (1, 4)]
     runs = [(variant, b, "") for variant in VARIANTS for b in (1, 4)]

@@ -9,7 +9,7 @@ from flowgad.flow import nf_loss
 from flowgad.optim import (BETA1, BETA2, EPS, Adam, Perceptron, fit,
                            glorot_init, make_rng)
 from flowgad.pipeline import (VARIANTS, ExperimentConfig, precompute_inputs,
-                              run_experiment, run_seed)
+                              run_experiment, score_seed, train_seed)
 from flowgad.synthetic import planted_anomaly_set
 
 from conftest import composed_perceptron, random_flow, tape_bits
@@ -134,7 +134,8 @@ def test_every_trained_parameter_receives_a_gradient(monkeypatch):
                                       batch_size=batch_size)
             optimizers.clear()
             inputs = precompute_inputs(gs, config, range(len(gs)))
-            res = run_seed(gs, inputs, config, 0, 0)
+            res = score_seed(train_seed(gs, inputs, config, 0, 0), inputs,
+                             config)
             trained = {id(p) for opt in optimizers for p in opt.params}
             assert trained == {id(p) for model in res.models.values()
                                for p in model.params()}, (variant, batch_size)

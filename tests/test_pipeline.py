@@ -3,6 +3,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -19,8 +20,8 @@ from flowgad.pipeline import (PHASES, VARIANTS, ExperimentConfig, SplitGuard,
                               compute_auc, config_from_dict, export_embeddings,
                               forward_stack, packs, precompute_inputs,
                               report_from_dict, resolve_normal_class,
-                              run_experiment, run_seed,
-                              score_graph, score_histogram, subsample_graphset)
+                              run_experiment, score_graph, score_histogram,
+                              score_seed, subsample_graphset, train_seed)
 from flowgad.source import FeatureDecoder, GcnEncoder
 from flowgad.synthetic import planted_anomaly_set
 from flowgad.target import GinNetwork
@@ -372,18 +373,77 @@ def test_report_records_the_fingerprint_of_the_subsampled_set():
     assert report_from_dict(old).data_fingerprint is None
 
 
+def _sides(gs, config):
+    """(union of the seeds' training sides, union of their held-out sides)."""
+    normal = resolve_normal_class(gs, config)
+    splits = [make_anomaly_split(gs, normal, config.test_fraction, seed)
+              for seed in config.seeds]
+    return ({i for s in splits for i in s.train},
+            {i for s in splits for i in s.test_indices()})
+
+
 def test_run_experiment_builds_every_graph_once(monkeypatch):
-    built = []
-    real = pipeline.precompute_inputs
+    # set-up builds the training sides, every seed trains, and only then
+    # are the held-out graphs that set-up left out built
+    events = []
+    real_precompute = pipeline.precompute_inputs
+    real_target = pipeline.run_phase_target
 
     def spy(gs, config, indices):
-        built.append(list(indices))
-        return real(gs, config, indices)
+        events.append(("build", list(indices)))
+        return real_precompute(gs, config, indices)
+
+    def target(upstream, inputs, train_idx, config, seed):
+        trained = real_target(upstream, inputs, train_idx, config, seed)
+        events.append(("target", seed))
+        return trained
 
     monkeypatch.setattr(pipeline, "precompute_inputs", spy)
+    monkeypatch.setattr(pipeline, "run_phase_target", target)
     gs = small_set()
-    run_experiment(gs, ExperimentConfig(**{**TINY, "seeds": (0, 1)}))
-    assert built == [list(range(len(gs)))]
+    config = ExperimentConfig(**{**TINY, "seeds": (0, 1)})
+    run_experiment(gs, config)
+    builds = [indices for kind, indices in events if kind == "build"]
+    assert sorted(i for indices in builds for i in indices) == list(range(len(gs)))
+    train, _ = _sides(gs, config)
+    assert builds[0] == sorted(train)
+    held_only = set(range(len(gs))) - train
+    assert held_only
+    last_target = events.index(("target", config.seeds[-1]))
+    assert [e for e in events if e[0] == "target"] == [("target", s)
+                                                       for s in config.seeds]
+    assert not any(held_only & set(indices)
+                   for kind, indices in events[:last_target] if kind == "build")
+
+
+def test_scoring_holds_only_the_held_out_inputs(monkeypatch):
+    # the scorer is handed the held-out graphs' inputs alone, and the
+    # training-only graphs' A_hat and features are already freed by then
+    built = {}
+    seen = []
+    real_precompute = pipeline.precompute_inputs
+    real_score = pipeline.score_seed
+
+    def spy(gs, config, indices):
+        out = real_precompute(gs, config, indices)
+        built.update({i: (weakref.ref(gi.a_hat), weakref.ref(gi.x_init))
+                      for i, gi in out.items()})
+        return out
+
+    def score(result, inputs, config, store=None):
+        alive = {i for i, refs in built.items()
+                 if any(ref() is not None for ref in refs)}
+        seen.append((set(inputs), alive))
+        return real_score(result, inputs, config, store)
+
+    monkeypatch.setattr(pipeline, "precompute_inputs", spy)
+    monkeypatch.setattr(pipeline, "score_seed", score)
+    gs = small_set()
+    config = ExperimentConfig(**{**TINY, "seeds": (0, 1)})
+    run_experiment(gs, config)
+    train, held = _sides(gs, config)
+    assert train - held
+    assert seen == [(held, held)] * len(config.seeds)
 
 
 def test_all_variants_run_and_report():
@@ -535,13 +595,27 @@ def test_score_matches_per_node_reference(variant):
     assert (graphs_with_zero_pairs > 0) == (variant == "asy_st")
 
 
-def test_run_seed_annotates_failures():
+def test_train_seed_annotates_failures(tmp_path):
     gs = small_set()
     cfg = ExperimentConfig(**{**TINY, "lr": 1e80})
     inputs = precompute_inputs(gs, cfg, range(len(gs)))
     with np.errstate(all="ignore"):
         with pytest.raises(Exception, match="seed 0"):
-            run_seed(gs, inputs, cfg, 0, 0)
+            train_seed(gs, inputs, cfg, 0, 0)
+    # scoring names its seed too: here no checkpoint was written
+    store = PhaseStore(str(tmp_path), cfg.fingerprint(), dataset_fingerprint(gs))
+    untrained = train_seed(gs, inputs, cfg, 0, 0, store=store, phases=())
+    with pytest.raises(PhaseOrderError, match="seed 0: checkpoint missing"):
+        score_seed(untrained, inputs, cfg, store=store)
+
+
+def test_train_seed_without_a_store_trains_the_whole_chain():
+    gs = small_set()
+    inputs = precompute_inputs(gs, ExperimentConfig(**TINY), range(len(gs)))
+    for phases in ((), ("source",), ("source", "flow")):
+        with pytest.raises(ContractViolation, match="every phase"):
+            train_seed(gs, inputs, ExperimentConfig(**TINY), 0, 0,
+                       phases=phases)
 
 
 # ------------------------------------------------------------- checkpoints

@@ -10,7 +10,8 @@ from flowgad.data import Graph, normalized_adjacency
 from flowgad.encoding import rw_structural_encoding
 from flowgad.errors import ConfigError, ContractViolation, TrainingFault
 from flowgad.optim import fit, glorot_init, is_frozen, make_rng
-from flowgad.pipeline import ExperimentConfig, precompute_inputs, run_seed
+from flowgad.pipeline import (ExperimentConfig, precompute_inputs, score_seed,
+                              train_seed)
 from flowgad.source import (CLAMP_HI, CLAMP_LO, FeatureDecoder, GcnEncoder,
                             adjacency_recon_loss, feature_recon_loss,
                             graph_source_loss, pretrain_source, source_loss)
@@ -418,14 +419,14 @@ def test_pretrain_determinism(rng):
 
 
 def test_pretrain_freezes_encoder():
-    # pretraining leaves freezing to run_seed, which freezes every model a
-    # phase trains, the encoder included, before anything consumes it
+    # pretraining leaves freezing to train_seed, which freezes every model
+    # a phase trains, the encoder included, before anything consumes it
     gs = planted_anomaly_set(num_normal=14, num_anomalous=5, seed=1)
     for variant in ("full", "non_st", "asy_st"):
         cfg = ExperimentConfig(variant=variant, seeds=(0,), s_epochs=2,
                                n_epochs=2, t_epochs=2, d=8, hidden=8, k_se=8)
-        res = run_seed(gs, precompute_inputs(gs, cfg, range(len(gs))),
-                       cfg, 0, 0)
+        inputs = precompute_inputs(gs, cfg, range(len(gs)))
+        res = score_seed(train_seed(gs, inputs, cfg, 0, 0), inputs, cfg)
         assert set(res.models) == ({"encoder", "decoder"} if variant == "non_st"
                                    else {"encoder", "decoder", "flow", "student"})
         for model in res.models.values():
