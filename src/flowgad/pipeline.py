@@ -559,7 +559,8 @@ def _upstream(result: SeedResult, store: PhaseStore | None, phases):
 
 @contextlib.contextmanager
 def _seed_prefix(seed: int):
-    """Prefixes the seed to a training fault or contract violation."""
+    """Prefixes the seed to a training fault, contract violation or
+    phase-order error raised inside."""
     try:
         yield
     except (TrainingFault, ContractViolation, PhaseOrderError) as exc:
