@@ -35,8 +35,14 @@ machine-independent too. A ``nodes`` line gives, at batch 1 and at batch
 4, the mean count of tape nodes a training step of each phase records on
 the default planted set (variant ``full``, one epoch per phase). That
 count is exact and the same on every machine too, so a change that adds
-or removes nodes shows it without a benchmark run. The whole script runs
-in a few seconds on two cores.
+or removes nodes shows it without a benchmark run. A ``workspace`` line
+gives, for each set at batch 1 and at batch 4, each trained phase's
+workspace high-water bytes (the largest total of regions any of its
+tapes took) and the number of memory mappings its workspace made, in one
+``run_experiment`` of seed 0 with one epoch per phase. The bytes are
+exact and machine-independent, so a change to the workspace shows
+whether it moved any byte. The whole script runs in a few seconds on
+two cores.
 
 The first line, ``environment``, prints ``pipeline.environment()``: the
 numpy and BLAS versions, the BLAS thread variables (None when unset), the
@@ -50,7 +56,9 @@ Usage: PYTHONPATH=src python3 scripts/digests.py
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import weakref
 
 from flowgad import autodiff as ad
 from flowgad import pipeline
@@ -124,11 +132,11 @@ def held_bytes(gs, seeds) -> str:
                                         ("score", "score_seed")))
 
 
-def step_ops(gs, config) -> dict:
-    """Per trained phase, the op names of each training step's tape, in
-    order, in one ``run_experiment``."""
-    steps, phase = {}, [None]
-    real_backward = ad.Tape.backward
+@contextlib.contextmanager
+def phase_marked():
+    """Yields a one-item list that names the phase whose runner is running
+    (None outside the phase runners) while the block runs."""
+    phase = [None]
     real_phases = {name: getattr(pipeline, f"run_phase_{name}")
                    for name in ("source", "flow", "target")}
 
@@ -141,6 +149,21 @@ def step_ops(gs, config) -> dict:
                 phase[0] = None
         return run
 
+    for name in real_phases:
+        setattr(pipeline, f"run_phase_{name}", in_phase(name))
+    try:
+        yield phase
+    finally:
+        for name, run in real_phases.items():
+            setattr(pipeline, f"run_phase_{name}", run)
+
+
+def step_ops(gs, config) -> dict:
+    """Per trained phase, the op names of each training step's tape, in
+    order, in one ``run_experiment``."""
+    steps = {}
+    real_backward = ad.Tape.backward
+
     def backward(tape, loss):
         if phase[0] is not None:
             steps.setdefault(phase[0], []).append(
@@ -148,15 +171,45 @@ def step_ops(gs, config) -> dict:
         return real_backward(tape, loss)
 
     ad.Tape.backward = backward
-    for name in real_phases:
-        setattr(pipeline, f"run_phase_{name}", in_phase(name))
     try:
-        run_experiment(gs, config)
+        with phase_marked() as phase:
+            run_experiment(gs, config)
     finally:
         ad.Tape.backward = real_backward
-        for name, run in real_phases.items():
-            setattr(pipeline, f"run_phase_{name}", run)
     return steps
+
+
+def workspace_use(gs, batch_size) -> dict:
+    """Per trained phase, the high-water bytes of its workspace and the
+    number of memory mappings the workspace made, in one
+    ``run_experiment`` of seed 0 with one epoch per phase."""
+    use = {}
+    real_workspace = ad.Workspace
+
+    class Recording(real_workspace):
+        def __init__(self):
+            super().__init__()
+            self.mappings = []      # a weak reference per mapping made
+            use[phase[0]] = self
+
+        def take(self, nbytes):
+            region = super().take(nbytes)
+            mapping = self._buffer.base
+            if mapping is not None and (not self.mappings
+                                        or self.mappings[-1]() is not mapping):
+                self.mappings.append(weakref.ref(mapping))
+            return region
+
+    ad.Workspace = Recording
+    try:
+        with phase_marked() as phase:
+            run_experiment(gs, ExperimentConfig(seeds=(0,), s_epochs=1,
+                                                n_epochs=1, t_epochs=1,
+                                                batch_size=batch_size))
+    finally:
+        ad.Workspace = real_workspace
+    return {name: (workspace._high, len(workspace.mappings))
+            for name, workspace in use.items()}
 
 
 def runs():
@@ -188,6 +241,12 @@ def main():
         print(f"nodes    batch {batch_size}  " + "  ".join(
             f"{name} {sum(map(len, ops)) / len(ops):.2f}"
             for name, ops in steps.items()))
+    for label, gs in (("default", planted_anomaly_set()),
+                      ("large  ", large_set())):
+        for batch_size in BATCH_SIZES:
+            print(f"workspace {label} batch {batch_size}  " + "  ".join(
+                f"{name} {high} B mappings {maps}" for name, (high, maps)
+                in workspace_use(gs, batch_size).items()))
     for label, gs, config in runs():
         report, per_seed, aucs = digests(gs, config)
         print(f"{label}  report {report}  per_seed {per_seed}  auc "

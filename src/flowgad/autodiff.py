@@ -39,6 +39,9 @@ itself).
 
 from __future__ import annotations
 
+import ctypes
+import mmap
+import weakref
 from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
@@ -209,6 +212,28 @@ def _op(op: str, inputs: tuple, out_data, grads: tuple) -> Tensor:
     return _record(op, inputs, out_data, backprop)
 
 
+def _tracemalloc(address: int, nbytes: Optional[int] = None):
+    """Traces ``nbytes`` at ``address`` in numpy's tracemalloc domain, as
+    numpy reports its own data buffers, replacing the size traced there
+    before; with no ``nbytes``, stops tracing it. Does nothing when the
+    interpreter exports no ``PyTraceMalloc_Track`` or
+    ``PyTraceMalloc_Untrack``."""
+    try:
+        track = ctypes.pythonapi.PyTraceMalloc_Track
+        untrack = ctypes.pythonapi.PyTraceMalloc_Untrack
+    except AttributeError:
+        return
+    track.argtypes = (ctypes.c_uint, ctypes.c_size_t, ctypes.c_size_t)
+    untrack.argtypes = (ctypes.c_uint, ctypes.c_size_t)
+    track.restype = untrack.restype = ctypes.c_int
+    # the result only says whether tracemalloc was on; tracing is for
+    # reports, so a failure leaves nothing to undo
+    if nbytes is None:
+        untrack(np.lib.tracemalloc_domain, address)
+    else:
+        track(np.lib.tracemalloc_domain, address, nbytes)
+
+
 class Workspace:
     """Scratch memory that one training phase lends to the fused ops and the
     ``as_float`` casts of its tapes, one tape at a time. ``begin`` starts a
@@ -217,9 +242,18 @@ class Workspace:
     regions come from one buffer, which the first ``take`` of a tape grows
     to the largest total any tape has asked for, so from the second pass
     over a phase's packs on no step allocates. A request that does not fit
-    mid-tape gets an array of its own. The buffer lives as long as the
-    workspace; ``optim.fit`` makes one per phase and drops it when it
-    returns."""
+    mid-tape gets an array of its own.
+
+    The buffer is the head of an anonymous memory mapping of the
+    workspace's own. A growth past the mapping maps at least twice the old
+    size, so a phase maps a few times however many times its buffer grows;
+    the untouched pages of that reserve are virtual and never become
+    resident. A mapping's pages go back to the OS as soon as neither the
+    workspace nor a region of an earlier tape refers to it: when the
+    workspace outgrows it, or, for the last one, when ``optim.fit`` drops
+    the workspace as the phase returns. tracemalloc counts the buffer, not
+    the reserve, in numpy's domain, as it would count an ``np.empty`` of
+    its size."""
 
     __slots__ = ("generation", "_buffer", "_used", "_high")
 
@@ -242,8 +276,16 @@ class Workspace:
         self._used += -(-nbytes // self.ALIGN) * self.ALIGN
         self._high = max(self._high, self._used)
         if start == 0 and self._high > self._buffer.size:
-            self._buffer = None     # free the old buffer before the new one
-            self._buffer = np.empty(self._high, np.uint8)
+            mapping = self._buffer.base
+            if mapping is None or mapping.size < self._high:
+                reserve = 2 * (0 if mapping is None else mapping.size)
+                # unmap the old mapping before the new one is made
+                self._buffer = mapping = None
+                mapping = np.frombuffer(
+                    mmap.mmap(-1, max(self._high, reserve)), np.uint8)
+                weakref.finalize(mapping, _tracemalloc, mapping.ctypes.data)
+            _tracemalloc(mapping.ctypes.data, self._high)
+            self._buffer = mapping[:self._high]
         if self._used > self._buffer.size:
             return np.empty(nbytes, np.uint8)
         return self._buffer[start:start + nbytes]
@@ -324,8 +366,9 @@ def as_float(a: BlockDiag) -> BlockDiag:
     are, else the same pack with each other block cast, 0/1 to 0.0/1.0.
     The casts share one region: under a tape that has a ``Workspace`` a
     region of it, which lives as long as that tape and costs no allocation
-    from the second pass over a phase's packs on; elsewhere (scoring,
-    gradcheck) one allocation per call."""
+    from the second pass over a phase's packs on, and whose pages go back
+    to the OS when the workspace outgrows its mapping or the phase ends;
+    elsewhere (scoring, gradcheck) one allocation per call."""
     blocks = require_pack(a, "as_float").blocks
     if all(block.dtype == np.float64 for block in blocks):
         return a
@@ -636,8 +679,10 @@ def gram_bce(h: Tensor, adjacency: BlockDiag, lo: float,
     are kept for the backward pass, which splits its 1/q terms from p the
     same way, in q's buffer. Under a tape that has a ``Workspace`` the
     buffers are one region of it, reused step after step for as long as
-    the training phase that owns it runs; elsewhere (scoring, gradcheck)
-    they are allocated per call.
+    the training phase that owns it runs. Their pages go back to the OS
+    when a larger pack makes the workspace map anew and when the phase
+    ends, and the mapping's unused reserve stays virtual. Elsewhere
+    (scoring, gradcheck) they are allocated per call.
     """
     h = as_tensor(h)
     n = h.data.shape[0]

@@ -104,7 +104,10 @@ def fit(params, packs, pack_loss, *, epochs: int, lr: float,
     per-epoch mean per-graph loss. A NumericFault while a pack loss is
     built, or a non-finite pack loss, stops training with a TrainingFault
     naming ``what``, the epoch and the fault's source. The steps' tapes
-    share one ``autodiff.Workspace``, dropped when training returns."""
+    share one ``autodiff.Workspace``, dropped when training returns: the
+    pages of its last mapping go back to the OS then (those of a mapping
+    it outgrew went back at the growth), and its unused reserve never
+    became resident."""
     if not packs:
         raise ContractViolation("training set is empty")
     counts = [len(ad.require_pack(pack[0], "fit").offsets) - 1

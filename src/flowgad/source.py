@@ -13,9 +13,10 @@ and graph, and the backward pass reuses them. It splits edges from
 non-edges by a gather and scatter over the pack's cached edge index, not
 by a mask. During pre-training these buffers are one region of the
 workspace that ``optim.fit`` owns for the phase: reused step after step,
-and freed when the phase returns. Every op takes a pack of graphs (see
-``autodiff``), and every loss is a column of per-graph values.
-Afterwards the encoder is frozen; later phases only read it.
+and unmapped, its pages back to the OS, when the phase returns. Every op
+takes a pack of graphs (see ``autodiff``), and every loss is a column of
+per-graph values. Afterwards the encoder is frozen; later phases only
+read it.
 """
 
 from __future__ import annotations

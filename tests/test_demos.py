@@ -66,6 +66,9 @@ def test_digests_script_prints_every_line(tmp_path):
                      r"+score \d+ \(\d+ graphs\)"]
     expected += [rf"nodes +batch {b} +source [\d.]+ +flow [\d.]+ "
                  r"+target [\d.]+" for b in (1, 4)]
+    expected += [rf"workspace {graphs} +batch {b} +source \d+ B mappings \d+ "
+                 r"+flow \d+ B mappings \d+ +target \d+ B mappings \d+"
+                 for graphs in ("default", "large") for b in (1, 4)]
     runs = [(variant, b, "") for variant in VARIANTS for b in (1, 4)]
     runs += [("full", b, " large") for b in (1, 4)]
     expected += [rf"{variant} +batch {b}{large} +report {digest} "

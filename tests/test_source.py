@@ -324,6 +324,117 @@ def test_second_step_allocates_no_gram_buffer(rng):
     assert peak2 - start2 < n * n * 8
 
 
+def _mapping(workspace):
+    """The memory mapping under ``workspace``'s buffer."""
+    return workspace._buffer.base.base.obj
+
+
+def _traced():
+    return tracemalloc.get_traced_memory()[0]
+
+
+def test_workspace_unmaps_an_outgrown_mapping_and_its_last_when_dropped():
+    workspace = ad.Workspace()
+    maps = []
+    for nbytes in (1000, 2000, 3000, 4000):
+        workspace.begin()
+        workspace.take(nbytes)
+        if not maps or _mapping(workspace) is not maps[-1]():
+            maps.append(weakref.ref(_mapping(workspace)))
+    # a growth maps at least twice the old size, so the fourth tape's
+    # 4,032 bytes fit the third's 4,096-byte reserve
+    assert len(maps) == 3 and [m() is None for m in maps] == [True, True, False]
+    assert workspace._buffer.size == 4032 and len(maps[-1]()) == 4096
+    del workspace
+    assert maps[-1]() is None
+
+
+def test_workspace_is_traced_at_its_buffer_size_until_it_is_unmapped():
+    tracemalloc.start()
+    try:
+        start = _traced()
+        workspace = ad.Workspace()
+        for nbytes, buffer in ((100_000, 100_032), (150_000, 150_016),
+                               (180_000, 180_032)):
+            workspace.begin()
+            workspace.take(nbytes)
+            assert workspace._buffer.size == buffer
+            # the buffer counts, not the 200,064-byte mapping under it;
+            # the rest is the mapping's Python objects
+            assert 0 <= _traced() - start - buffer < 4096
+        del workspace
+        assert _traced() - start < 4096
+    finally:
+        tracemalloc.stop()
+
+
+class _NoUntrack:
+    """ctypes.pythonapi without PyTraceMalloc_Untrack."""
+    PyTraceMalloc_Track = ad.ctypes.pythonapi.PyTraceMalloc_Track
+
+
+@pytest.mark.parametrize("api", [object(), _NoUntrack()],
+                         ids=["no-calls", "no-untrack"])
+def test_workspace_maps_untraced_when_the_tracemalloc_calls_are_missing(
+        monkeypatch, api):
+    monkeypatch.setattr(ad.ctypes, "pythonapi", api)
+    tracemalloc.start()
+    try:
+        start = _traced()
+        workspace = ad.Workspace()
+        workspace.begin()
+        region = workspace.take(100_000)
+        region[:] = 1
+        mapping = weakref.ref(_mapping(workspace))
+        assert np.shares_memory(region, workspace._buffer)
+        assert _traced() - start < 4096
+        del workspace, region
+        assert mapping() is None
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_region_of_an_abandoned_tape_outlives_its_mapping(rng):
+    workspace = ad.Workspace()
+    small = rng.random((8, 8)) > 0.5
+    with Tape(workspace):
+        cast = ad.as_float(ad.BlockDiag([small])).blocks[0]
+    old = weakref.ref(_mapping(workspace))
+    with Tape(workspace):
+        ad.as_float(ad.BlockDiag([rng.random((40, 40)) > 0.5])).blocks[0][:] = 2
+    # the workspace has moved to a larger mapping; the abandoned tape's
+    # region keeps the old one mapped and readable until it is dropped
+    assert _mapping(workspace) is not old() is not None
+    assert np.array_equal(cast, small)
+    del cast
+    assert old() is None
+
+
+def test_fit_leaves_tracemalloc_where_it_started(rng):
+    n = 120
+    packs = _one_graph_packs(rng, [n // 2, n])
+    enc, dec = _teacher(4, 3)
+
+    def train():
+        fit(enc.params() + dec.params(), packs,
+            lambda p: graph_source_loss(enc, dec, *p, 0.7), epochs=2,
+            lr=1e-3, what="reconstruction")
+
+    train()     # caches the packs' edge indices
+    tracemalloc.start()
+    try:
+        start = _traced()
+        train()
+        end, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the workspace was traced at its two n x n float buffers and two
+    # masks, and after fit drops it only the parameters stay traced, which
+    # each fit's Adam moves into one new flat buffer (about 2 KiB here)
+    assert peak - start >= 2 * n * n * 8
+    assert end - start < 8192
+
+
 def test_fused_recon_loss_records_one_tape_node(rng):
     h = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
     with Tape() as tape:
