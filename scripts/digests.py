@@ -23,9 +23,10 @@ the bytes of every graph's ``rw_structural_encoding(adjacency, 16)``, in
 order: a change can show whether the node features moved or only
 training did. An ``inputs`` line gives, for each set, the bytes that
 ``precompute_inputs`` keeps for all its graphs: the adjacencies, the
-A_hat operators and the initial features. Those counts are exact and the
-same on every machine, so a change that moves the inputs' footprint shows
-it beside the digests. A ``held`` line gives, for each set, the bytes of
+A_hat operators (the index plus the values of their nonzeros,
+``autodiff.Nonzeros.nbytes``) and the initial features. Those counts are
+exact and the same on every machine, so a change that moves the inputs'
+footprint shows it beside the digests. A ``held`` line gives, for each set, the bytes of
 A_hat and initial features that ``run_experiment`` holds while it trains
 (the training normals of every seed) and while it scores (the held-out
 graphs of every seed), with the graph counts, under the seeds of that
@@ -39,9 +40,11 @@ or removes nodes shows it without a benchmark run. A ``workspace`` line
 gives, for each set at batch 1 and at batch 4, each trained phase's
 workspace high-water bytes (the largest total of regions any of its
 tapes took) and the number of memory mappings its workspace made, in one
-``run_experiment`` of seed 0 with one epoch per phase. The bytes are
-exact and machine-independent, so a change to the workspace shows
-whether it moved any byte. The whole script runs in a few seconds on
+``run_experiment`` of seed 0 with one epoch per phase. Every trained
+phase writes its packs' dense A_hat or A there, so none reads 0 B; the
+flow's is its packs' A_hat alone. The bytes are exact and
+machine-independent, so a change to the workspace shows whether it moved
+any byte. The whole script runs in a few seconds on
 two cores.
 
 The first line, ``environment``, prints ``pipeline.environment()``: the

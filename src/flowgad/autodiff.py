@@ -29,10 +29,12 @@ are one ``reduceat``. A node may own several outputs (``coupling_step``
 has three); its backward runs once when any of them has a gradient, with
 zeros for an output no later op used.
 
-All tensor data is float64. A pack's blocks may hold any 0/1 dtype: the
-library keeps raw adjacencies as bool blocks, which ``gram_bce`` reads
-through their edge index, and ``as_float`` gives the float64 blocks that a
-product needs. Matrices are 2-D throughout; per-graph losses are B x 1
+All tensor data is float64. A pack's blocks may hold any 0/1 dtype or be
+``Nonzeros``: the library keeps raw adjacencies as bool blocks, which
+``gram_bce`` reads through their edge index, and each A_hat as the index
+and values of its nonzeros. ``as_float`` gives the dense float64 blocks
+that a product needs; every model calls it once at the top of its
+forward pass. Matrices are 2-D throughout; per-graph losses are B x 1
 columns, and the training loss is their 0-d mean (one graph's 1 x 1 loss
 itself).
 """
@@ -236,13 +238,15 @@ def _tracemalloc(address: int, nbytes: Optional[int] = None):
 
 class Workspace:
     """Scratch memory that one training phase lends to the fused ops and the
-    ``as_float`` casts of its tapes, one tape at a time. ``begin`` starts a
-    tape and takes back every region the previous tape held; ``take`` hands
-    out a region disjoint from every other region of the current tape. The
-    regions come from one buffer, which the first ``take`` of a tape grows
-    to the largest total any tape has asked for, so from the second pass
-    over a phase's packs on no step allocates. A request that does not fit
-    mid-tape gets an array of its own.
+    ``as_float`` blocks of its tapes (a pack's cast A, its written-out
+    A_hat), one tape at a time. ``begin`` starts a tape and takes back
+    every region the previous tape held; ``take`` hands out a region
+    disjoint from every other region of the current tape. The regions come
+    from one buffer, which a ``take`` that does not fit grows to the
+    largest total any tape has asked for, so from the second pass over a
+    phase's packs on no step allocates. A growth mid-tape leaves the
+    tape's earlier regions where they are, in the old mapping, which they
+    keep mapped until the tape is dropped.
 
     The buffer is the head of an anonymous memory mapping of the
     workspace's own. A growth past the mapping maps at least twice the old
@@ -275,7 +279,7 @@ class Workspace:
         start = self._used
         self._used += -(-nbytes // self.ALIGN) * self.ALIGN
         self._high = max(self._high, self._used)
-        if start == 0 and self._high > self._buffer.size:
+        if self._high > self._buffer.size:
             mapping = self._buffer.base
             if mapping is None or mapping.size < self._high:
                 reserve = 2 * (0 if mapping is None else mapping.size)
@@ -286,17 +290,47 @@ class Workspace:
                 weakref.finalize(mapping, _tracemalloc, mapping.ctypes.data)
             _tracemalloc(mapping.ctypes.data, self._high)
             self._buffer = mapping[:self._high]
-        if self._used > self._buffer.size:
-            return np.empty(nbytes, np.uint8)
         return self._buffer[start:start + nbytes]
+
+
+class Nonzeros:
+    """A square float64 matrix kept as its nonzero entries: their flat
+    (C-order) ``index`` into the n x n matrix, ``np.intp``, and their
+    ``values``, taken bit for bit from the dense matrix it was made of.
+    16 bytes a nonzero instead of 8 n^2 for the matrix; ``as_float``
+    writes it back as a dense block (a -0.0 entry comes back +0.0)."""
+
+    __slots__ = ("shape", "index", "values", "__weakref__")
+
+    ndim = 2
+
+    def __init__(self, dense: np.ndarray):
+        if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
+            raise ContractViolation(
+                f"Nonzeros takes a square matrix, got {dense.shape}")
+        self.shape = dense.shape
+        self.index = np.flatnonzero(dense)
+        self.values = np.take(dense, self.index)
+
+    @property
+    def size(self) -> int:
+        """Entries of the dense matrix, n^2."""
+        return self.shape[0] * self.shape[1]
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes kept: the index plus the values."""
+        return self.index.nbytes + self.values.nbytes
 
 
 class BlockDiag:
     """A constant block-diagonal matrix kept as its diagonal blocks: the
     propagation operand of a pack. Rows ``offsets[b]:offsets[b + 1]`` belong
     to block ``b``. The zeros off the diagonal are never stored, so no
-    product mixes two graphs. The blocks keep their graphs' dtype: a pack's
-    raw adjacency is bool (one byte an entry), its A_hat float64."""
+    product mixes two graphs. The blocks keep their graphs' form: a pack's
+    raw adjacency is bool (one byte an entry), its A_hat ``Nonzeros``; a
+    caller may pass dense float64 blocks of either. A product takes only
+    dense float64 blocks, which ``as_float`` gives."""
 
     __slots__ = ("blocks", "offsets", "spans", "_edges")
 
@@ -362,28 +396,44 @@ def _propagate(a: BlockDiag, x: np.ndarray,
 
 
 def as_float(a: BlockDiag) -> BlockDiag:
-    """The pack ``a`` with float64 blocks: ``a`` itself when they already
-    are, else the same pack with each other block cast, 0/1 to 0.0/1.0.
-    The casts share one region: under a tape that has a ``Workspace`` a
-    region of it, which lives as long as that tape and costs no allocation
-    from the second pass over a phase's packs on, and whose pages go back
-    to the OS when the workspace outgrows its mapping or the phase ends;
-    elsewhere (scoring, gradcheck) one allocation per call."""
+    """The pack ``a`` with dense float64 blocks: ``a`` itself when they
+    already are, else the same pack with each other block written out: a
+    0/1 block cast to 0.0/1.0, a ``Nonzeros`` block scattered into zeros,
+    its values at its index. The written blocks share one region: under a
+    tape that has a ``Workspace`` a region of it, which lives as long as
+    that tape and costs no allocation from the second pass over a phase's
+    packs on, and whose pages go back to the OS when the workspace
+    outgrows its mapping or the phase ends; elsewhere (scoring, gradcheck)
+    one allocation per call. A pack with a ``Nonzeros`` block zeroes its
+    workspace region in one pass; outside a tape ``np.zeros`` gives fresh
+    zero pages, with no pass: a step pays one fill and one scatter per
+    block for its pack's A_hat."""
     blocks = require_pack(a, "as_float").blocks
-    if all(block.dtype == np.float64 for block in blocks):
+    dense = [isinstance(block, np.ndarray) and block.dtype == np.float64
+             for block in blocks]
+    if all(dense):
         return a
-    size = sum(block.size for block in blocks if block.dtype != np.float64)
+    size = sum(block.size for block, done in zip(blocks, dense) if not done)
+    scatter = not all(isinstance(block, np.ndarray) for block in blocks)
     tape = _active_tape()
     workspace = None if tape is None else tape.workspace
-    region = (np.empty(size) if workspace is None
-              else workspace.take(size * 8).view(np.float64))
+    if workspace is None:
+        region = np.zeros(size) if scatter else np.empty(size)
+    else:
+        region = workspace.take(size * 8).view(np.float64)
+        if scatter:
+            region.fill(0.0)
     floats, start = [], 0
-    for block in blocks:
-        if block.dtype != np.float64:
-            cast = region[start:start + block.size].reshape(block.shape)
-            np.copyto(cast, block)
+    for block, done in zip(blocks, dense):
+        if not done:
+            flat = region[start:start + block.size]
             start += block.size
-            block = cast
+            written = flat.reshape(block.shape)
+            if isinstance(block, Nonzeros):
+                flat[block.index] = block.values
+            else:
+                np.copyto(written, block)
+            block = written
         floats.append(block)
     return a._with_blocks(floats)
 
@@ -648,13 +698,13 @@ def normal_nll(z: Tensor, log_det: Tensor, offsets) -> Tensor:
 
 
 def _gram_buffers(workspace: Optional[Workspace], size: int) -> tuple:
-    """Two float64 buffers and two masks of ``size`` entries each in one
+    """Two float64 buffers and one mask of ``size`` entries each in one
     region, from ``workspace`` or, without one, freshly allocated."""
-    floats, masks = 2 * size * 8, 2 * size
-    raw = (np.empty(floats + masks, np.uint8) if workspace is None
-           else workspace.take(floats + masks))
+    floats = 2 * size * 8
+    raw = (np.empty(floats + size, np.uint8) if workspace is None
+           else workspace.take(floats + size))
     return (*raw[:floats].view(np.float64).reshape(2, size),
-            *raw[floats:].view(np.bool_).reshape(2, size))
+            raw[floats:].view(np.bool_))
 
 
 def gram_bce(h: Tensor, adjacency: BlockDiag, lo: float,
@@ -671,18 +721,19 @@ def gram_bce(h: Tensor, adjacency: BlockDiag, lo: float,
     everywhere, then p gathered and scattered at the edges (the BlockDiag's
     cached flat nonzero index), so the split costs one elementwise op and
     O(edges). The op works in two float buffers, p and q (which takes the
-    log in place), and two masks, the sign of the Gram matrix and where the
-    clip passes the gradient, each holding every block's n_b^2 entries
-    back to back. Only the Gram products, the backward's products and its
-    division by the per-graph constant run once per block, into views of
-    them; every other pass runs once over the pack. p and the clip mask
-    are kept for the backward pass, which splits its 1/q terms from p the
-    same way, in q's buffer. Under a tape that has a ``Workspace`` the
-    buffers are one region of it, reused step after step for as long as
-    the training phase that owns it runs. Their pages go back to the OS
-    when a larger pack makes the workspace map anew and when the phase
-    ends, and the mapping's unused reserve stays virtual. Elsewhere
-    (scoring, gradcheck) they are allocated per call.
+    log in place), and one mask, first the sign of the Gram matrix and,
+    once the sigmoid has read it, where the clip passes the gradient; each
+    holds every block's n_b^2 entries back to back. Only the Gram
+    products, the backward's products and its division by the per-graph
+    constant run once per block, into views of them; every other pass runs
+    once over the pack. p and the clip mask are kept for the backward pass,
+    which splits its 1/q terms from p the same way, in q's buffer. Under a
+    tape that has a ``Workspace`` the buffers are one region of it, reused
+    step after step for as long as the training phase that owns it runs.
+    Their pages go back to the OS when a larger pack makes the workspace
+    map anew and when the phase ends, and the mapping's unused reserve
+    stays virtual. Elsewhere (scoring, gradcheck) they are allocated per
+    call.
     """
     h = as_tensor(h)
     n = h.data.shape[0]
@@ -694,7 +745,7 @@ def gram_bce(h: Tensor, adjacency: BlockDiag, lo: float,
     # each block's first and end entry in the buffers
     bounds = np.cumsum([0] + [b.size for b in adjacency.blocks]).tolist()
     entries = list(zip(bounds[:-1], bounds[1:]))
-    sig, denom, nonneg, inside = _gram_buffers(workspace, bounds[-1])
+    sig, denom, nonneg = _gram_buffers(workspace, bounds[-1])
     for (_, first, end), (start, stop) in zip(adjacency.spans, entries):
         hb = h.data[first:end]
         np.matmul(hb, hb.T, out=sig[start:stop].reshape(end - first, -1))
@@ -710,7 +761,9 @@ def gram_bce(h: Tensor, adjacency: BlockDiag, lo: float,
     # clipping into the other buffer; an entry lies inside [lo, hi] exactly
     # where the clip kept it (a NaN equals nothing and lies outside)
     p = np.clip(sig, lo, hi, out=denom)
-    np.equal(p, sig, out=inside)
+    # the sign mask was last read by the maximum above; its buffer takes
+    # the clip mask
+    inside = np.equal(p, sig, out=nonneg)
     q = np.subtract(1.0, p, out=sig)
     edges, counts = adjacency.edges()
     np.put(q, edges, np.take(p, edges))

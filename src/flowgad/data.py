@@ -223,11 +223,16 @@ def parse_tudataset(directory: str, dataset_name: str) -> GraphSet:
 
     ends = _read_edges(a_path, num_nodes, graph_of)
     edge_graph = graph_of[ends[:, 0]]
-    edge_order = np.argsort(edge_graph, kind="stable")
     edge_bounds = np.concatenate(
         ([0], np.cumsum(np.bincount(edge_graph, minlength=num_graphs))))
-    rows = local_of[ends[edge_order, 0]]
-    cols = local_of[ends[edge_order, 1]]
+    # TUDataset files (and write_tudataset) list edges graph by graph, and
+    # a stable sort of keys already in order is the identity
+    if (edge_graph[1:] < edge_graph[:-1]).any():
+        ends = ends[np.argsort(edge_graph, kind="stable")]
+    del edge_graph
+    rows = local_of[ends[:, 0]]
+    cols = local_of[ends[:, 1]]
+    del ends
 
     onehot = _parse_node_labels(prefix + "_node_labels.txt", num_nodes)
     attrs = _parse_node_attributes(prefix + "_node_attributes.txt", num_nodes)
@@ -256,10 +261,14 @@ def _read_edges(path: str, num_nodes: int, graph_of: np.ndarray) -> np.ndarray:
     table = _read_table(path)
     fits = table is not None and (table.size == 0 or table.shape[1] == 2)
     if fits:
-        ends = table.reshape(-1, 2)
-        fits = bool((_integral(ends) & (ends >= 1) & (ends <= num_nodes)).all())
+        table = table.reshape(-1, 2)
+        fits = bool((_integral(table) & (table >= 1)
+                     & (table <= num_nodes)).all())
     if fits:
-        ends = ends.astype(np.int64) - 1
+        # one int64 copy, and the float table goes before the next pass
+        ends = table.astype(np.int64)
+        del table
+        ends -= 1
         fits = bool((graph_of[ends[:, 0]] == graph_of[ends[:, 1]]).all())
     if fits:
         return ends
@@ -419,10 +428,12 @@ def majority_class(gs: GraphSet) -> int:
 
 
 def normalized_adjacency(g: Graph) -> np.ndarray:
-    """Symmetric degree-normalized propagation operator over A plus self-loops.
+    """Symmetric degree-normalized propagation operator over A plus self-loops,
+    dense: D^-1/2 (A + I) D^-1/2, D the degrees of A + I.
 
-    Built in its one output buffer: n x n temporaries freed between the
-    long-lived operators of a data set fragment the heap and stay resident."""
+    Built in its one output buffer, so set-up makes one n x n array per
+    graph; ``pipeline.precompute_inputs`` keeps only its nonzeros
+    (``autodiff.Nonzeros``) and drops it at once."""
     a_hat = g.adjacency.astype(np.float64)
     a_hat[np.diag_indices(g.n)] += 1.0
     inv_sqrt_deg = 1.0 / np.sqrt(a_hat.sum(axis=1))

@@ -10,7 +10,8 @@ arithmetic exact. The forward step is one fused tape node
 (``autodiff.coupling_step``) with a hand-written backward; the inverse,
 which no training step records, runs the same subnets and clamp backwards
 on plain arrays (``autodiff.coupling_inverse``). Every graph set, one
-graph included, arrives as a pack: a BlockDiag of its A_hat matrices. The
+graph included, arrives as a pack: a BlockDiag of its A_hat matrices,
+which the flow writes out dense once per pass (``autodiff.as_float``). The
 log-determinant is a column with one entry per graph of the pack. The
 loss is one fused tape node too (``autodiff.normal_nll``).
 """
@@ -92,8 +93,10 @@ class GraphFlow:
         if h.shape[1] != self.d:
             raise ContractViolation(
                 f"flow built for width {self.d}, got {h.shape[1]}")
+        # one dense float64 A_hat per pass, shared by every step
+        a_hat = ad.as_float(ad.require_pack(a_hat, "GraphFlow.forward"))
         half0, half1 = ad.split_half(h)
-        graphs = len(ad.require_pack(a_hat, "GraphFlow.forward").offsets) - 1
+        graphs = len(a_hat.offsets) - 1
         log_det = ad.constant(np.zeros((graphs, 1)))
         for step in self.steps:
             half0, half1, inc = step.forward(half0, half1, a_hat)
@@ -107,6 +110,7 @@ class GraphFlow:
         if z.shape[1] != self.d:
             raise ContractViolation(
                 f"flow built for width {self.d}, got {z.shape[1]}")
+        a_hat = ad.as_float(ad.require_pack(a_hat, "GraphFlow.inverse"))
         half0, half1 = ad.split_half(z)
         for step in reversed(self.steps):
             half0, half1 = step.inverse(half0, half1, a_hat)

@@ -175,10 +175,12 @@ class GraphInputs:
     whose ``adjacency`` and ``a_hat`` are BlockDiags of its graphs' own
     matrices and whose ``x_init`` stacks their rows (``packs``). A graph's
     ``adjacency`` is shared with its ``Graph``: bool, n^2 bytes. Its
-    ``a_hat`` is float64, 8 n^2 bytes. The GIN student, the one float
-    consumer of A, casts a pack's blocks per step (``autodiff.as_float``)."""
+    ``a_hat`` is an ``autodiff.Nonzeros``: the index and values of the
+    nonzeros of A + I normalized, 16 bytes each. Each model that
+    multiplies by a pack's A or A_hat writes its dense float64 blocks once
+    per forward pass (``autodiff.as_float``)."""
     adjacency: np.ndarray | ad.BlockDiag
-    a_hat: np.ndarray | ad.BlockDiag
+    a_hat: ad.Nonzeros | ad.BlockDiag
     x_init: np.ndarray
 
 
@@ -227,12 +229,13 @@ def precompute_inputs(gs: GraphSet, config: ExperimentConfig,
         if i not in encodings:
             encodings[i] = rw_structural_encoding(gs.graphs[i].adjacency,
                                                   config.k_se, scratch)
-    del scratch     # freed before the long-lived A_hats are made
+    del scratch     # freed before any A_hat is made
     out = {}
     for i in indices:
         g = gs.graphs[i]
+        # the dense A_hat lives only until its nonzeros are taken
         out[i] = GraphInputs(adjacency=g.adjacency,
-                             a_hat=normalized_adjacency(g),
+                             a_hat=ad.Nonzeros(normalized_adjacency(g)),
                              x_init=np.concatenate([g.features,
                                                     encodings.pop(i)], axis=1))
     widths = {gi.x_init.shape[1] for gi in out.values()}

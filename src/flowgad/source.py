@@ -1,13 +1,15 @@
 """Teacher side: GCN encoder pre-trained by graph reconstruction.
 
 The encoder maps initial features to node embeddings through degree-normalized
-propagation, one fused tape node per layer (``autodiff.gcn_layer``).
+propagation, one fused tape node per layer (``autodiff.gcn_layer``). A
+pack's A_hat arrives as its graphs' nonzeros, and the encoder writes it out
+dense once per forward pass (``autodiff.as_float``).
 Pre-training minimizes a convex combination of an inner-product
 adjacency reconstruction term (summed binary cross entropy over the full
 n x n matrix) and a squared Frobenius feature reconstruction term produced
 by a small perceptron decoder. The adjacency term is one fused tape
 primitive (``autodiff.gram_bce``) with an exact hand-written backward. Per
-pack it works in two float buffers and two masks that hold every graph's
+pack it works in two float buffers and one mask that hold every graph's
 n x n entries back to back, instead of one n x n buffer per composed op
 and graph, and the backward pass reuses them. It splits edges from
 non-edges by a gather and scatter over the pack's cached edge index, not
@@ -48,6 +50,8 @@ class GcnEncoder:
         if x.shape[1] != self.d_in:
             raise ContractViolation(
                 f"encoder expects {self.d_in} input columns, got {x.shape[1]}")
+        # one dense float64 A_hat per pass, shared by every layer
+        a_hat = ad.as_float(ad.require_pack(a_hat, "GcnEncoder.forward"))
         h = x
         last = len(self.weights) - 1
         for li, w in enumerate(self.weights):

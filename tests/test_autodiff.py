@@ -3,7 +3,9 @@ import pytest
 
 from flowgad import autodiff as ad
 from flowgad.autodiff import Tape, Tensor, gradcheck
+from flowgad.data import Graph, normalized_adjacency
 from flowgad.errors import ContractViolation, DeterminismError, NumericFault
+from flowgad.synthetic import planted_anomaly_set
 
 
 def test_square_gradient():
@@ -312,6 +314,58 @@ def test_one_block_matmul_bit_equals_plain_matmul(rng):
                 tape.backward(ad.reduce_sum(ad.mul(out, w)))
             results.append((out.data.tobytes(), b.grad.tobytes()))
         assert results[0] == results[1]
+
+
+def _a_hat_graphs(rng):
+    """Graphs of mixed sizes over every adjacency dtype, each with a
+    self-loop and an isolated node, and a single-node graph."""
+    graphs = [Graph(n=1, adjacency=np.zeros((1, 1), bool),
+                    features=np.zeros((1, 0)), label=0)]
+    for n, dtype in ((5, np.bool_), (9, np.float64), (4, np.int64),
+                     (12, np.bool_)):
+        upper = np.triu(rng.random((n, n)) < 0.5, k=1)
+        a = upper | upper.T
+        a[0, 0] = True
+        a[-1, :] = a[:, -1] = False
+        graphs.append(Graph(n=n, adjacency=a.astype(dtype),
+                            features=np.zeros((n, 0)), label=0).validate())
+    return graphs
+
+
+def test_as_float_writes_nonzeros_back_bit_for_bit(rng):
+    dense = [normalized_adjacency(g) for g in _a_hat_graphs(rng)]
+    pack = ad.BlockDiag([ad.Nonzeros(d) for d in dense])
+    assert pack.offsets == (0, 1, 6, 15, 19, 31)
+    # an earlier tape leaves the workspace's buffer dirty
+    workspace = ad.Workspace()
+    with Tape(workspace):
+        ad.as_float(ad.BlockDiag([rng.random((40, 40)) > 0.5])).blocks[0][:] = np.nan
+    with Tape(workspace):
+        under_tape = ad.as_float(pack)
+    assert all(np.shares_memory(block, workspace._buffer)
+               for block in under_tape.blocks)
+    for written in (under_tape, ad.as_float(pack)):
+        assert written.offsets is pack.offsets
+        assert all(block.dtype == np.float64 and block.flags.c_contiguous
+                   for block in written.blocks)
+        assert [block.tobytes() for block in written.blocks] == [
+            d.tobytes() for d in dense]
+
+
+def test_nonzeros_keep_index_and_values_only():
+    # a planted-large graph: 450 nodes at a mean degree of about 5
+    [g] = planted_anomaly_set(num_normal=1, num_anomalous=0,
+                              n_range=(450, 450), p_in=0.02, p_out=0.002,
+                              p_sparse=0.011).graphs
+    dense = normalized_adjacency(g)
+    compact = ad.Nonzeros(dense)
+    assert compact.shape == dense.shape and compact.size == dense.size
+    assert compact.index.dtype == np.intp
+    assert compact.nbytes == compact.index.nbytes + compact.values.nbytes
+    assert compact.nbytes == 16 * np.count_nonzero(dense)
+    assert compact.nbytes < dense.nbytes / 20
+    with pytest.raises(ContractViolation, match="square"):
+        ad.Nonzeros(np.zeros((2, 3)))
 
 
 def test_block_diag_rejects_non_square_blocks():

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,6 +105,26 @@ def test_duplicate_edges_collapse_and_self_loops_survive(tmp_path):
     (d / "DUP_graph_labels.txt").write_text("0\n")
     gs = parse_tudataset(str(d), "DUP")
     assert np.array_equal(gs.graphs[0].adjacency, [[1.0, 1.0], [1.0, 0.0]])
+
+
+def test_parse_peak_stays_near_the_edge_table(tmp_path):
+    # the edge file's float64 table, one int64 copy of it and a few masks
+    # are what a parse must hold at once; the graphs it keeps are on top
+    gs = planted_anomaly_set(num_normal=60, num_anomalous=20,
+                             n_range=(20, 40), seed=5)
+    write_tudataset(gs, str(tmp_path), "P")
+    with open(tmp_path / "P_A.txt") as fh:
+        table = 16 * sum(1 for _ in fh)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        back = parse_tudataset(str(tmp_path), "P")
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(back) == len(gs)
+    assert peak - kept < 2.5 * table
+    assert kept - start < table
 
 
 def _random_graphset(rng, m=6, with_features=True):

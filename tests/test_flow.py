@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from flowgad.autodiff import Tape, Tensor, gradcheck
 from flowgad.data import Graph, normalized_adjacency
 from flowgad.errors import ContractViolation, NumericFault, TrainingFault
 from flowgad.flow import CouplingStep, GraphFlow, nf_loss, train_flow
-from flowgad.optim import freeze, make_rng
+from flowgad.optim import fit, freeze, make_rng
 
 from conftest import (composed_clamp, composed_coupling_step,
                       composed_normal_nll, composed_subnet, random_flow,
@@ -255,6 +257,31 @@ def test_nf_loss_gradcheck_through_two_steps(rng):
         return nf_loss(z, log_det, a_hat.offsets)
 
     assert gradcheck(fn, flow.params()) < 1e-4
+
+
+def test_second_flow_step_allocates_no_a_hat(rng):
+    # a compact A_hat is written out into the workspace: the first step
+    # grows it by the n x n floats, and the steps after it reuse them
+    n = 200
+    [a_hat] = _random_a_hat(n, rng).blocks
+    pack = (ad.BlockDiag([ad.Nonzeros(a_hat)]), rng.normal(size=(n, 4)))
+    flow = random_flow(4, 2, make_rng(5))
+    marks = []
+
+    def pack_loss(p):
+        marks.append(tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+        z, log_det = flow.forward(ad.constant(p[1]), p[0])
+        return nf_loss(z, log_det, p[0].offsets)
+
+    tracemalloc.start()
+    try:
+        fit(flow.params(), [pack], pack_loss, epochs=3, lr=1e-3, what="flow")
+    finally:
+        tracemalloc.stop()
+    (start1, _), (start2, peak1), (_, peak2) = marks
+    assert peak1 - start1 >= n * n * 8
+    assert peak2 - start2 < n * n * 8
 
 
 def test_identity_flow_object(rng):

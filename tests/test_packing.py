@@ -147,8 +147,10 @@ def _perturbed(inputs, idx, rng):
     gi = inputs[idx]
     flipped = gi.adjacency.copy()
     flipped[0, -1] = flipped[-1, 0] = 1.0 - flipped[0, -1]
+    a_hat = copy.copy(gi.a_hat)
+    a_hat.values = gi.a_hat.values * 1.1
     changed = dataclasses.replace(
-        gi, adjacency=flipped, a_hat=gi.a_hat * 1.1,
+        gi, adjacency=flipped, a_hat=a_hat,
         x_init=gi.x_init + rng.normal(size=gi.x_init.shape))
     return {**inputs, idx: changed}
 
@@ -181,13 +183,13 @@ def test_one_graph_never_moves_another_graphs_score(inputs, variant, rng):
 X = ad.constant(np.ones((3, 2)))
 # entry point -> (the op its error names, a call on propagation operand a)
 PACK_TAKERS = {
-    "GcnEncoder.forward": ("gcn_layer", lambda a: GcnEncoder(
+    "GcnEncoder.forward": ("GcnEncoder.forward", lambda a: GcnEncoder(
         2, 2, 2, 1, make_rng(0)).forward(a, X)),
     "GinNetwork.forward": ("as_float", lambda a: GinNetwork(
         2, 2, 2, 1, make_rng(0)).forward(a, X)),
     "GraphFlow.forward": ("GraphFlow.forward", lambda a: GraphFlow(
         2, 1, 2.0, make_rng(0)).forward(X, a)),
-    "GraphFlow.inverse": ("coupling_inverse", lambda a: GraphFlow(
+    "GraphFlow.inverse": ("GraphFlow.inverse", lambda a: GraphFlow(
         2, 1, 2.0, make_rng(0)).inverse(X, a)),
     "gram_bce": ("gram_bce", lambda a: ad.gram_bce(X, a, 0.1, 0.9)),
     "as_float": ("as_float", ad.as_float),

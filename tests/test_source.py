@@ -300,7 +300,7 @@ def test_pretrain_reuses_one_buffer_and_keeps_none_after_it_returns(
 
 def test_second_step_allocates_no_gram_buffer(rng):
     # numpy reports its data buffers to tracemalloc; the first step grows
-    # the workspace to two n x n float buffers and two masks, and the
+    # the workspace to two n x n float buffers and one mask, and the
     # steps after it reuse them
     n = 200
     [pack] = _one_graph_packs(rng, [n])
@@ -321,6 +321,31 @@ def test_second_step_allocates_no_gram_buffer(rng):
     # each mark's peak covers the step before it
     (start1, _), (start2, peak1), (_, peak2) = marks
     assert peak1 - start1 >= 2 * n * n * 8
+    assert peak2 - start2 < n * n * 8
+
+
+def test_second_step_allocates_no_a_hat(rng):
+    # a compact A_hat is written out into the workspace: the first step
+    # grows it by the n x n floats, and the steps after it reuse them
+    n = 200
+    [(a_hat, adjacency, x_init)] = _one_graph_packs(rng, [n])
+    pack = (ad.BlockDiag([ad.Nonzeros(a_hat.blocks[0])]), adjacency, x_init)
+    enc, dec = _teacher(4, 3)
+    marks = []
+
+    def pack_loss(p):
+        marks.append(tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+        return graph_source_loss(enc, dec, *p, 0.7)
+
+    tracemalloc.start()
+    try:
+        fit(enc.params() + dec.params(), [pack], pack_loss, epochs=3,
+            lr=1e-3, what="reconstruction")
+    finally:
+        tracemalloc.stop()
+    (start1, _), (start2, peak1), (_, peak2) = marks
+    assert peak1 - start1 >= 3 * n * n * 8
     assert peak2 - start2 < n * n * 8
 
 
@@ -347,6 +372,27 @@ def test_workspace_unmaps_an_outgrown_mapping_and_its_last_when_dropped():
     assert workspace._buffer.size == 4032 and len(maps[-1]()) == 4096
     del workspace
     assert maps[-1]() is None
+
+
+def test_a_growth_mid_tape_keeps_the_tapes_earlier_regions():
+    workspace = ad.Workspace()
+    workspace.begin()
+    first = workspace.take(1000)
+    first[:] = 7
+    old = weakref.ref(_mapping(workspace))
+    second = workspace.take(100_000)
+    second[:] = 9
+    # the second region comes from a new mapping, after the first one's
+    # bytes; the first region keeps its mapping until it is dropped
+    assert _mapping(workspace) is not old() is not None
+    assert np.shares_memory(second, workspace._buffer)
+    assert (first == 7).all()
+    del first
+    assert old() is None
+    # the next tape's regions both come from the grown buffer
+    workspace.begin()
+    assert all(np.shares_memory(workspace.take(nbytes), workspace._buffer)
+               for nbytes in (1000, 100_000))
 
 
 def test_workspace_is_traced_at_its_buffer_size_until_it_is_unmapped():
