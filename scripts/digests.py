@@ -47,6 +47,13 @@ machine-independent, so a change to the workspace shows whether it moved
 any byte. The whole script runs in a few seconds on
 two cores.
 
+A ``parse`` line writes the default planted set with ``write_tudataset``,
+parses it back, and gives the ``dataset_fingerprint`` of what was read and
+the parse's transient: its tracemalloc peak above the bytes it keeps, as a
+multiple of the edge file's float64 table (16 bytes a line). Both are
+exact for one numpy version, so a change to the parser shows whether it
+read other values or held more at once.
+
 The first line, ``environment``, prints ``pipeline.environment()``: the
 numpy and BLAS versions, the BLAS thread variables (None when unset), the
 thread count BLAS runs at (``blas_threads``) and the CPU count. The
@@ -61,11 +68,15 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import os
+import tempfile
+import tracemalloc
 import weakref
 
 from flowgad import autodiff as ad
 from flowgad import pipeline
-from flowgad.data import payload_fingerprint
+from flowgad.data import (dataset_fingerprint, parse_tudataset,
+                          payload_fingerprint, write_tudataset)
 from flowgad.encoding import rw_structural_encoding
 from flowgad.pipeline import (VARIANTS, ExperimentConfig, environment,
                               precompute_inputs, run_experiment)
@@ -133,6 +144,23 @@ def held_bytes(gs, seeds) -> str:
     return "  ".join(f"{side} {held[name][1]} ({held[name][0]} graphs)"
                      for side, name in (("train", "train_seed"),
                                         ("score", "score_seed")))
+
+
+def parse_check() -> str:
+    """The fingerprint of the default planted set written out and parsed
+    back, and the parse's transient over the edge file's float64 table."""
+    with tempfile.TemporaryDirectory() as directory:
+        write_tudataset(planted_anomaly_set(), directory, "PLANTED")
+        with open(os.path.join(directory, "PLANTED_A.txt")) as fh:
+            table = 16 * sum(1 for _ in fh)
+        tracemalloc.start()
+        try:
+            back = parse_tudataset(directory, "PLANTED")
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    return (f"{dataset_fingerprint(back)}  transient "
+            f"{(peak - kept) / table:.2f} x edge table")
 
 
 @contextlib.contextmanager
@@ -237,6 +265,7 @@ def main():
         print(f"encoding {label}  {encoding_digest(gs)}")
         print(f"inputs   {label}  {input_bytes(gs)}")
         print(f"held     {label}  {held_bytes(gs, seeds)}")
+    print(f"parse    default  {parse_check()}")
     for batch_size in BATCH_SIZES:
         steps = step_ops(planted_anomaly_set(), ExperimentConfig(
             seeds=(0,), s_epochs=1, n_epochs=1, t_epochs=1,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import warnings
 from dataclasses import dataclass, field
 from typing import NoReturn
 
@@ -91,18 +92,22 @@ class AnomalySplit:
 # TUDataset parsing
 # ---------------------------------------------------------------------------
 
-def _read_table(path: str):
-    """The file's non-blank lines as one float64 table (a row per line,
+def _read_table(path: str, dtype=np.float64):
+    """The file's non-blank lines as one ``dtype`` table (a row per line,
     fields split at commas), or None when some line does not fit.
 
-    Read by ``np.loadtxt``, with no list of lines built: a field is a
-    decimal or ``inf``/``nan`` literal with optional surrounding whitespace,
-    and every row must have the first row's width. ``#`` is not a comment
-    marker, so it makes a field malformed.
+    Read by ``np.loadtxt``, with no list of lines built. As float64 a
+    field is a decimal or ``inf``/``nan`` literal; as ``np.int32`` it is an
+    optional sign and decimal digits, within int32's range. Either may
+    have surrounding whitespace, and every row must have the first row's
+    width. ``#`` is not a comment marker, so it makes a field malformed.
+    Every field the int32 reader accepts, the float64 reader accepts with
+    the same value (tests/test_data.py pins this), so an integer file the
+    int32 reader rejects can be read again as float64 with nothing lost.
     """
     with open(path, "r", encoding="utf-8") as fh:
         if not any(map(str.strip, fh)):
-            return np.zeros((0, 0), dtype=np.float64)
+            return np.zeros((0, 0), dtype=dtype)
         fh.seek(0)
         # numpy reads a path about twice as fast as a stream of lines
         # (2-vCPU Xeon, numpy 2.4.6, 12 alternating pairs: 27 vs 58 ms for
@@ -112,11 +117,23 @@ def _read_table(path: str):
         # lines with every blank one dropped
         for source in (path, filter(str.strip, fh)):
             try:
-                return np.loadtxt(source, dtype=np.float64, delimiter=",",
-                                  comments=None, ndmin=2, encoding="utf-8")
-            except ValueError:
+                with warnings.catch_warnings():
+                    # numpy releases that read "1.5" into an integer dtype
+                    # through a float warn instead of failing
+                    warnings.simplefilter("error", DeprecationWarning)
+                    return np.loadtxt(source, dtype=dtype, delimiter=",",
+                                      comments=None, ndmin=2,
+                                      encoding="utf-8")
+            except (ValueError, DeprecationWarning):
                 pass
     return None
+
+
+def _read_int_table(path: str):
+    """The file as an int32 table when every field is an int32 literal,
+    else as ``_read_table``'s float64 table (None if that fails too)."""
+    table = _read_table(path, np.int32)
+    return _read_table(path) if table is None else table
 
 
 def _first_bad_line(path: str, check) -> NoReturn:
@@ -165,9 +182,12 @@ def _parse_int(text: str, path: str, line_no: int) -> int:
 
 
 def _read_ints(path: str) -> np.ndarray:
-    """One integer per non-blank line, as int64."""
-    table = _read_table(path)
-    if table is None or table.shape[1] > 1 or not _integral(table).all():
+    """One integer per non-blank line, as int64. An int32 read takes the
+    usual file; one with integral float spellings (``1.0``, ``2e0``) or
+    values beyond int32 is read as float64 and checked to be exact."""
+    table = _read_int_table(path)
+    if (table is None or table.shape[1] > 1
+            or table.dtype == np.float64 and not _integral(table).all()):
         _first_bad_line(path, lambda line, no: _parse_int(line, path, no))
     return table.reshape(-1).astype(np.int64)
 
@@ -179,8 +199,9 @@ def parse_tudataset(directory: str, dataset_name: str) -> GraphSet:
     node attributes real columns; features are ``[one-hot || attributes]``.
     Edges are symmetrized, duplicates collapsed, self-loops kept as given,
     node indices re-based per graph; each adjacency is a bool array. Each
-    file is read in one array pass; a fault is reported with the file and
-    the 1-based line it is on.
+    file is read in one array pass, an integer file as int32 unless that
+    read rejects it (then as float64); a fault is reported with the file
+    and the 1-based line it is on.
     """
     prefix = os.path.join(directory, dataset_name)
     a_path = prefix + "_A.txt"
@@ -256,17 +277,22 @@ def parse_tudataset(directory: str, dataset_name: str) -> GraphSet:
 
 
 def _read_edges(path: str, num_nodes: int, graph_of: np.ndarray) -> np.ndarray:
-    """The ``i, j`` lines as an (edges, 2) array of 0-based node ids, each
-    edge inside one graph."""
-    table = _read_table(path)
+    """The ``i, j`` lines as an (edges, 2) integer array of 0-based node
+    ids, each edge inside one graph: int32 when the file reads as int32,
+    else int64 from the float64 table."""
+    table = _read_int_table(path)
     fits = table is not None and (table.size == 0 or table.shape[1] == 2)
     if fits:
         table = table.reshape(-1, 2)
-        fits = bool((_integral(table) & (table >= 1)
-                     & (table <= num_nodes)).all())
+        in_range = (table >= 1) & (table <= num_nodes)
+        if table.dtype == np.float64:
+            in_range &= _integral(table)
+        fits = bool(in_range.all())
+        del in_range
     if fits:
-        # one int64 copy, and the float table goes before the next pass
-        ends = table.astype(np.int64)
+        # an int32 table is used as it is; a float one gives one int64 copy
+        # and goes before the next pass
+        ends = table.astype(np.int64) if table.dtype == np.float64 else table
         del table
         ends -= 1
         fits = bool((graph_of[ends[:, 0]] == graph_of[ends[:, 1]]).all())
@@ -427,16 +453,22 @@ def majority_class(gs: GraphSet) -> int:
     return max(sorted(counts), key=lambda lab: counts[lab])
 
 
-def normalized_adjacency(g: Graph) -> np.ndarray:
+def normalized_adjacency(g: Graph | np.ndarray) -> np.ndarray:
     """Symmetric degree-normalized propagation operator over A plus self-loops,
     dense: D^-1/2 (A + I) D^-1/2, D the degrees of A + I.
 
-    Built in its one output buffer, so set-up makes one n x n array per
-    graph; ``pipeline.precompute_inputs`` keeps only its nonzeros
-    (``autodiff.Nonzeros``) and drops it at once."""
-    a_hat = g.adjacency.astype(np.float64)
-    a_hat[np.diag_indices(g.n)] += 1.0
-    inv_sqrt_deg = 1.0 / np.sqrt(a_hat.sum(axis=1))
-    a_hat *= inv_sqrt_deg[:, None]
-    a_hat *= inv_sqrt_deg[None, :]
+    Takes a Graph, its (n, n) adjacency, or a (G, n, n) stack of same-size
+    adjacencies, whose A_hat it returns stacked: each slice is the 2-D
+    call's bits, since every step is elementwise or a row sum of small
+    integers, which is exact in any order. Built in its one output
+    buffer; ``pipeline.precompute_inputs`` keeps only each graph's
+    nonzeros (``autodiff.Nonzeros``) and drops it at once."""
+    adjacency = g.adjacency if isinstance(g, Graph) else g
+    a_hat = adjacency.astype(np.float64, order="C")
+    n = a_hat.shape[-1]
+    # the diagonal of each n x n slice is every (n + 1)-th entry
+    a_hat.reshape(-1, n * n)[:, ::n + 1] += 1.0
+    inv_sqrt_deg = 1.0 / np.sqrt(a_hat.sum(axis=-1))
+    a_hat *= inv_sqrt_deg[..., :, None]
+    a_hat *= inv_sqrt_deg[..., None, :]
     return a_hat

@@ -11,9 +11,11 @@ arithmetic exact. The forward step is one fused tape node
 which no training step records, runs the same subnets and clamp backwards
 on plain arrays (``autodiff.coupling_inverse``). Every graph set, one
 graph included, arrives as a pack: a BlockDiag of its A_hat matrices,
-which the flow writes out dense once per pass (``autodiff.as_float``). The
-log-determinant is a column with one entry per graph of the pack. The
-loss is one fused tape node too (``autodiff.normal_nll``).
+which the flow writes out dense once per pass (``autodiff.as_float``;
+``pipeline.forward_stack`` hands it one already written, and a zero-step
+flow writes nothing). The log-determinant is a column with one entry per
+graph of the pack. The loss is one fused tape node too
+(``autodiff.normal_nll``).
 """
 
 from __future__ import annotations
@@ -93,8 +95,11 @@ class GraphFlow:
         if h.shape[1] != self.d:
             raise ContractViolation(
                 f"flow built for width {self.d}, got {h.shape[1]}")
-        # one dense float64 A_hat per pass, shared by every step
-        a_hat = ad.as_float(ad.require_pack(a_hat, "GraphFlow.forward"))
+        a_hat = ad.require_pack(a_hat, "GraphFlow.forward")
+        if self.steps:
+            # one dense float64 A_hat per pass, shared by every step; a
+            # zero-step flow (the no-flow ablations) reads none
+            a_hat = ad.as_float(a_hat)
         half0, half1 = ad.split_half(h)
         graphs = len(a_hat.offsets) - 1
         log_det = ad.constant(np.zeros((graphs, 1)))

@@ -187,8 +187,9 @@ class GraphInputs:
 # A graph whose n x n adjacency has at most this many elements is encoded
 # in a stack of graphs of its node count, and each stack holds at most this
 # many elements: 512 KiB per float64 buffer, of which the encoding keeps
-# four alive besides the stacked adjacencies. Larger graphs are encoded
-# one at a time, in index order, after the stacks and before any A_hat.
+# four alive besides the stacked adjacencies; the same stack gives the
+# graphs' A_hat. Larger graphs are encoded one at a time, in index order,
+# after the stacks, and get their A_hat after the encoding buffer is freed.
 STACK_ELEMENTS = 1 << 16
 
 
@@ -200,8 +201,10 @@ def precompute_inputs(gs: GraphSet, config: ExperimentConfig,
     The initial features are the graph's attribute columns, then its
     random-walk encoding; graphs without attribute columns use the
     encoding alone, so their information is purely topological. Small
-    graphs are grouped by node count and encoded a stack at a time
-    (``STACK_ELEMENTS``), which gives the same bits as encoding each alone.
+    graphs are grouped by node count and handled a stack at a time
+    (``STACK_ELEMENTS``): one encoding call and one
+    ``normalized_adjacency`` call per stack, whose A_hat slices give each
+    graph's nonzeros. Both give the same bits as each graph alone.
     Deterministic in (dataset, k_se, indices)."""
     indices = list(indices)
     by_size: dict[int, list[int]] = {}
@@ -218,6 +221,7 @@ def precompute_inputs(gs: GraphSet, config: ExperimentConfig,
                      if gs.graphs[i].n ** 2 > STACK_ELEMENTS], default=0)
     scratch = np.empty(4 * largest)
     encodings: dict[int, np.ndarray] = {}
+    a_hats: dict[int, ad.Nonzeros] = {}
     for n, group in by_size.items():
         step = STACK_ELEMENTS // (n * n)
         for start in range(0, len(group), step):
@@ -225,17 +229,20 @@ def precompute_inputs(gs: GraphSet, config: ExperimentConfig,
             stack = np.stack([gs.graphs[i].adjacency for i in chunk])
             encodings.update(zip(chunk, rw_structural_encoding(
                 stack, config.k_se, scratch)))
+            a_hats.update(zip(chunk, map(ad.Nonzeros,
+                                         normalized_adjacency(stack))))
     for i in indices:
         if i not in encodings:
             encodings[i] = rw_structural_encoding(gs.graphs[i].adjacency,
                                                   config.k_se, scratch)
-    del scratch     # freed before any A_hat is made
+    del scratch     # freed before any large graph's A_hat is made
     out = {}
     for i in indices:
         g = gs.graphs[i]
-        # the dense A_hat lives only until its nonzeros are taken
-        out[i] = GraphInputs(adjacency=g.adjacency,
-                             a_hat=ad.Nonzeros(normalized_adjacency(g)),
+        # a large graph's dense A_hat lives only until its nonzeros are taken
+        a_hat = (a_hats.pop(i) if i in a_hats
+                 else ad.Nonzeros(normalized_adjacency(g)))
+        out[i] = GraphInputs(adjacency=g.adjacency, a_hat=a_hat,
                              x_init=np.concatenate([g.features,
                                                     encodings.pop(i)], axis=1))
     widths = {gi.x_init.shape[1] for gi in out.values()}
@@ -320,7 +327,9 @@ def forward_stack(gi: GraphInputs, models: dict) -> dict:
     """Node matrices of one pack at each stage the named models
     reach: "source" (teacher embeddings), "flow" (their latent) and
     "target" (the student's output). Frozen models record nothing, so no
-    tape is built."""
+    tape is built. The pack's A_hat is written out dense once, here, and
+    that pack is what the teacher, the flow and a GCN student read."""
+    gi = replace(gi, a_hat=ad.as_float(gi.a_hat))
     x = ad.constant(gi.x_init)
     h = models["encoder"].forward(gi.a_hat, x)
     stages = {"source": h.data}
@@ -328,8 +337,9 @@ def forward_stack(gi: GraphInputs, models: dict) -> dict:
         stages["flow"] = models["flow"].forward(h, gi.a_hat)[0].data
     if "student" in models:
         student = models["student"]
-        stages["target"] = student.forward(student_propagation(gi, student),
-                                           x).data
+        propagation = student_propagation(gi, student)
+        del gi      # a GIN student casts A; the dense A_hat goes first
+        stages["target"] = student.forward(propagation, x).data
     return stages
 
 

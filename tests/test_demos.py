@@ -64,6 +64,7 @@ def test_digests_script_prints_every_line(tmp_path):
                      r"+x_init \d+",
                      rf"held +{graphs} +train \d+ \(\d+ graphs\) "
                      r"+score \d+ \(\d+ graphs\)"]
+    expected += [rf"parse +default +{digest} +transient [\d.]+ x edge table"]
     expected += [rf"nodes +batch {b} +source [\d.]+ +flow [\d.]+ "
                  r"+target [\d.]+" for b in (1, 4)]
     expected += [rf"workspace {graphs} +batch {b} +source \d+ B mappings \d+ "

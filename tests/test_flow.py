@@ -299,6 +299,23 @@ def test_identity_flow_object(rng):
         GraphFlow(4, -1, 2.0, make_rng(0))
 
 
+def test_zero_step_flow_writes_no_a_hat(rng, monkeypatch):
+    # the no-flow ablations' flow reads no propagation matrix, so it writes
+    # no dense A_hat; a flow with steps writes one per pass
+    [a_hat] = _random_a_hat(5, rng).blocks
+    pack = ad.BlockDiag([ad.Nonzeros(a_hat)])
+    h = Tensor(rng.normal(size=(5, 4)))
+    writes = []
+    real = ad.as_float
+    monkeypatch.setattr(ad, "as_float", lambda a: writes.append(a) or real(a))
+    z, log_det = GraphFlow(4, 0, 2.0, make_rng(0)).forward(h, pack)
+    assert writes == []
+    assert np.array_equal(z.data, h.data)
+    assert log_det.item() == 0.0
+    random_flow(4, 1, make_rng(1)).forward(h, pack)
+    assert writes == [pack]
+
+
 def test_flow_width_checks(rng):
     with pytest.raises(ContractViolation):
         GraphFlow(5, 2, 2.0, make_rng(0))

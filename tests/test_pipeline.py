@@ -595,6 +595,31 @@ def test_score_matches_per_node_reference(variant):
     assert (graphs_with_zero_pairs > 0) == (variant == "asy_st")
 
 
+@pytest.mark.parametrize("variant", ["full", "non_nf", "asy_st"])
+def test_forward_stack_writes_each_pack_a_hat_once(monkeypatch, variant):
+    # the teacher, the flow and a GCN student (asy_st) read one written-out
+    # A_hat; a zero-step flow (non_nf, asy_st) and a GIN student write none
+    gs = small_set()
+    cfg = ExperimentConfig(**{**TINY, "variant": variant, "batch_size": 4})
+    _, results = run_experiment(gs, cfg)
+    models = results[0].models
+    inputs = precompute_inputs(gs, cfg, range(len(gs)))
+    real = ad.as_float
+    scatters = []
+
+    def counting(a):
+        scatters.append(any(isinstance(block, ad.Nonzeros)
+                            for block in a.blocks))
+        return real(a)
+
+    monkeypatch.setattr(ad, "as_float", counting)
+    for pack in packs(inputs, list(range(len(gs))), 4):
+        scatters.clear()
+        stages = forward_stack(pack, models)
+        assert sum(scatters) == 1
+        assert set(stages) == {"source", "flow", "target"}
+
+
 def test_train_seed_annotates_failures(tmp_path):
     gs = small_set()
     cfg = ExperimentConfig(**{**TINY, "lr": 1e80})
